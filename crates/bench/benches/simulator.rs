@@ -19,18 +19,18 @@
 //! cargo bench -p ssmc-bench -- --check BENCH_throughput.json  # perf gate
 //! ```
 
-use ssmc_bench::alloc_sentinel::CountingAlloc;
-use ssmc_core::{run_trace, MachineConfig, MobileComputer};
 use ssmc_baseline::{BaselineConfig, DiskFs};
+use ssmc_bench::alloc_sentinel::CountingAlloc;
+use ssmc_bench::obs_trace::throughput_machine;
+use ssmc_core::{run_trace, MachineConfig, MobileComputer};
 use ssmc_device::{BlockId, Dram, DramSpec, Flash, FlashSpec};
 use ssmc_memfs::{MemFs, WritePolicy};
 use ssmc_sim::report::{FromReport, ToReport};
 use ssmc_sim::{Clock, Energy, Histogram, SimDuration, SimTime, Table};
 use ssmc_storage::{StorageConfig, StorageManager};
 use ssmc_trace::{
-    coalesce_key, kind_code, replay, replay_stream, BatchTarget, FileId, FileOp, GeneratorConfig,
-    OpStream, OpStreamFileReader, OpStreamWriter, TraceRecord, TraceTarget, Workload, BATCH_ERROR,
-    MAX_BATCH,
+    kind_code, replay, FileId, FileOp, GeneratorConfig, OpStream, OpStreamFileReader,
+    OpStreamWriter, Trace, TraceTarget, Workload,
 };
 use std::hint::black_box;
 // lint: allow(D3): host-side bench harness state, not simulator code;
@@ -349,28 +349,16 @@ fn bench_traces(filter: Option<String>) {
 /// allocate-per-operation storage stack immediately before the dense
 /// hot-path rework, in this repo's CI container. The dense-path speedup
 /// reported in `BENCH_throughput.json` is relative to this recording.
-const BASELINE_OPS_PER_SEC: [(&str, f64); 3] = [
-    ("bsd", 97_639.0),
-    ("office", 136_506.0),
-    ("database", 41_322.0),
-];
+const BASELINE_OPS_PER_SEC: [(&str, f64); 2] = [("bsd", 97_639.0), ("office", 136_506.0)];
 
-/// The machine the macrobenchmark replays into: the F2 notebook
-/// configuration with its 1 MB battery-backed write buffer, so the run
-/// exercises buffering, flushing, GC, and checkpointing together.
-fn throughput_machine() -> MobileComputer {
-    let mut cfg = MachineConfig::with_sizes("throughput", 8 << 20, 24 << 20);
-    cfg.write_buffer_bytes = Some(1 << 20);
-    MobileComputer::new(cfg)
-}
-
-/// The four macrobenchmark workloads, including the metadata-heavy
+/// The macrobenchmark workloads, including the metadata-heavy
 /// mail-spool trace that stresses the directory index rather than the
-/// data path.
-const THROUGHPUT_WORKLOADS: [(Workload, &str); 4] = [
+/// data path. Database is absent on purpose: at 25k ops on this machine
+/// its cleaner collapses (millions of GC passes, failed ops), and a row
+/// counts only if its run was healthy.
+const THROUGHPUT_WORKLOADS: [(Workload, &str); 3] = [
     (Workload::Bsd, "bsd"),
     (Workload::Office, "office"),
-    (Workload::Database, "database"),
     (Workload::MailSpool, "mail-spool"),
 ];
 
@@ -383,23 +371,28 @@ struct ThroughputRow {
     mbps: f64,
 }
 
-/// Replays each workload through the full stack (trace → fs → storage →
-/// devices), best-of-`reps` on fresh machines: the fastest run is the
-/// one least disturbed by the host, which is the quantity we track.
-fn measure_throughput(ops: usize, reps: usize) -> Vec<ThroughputRow> {
-    THROUGHPUT_WORKLOADS
-        .iter()
-        .map(|&(workload, name)| measure_legacy_row(workload, name, ops, reps))
-        .collect()
+impl ThroughputRow {
+    /// The row for `ops` records carrying `data_bytes`, replayed in
+    /// `secs` of host time.
+    fn new(name: &'static str, ops: u64, data_bytes: u64, secs: f64) -> ThroughputRow {
+        ThroughputRow {
+            name,
+            ops,
+            data_bytes,
+            ops_per_sec: ops as f64 / secs,
+            mbps: data_bytes as f64 / secs / (1 << 20) as f64,
+        }
+    }
 }
 
-/// One per-record replay row, best-of-`reps` on fresh machines.
-fn measure_legacy_row(workload: Workload, name: &'static str, ops: usize, reps: usize) -> ThroughputRow {
+/// The fixed-seed `ops`-record trace of `workload` every row replays,
+/// with its read plus write payload in bytes.
+fn bench_trace(workload: Workload, ops: usize) -> (Trace, u64) {
     let trace = GeneratorConfig::new(workload)
         .with_ops(ops)
         .with_max_live_bytes(4 << 20)
         .generate();
-    let data_bytes: u64 = trace
+    let data_bytes = trace
         .records
         .iter()
         .map(|r| match r.op {
@@ -407,44 +400,46 @@ fn measure_legacy_row(workload: Workload, name: &'static str, ops: usize, reps: 
             _ => 0,
         })
         .sum();
+    (trace, data_bytes)
+}
+
+/// Replays each workload through the full stack (trace → fs → storage →
+/// devices), best-of-`reps` on fresh machines: the fastest run is the
+/// one least disturbed by the host, which is the quantity we track.
+/// The sampler-on BSD row comes last.
+fn measure_throughput(ops: usize, reps: usize) -> Vec<ThroughputRow> {
+    let mut rows: Vec<ThroughputRow> = THROUGHPUT_WORKLOADS
+        .iter()
+        .map(|&(workload, name)| measure_row(workload, name, ops, reps))
+        .collect();
+    rows.push(measure_stream_tl_row(ops, reps));
+    rows
+}
+
+/// One replay row, best-of-`reps` on fresh machines. Every rep must
+/// replay without an error: a fast number from a machine that failed
+/// ops measures the failure, not the simulator.
+fn measure_row(workload: Workload, name: &'static str, ops: usize, reps: usize) -> ThroughputRow {
+    let (trace, data_bytes) = bench_trace(workload, ops);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut m = throughput_machine();
         let start = Instant::now();
-        black_box(run_trace(&mut m, &trace));
+        let report = black_box(run_trace(&mut m, &trace));
         best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            report.replay.errors, 0,
+            "{name}: throughput rows must replay cleanly"
+        );
     }
-    ThroughputRow {
-        name,
-        ops: trace.records.len() as u64,
-        data_bytes,
-        ops_per_sec: trace.records.len() as f64 / best,
-        mbps: data_bytes as f64 / best / (1 << 20) as f64,
-    }
+    ThroughputRow::new(name, trace.records.len() as u64, data_bytes, best)
 }
-
-/// Host ops/sec of the same workloads on the per-record replay path as
-/// recorded in `BENCH_throughput.json` immediately before the compiled
-/// op-stream pipeline landed. The `speedup` column of the `stream_*`
-/// rows measures the batched streaming path against these.
-const STREAM_BASELINE_OPS_PER_SEC: [(&str, f64); 3] = [
-    ("stream_bsd", 318_634.2),
-    ("stream_office", 403_639.5),
-    ("stream_database", 98_720.7),
-];
-
-/// The stream-eligible macrobenchmark workloads (mail-spool is metadata
-/// churn with nothing to coalesce, so it stays on the per-record rows).
-const STREAM_WORKLOADS: [(Workload, &str); 3] = [
-    (Workload::Bsd, "stream_bsd"),
-    (Workload::Office, "stream_office"),
-    (Workload::Database, "stream_database"),
-];
 
 /// The million-op machine: the throughput configuration on external
 /// power (a ~1 kWh pack) — a million operations drain the stock 10 Wh
-/// notebook battery about 150 k ops in, and this row measures the
-/// storage stack, not battery exhaustion (experiment T3 covers that).
+/// notebook battery about 150 k ops in, and the streaming alloc-guard
+/// measures the storage stack, not battery exhaustion (experiment T3
+/// covers that).
 fn stream_1m_machine() -> MobileComputer {
     let mut cfg = MachineConfig::with_sizes("stream-1m", 8 << 20, 24 << 20);
     cfg.write_buffer_bytes = Some(1 << 20);
@@ -452,69 +447,14 @@ fn stream_1m_machine() -> MobileComputer {
     MobileComputer::new(cfg)
 }
 
-/// The compiled-stream macrobenchmark: the same traces as the rows
-/// above, compiled to dense fixed-width records and replayed through the
-/// batching driver. The timed section includes the record decode, so the
-/// rows compare end to end with the per-record path.
-fn measure_stream_throughput(ops: usize, reps: usize) -> Vec<ThroughputRow> {
-    STREAM_WORKLOADS
-        .iter()
-        .map(|&(workload, name)| measure_stream_row(workload, name, ops, reps))
-        .collect()
-}
-
-/// One compiled-stream row, best-of-`reps` on fresh machines.
-fn measure_stream_row(workload: Workload, name: &'static str, ops: usize, reps: usize) -> ThroughputRow {
-    let trace = GeneratorConfig::new(workload)
-        .with_ops(ops)
-        .with_max_live_bytes(4 << 20)
-        .generate();
-    let data_bytes: u64 = trace
-        .records
-        .iter()
-        .map(|r| match r.op {
-            FileOp::Write { len, .. } | FileOp::Read { len, .. } => len,
-            _ => 0,
-        })
-        .sum();
-    let stream = OpStream::compile(&trace);
-    drop(trace);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut m = throughput_machine();
-        let clock = m.clock().clone();
-        let start = Instant::now();
-        black_box(replay_stream(stream.cursor(), &mut m, &clock));
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    ThroughputRow {
-        name,
-        ops: stream.len() as u64,
-        data_bytes,
-        ops_per_sec: stream.len() as f64 / best,
-        mbps: data_bytes as f64 / best / (1 << 20) as f64,
-    }
-}
-
-/// The timeline-enabled streaming row: the same compiled BSD stream as
-/// `stream_bsd`, replayed with the flight recorder sampling every
-/// simulated second into a temp-file `.tl` (~900 rows over this trace's
-/// ~940 simulated seconds). Sitting next to `stream_bsd` in the
-/// recording keeps the sampler's cost on the record: the `--check` gate
-/// fails if sampling ever stops being cheap.
+/// The timeline-enabled row: the BSD trace compiled to dense fixed-width
+/// records, replayed from the compiled stream with the flight recorder
+/// sampling every simulated second into a temp-file `.tl` (~900 rows
+/// over this trace's ~940 simulated seconds). Sitting next to `bsd` in
+/// the recording keeps the sampler's cost on the record: the `--check`
+/// gate fails if sampling ever stops being cheap.
 fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
-    let trace = GeneratorConfig::new(Workload::Bsd)
-        .with_ops(ops)
-        .with_max_live_bytes(4 << 20)
-        .generate();
-    let data_bytes: u64 = trace
-        .records
-        .iter()
-        .map(|r| match r.op {
-            FileOp::Write { len, .. } | FileOp::Read { len, .. } => len,
-            _ => 0,
-        })
-        .sum();
+    let (trace, data_bytes) = bench_trace(Workload::Bsd, ops);
     let stream = OpStream::compile(&trace);
     drop(trace);
     let path = std::env::temp_dir().join("ssmc_bench_stream_bsd.tl");
@@ -525,8 +465,12 @@ fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
             .expect("enable bench timeline");
         let clock = m.clock().clone();
         let start = Instant::now();
-        black_box(replay_stream(stream.cursor(), &mut m, &clock));
+        let report = black_box(replay(stream.cursor(), &mut m, &clock));
         best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            report.errors, 0,
+            "stream_bsd_tl: throughput rows must replay cleanly"
+        );
         let summary = m
             .finish_timeline()
             .expect("finish bench timeline")
@@ -534,58 +478,7 @@ fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
         assert!(summary.rows > 0, "timeline must sample during the replay");
     }
     let _ = std::fs::remove_file(&path);
-    ThroughputRow {
-        name: "stream_bsd_tl",
-        ops: stream.len() as u64,
-        data_bytes,
-        ops_per_sec: stream.len() as f64 / best,
-        mbps: data_bytes as f64 / best / (1 << 20) as f64,
-    }
-}
-
-/// The million-op streaming row: the trace is generated straight into a
-/// stream file — a `Vec<TraceRecord>` of this trace never exists — and
-/// replayed by decoding records from disk as they are consumed.
-fn measure_stream_1m(reps: usize) -> ThroughputRow {
-    let ops = if smoke() { 50_000 } else { 1_000_000 };
-    let path = std::env::temp_dir().join("ssmc_stream_bsd_1m.ops");
-    let mut w = OpStreamWriter::create(&path, "stream-bsd-1m").expect("create stream file");
-    let written = GeneratorConfig::new(Workload::Bsd)
-        .with_ops(ops)
-        .with_max_live_bytes(4 << 20)
-        .generate_into(&mut w)
-        .expect("generate into stream");
-    w.finish().expect("finish stream");
-    // One decode pass for the data-byte column.
-    let mut data_bytes = 0u64;
-    let mut r = OpStreamFileReader::open(&path).expect("open stream");
-    while let Some(rec) = r.next_record().expect("decode stream") {
-        if let FileOp::Write { len, .. } | FileOp::Read { len, .. } = rec.op {
-            data_bytes += len;
-        }
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut m = stream_1m_machine();
-        let clock = m.clock().clone();
-        let mut r = OpStreamFileReader::open(&path).expect("open stream");
-        let start = Instant::now();
-        let (report, _) = replay_stream(
-            std::iter::from_fn(|| r.next_record().expect("decode stream")),
-            &mut m,
-            &clock,
-        );
-        best = best.min(start.elapsed().as_secs_f64());
-        assert_eq!(report.ops, written, "stream must replay every record");
-    }
-    let _ = std::fs::remove_file(&path);
-    ThroughputRow {
-        name: "stream_bsd_1m",
-        ops: written,
-        data_bytes,
-        ops_per_sec: written as f64 / best,
-        mbps: data_bytes as f64 / best / (1 << 20) as f64,
-    }
+    ThroughputRow::new("stream_bsd_tl", stream.len() as u64, data_bytes, best)
 }
 
 /// End-to-end macrobenchmark: reports host ops/sec and bytes/sec. With
@@ -611,14 +504,9 @@ fn bench_throughput(filter: Option<String>, json: Option<std::path::PathBuf>) {
             "speedup",
         ],
     );
-    let mut rows = measure_throughput(ops, reps);
-    rows.extend(measure_stream_throughput(ops, reps));
-    rows.push(measure_stream_tl_row(ops, reps));
-    rows.push(measure_stream_1m(if smoke() { 1 } else { 2 }));
-    for row in rows {
+    for row in measure_throughput(ops, reps) {
         let baseline = BASELINE_OPS_PER_SEC
             .iter()
-            .chain(STREAM_BASELINE_OPS_PER_SEC.iter())
             .find(|(n, _)| *n == row.name)
             .map(|(_, v)| *v)
             .unwrap_or(0.0);
@@ -678,19 +566,13 @@ const CHECK_RETRIES: usize = 3;
 /// Re-measures a single recorded row by name (used by the `--check`
 /// retry rounds). Returns `None` for names no measure function owns.
 fn remeasure_row(name: &str, ops: usize, reps: usize) -> Option<ThroughputRow> {
-    if name == "stream_bsd_1m" {
-        return Some(measure_stream_1m(1));
-    }
     if name == "stream_bsd_tl" {
         return Some(measure_stream_tl_row(ops, reps));
     }
-    if let Some(&(w, n)) = THROUGHPUT_WORKLOADS.iter().find(|(_, n)| *n == name) {
-        return Some(measure_legacy_row(w, n, ops, reps));
-    }
-    if let Some(&(w, n)) = STREAM_WORKLOADS.iter().find(|(_, n)| *n == name) {
-        return Some(measure_stream_row(w, n, ops, reps));
-    }
-    None
+    THROUGHPUT_WORKLOADS
+        .iter()
+        .find(|(_, n)| *n == name)
+        .map(|&(w, n)| measure_row(w, n, ops, reps))
 }
 
 /// `--check PATH`: the throughput regression gate. Re-measures the full
@@ -719,14 +601,11 @@ fn check_throughput(path: &std::path::Path) {
     }
     println!(
         "check: re-measuring {} workloads against {} (tolerance {:.0}%)…",
-        THROUGHPUT_WORKLOADS.len() + STREAM_WORKLOADS.len() + 2,
+        THROUGHPUT_WORKLOADS.len() + 1,
         path.display(),
         CHECK_TOLERANCE * 100.0
     );
-    let mut fresh = measure_throughput(25_000, 3);
-    fresh.extend(measure_stream_throughput(25_000, 3));
-    fresh.push(measure_stream_tl_row(25_000, 3));
-    fresh.push(measure_stream_1m(1));
+    let fresh = measure_throughput(25_000, 3);
     // Host-state normalization: machine load moves every row of a run in
     // the same direction, so the run-wide median measured/recorded ratio
     // estimates the host's current speed relative to the recording.
@@ -1018,13 +897,12 @@ fn alloc_guard() {
 
 /// The streaming half of the alloc-guard: compiles a million-op stream
 /// of the guard's steady-state loop to disk, then replays it by decoding
-/// records one at a time through the batching driver's exact coalescing
-/// rule, asserting the decode → coalesce → `apply_batch` → histogram
+/// records one at a time, asserting the decode → `apply` → histogram
 /// loop allocates nothing once the warmup fifth of the stream has
 /// passed. Memory is flat no matter how long the stream is: the only
-/// per-record state is a 32-byte stack buffer and the bounded batch.
-/// Namespace ops allocate by design and are confined to the warmup, as
-/// in the in-memory guard above.
+/// per-record state is a 32-byte stack buffer and a fixed histogram
+/// array. Namespace ops allocate by design and are confined to the
+/// warmup, as in the in-memory guard above.
 fn alloc_guard_stream() {
     let stream_ops: u64 = if smoke() { 60_000 } else { 1_000_000 };
     // Steady state begins once the flash has filled and garbage
@@ -1066,53 +944,29 @@ fn alloc_guard_stream() {
     }
     let expected = stream_ops + GUARD_FILES * (1 + GUARD_SLOTS);
     let mut m = stream_1m_machine();
-    // The streaming window runs sampler-on too: the decode → coalesce →
-    // apply loop and the flight recorder must be allocation-free
-    // together, not just separately.
+    // The streaming window runs sampler-on too: the decode → apply loop
+    // and the flight recorder must be allocation-free together, not just
+    // separately.
     let tl_path = std::env::temp_dir().join("ssmc_alloc_guard_stream.tl");
     m.enable_timeline_file(&tl_path, SimDuration::from_millis(1))
         .expect("enable guard stream timeline");
+    let clock = m.clock().clone();
     let mut reader = OpStreamFileReader::open(&path).expect("open guard stream");
-    let mut batch: Vec<TraceRecord> = Vec::with_capacity(MAX_BATCH);
-    let mut lats = [SimDuration::ZERO; MAX_BATCH];
     let mut hists: [Histogram; 8] = std::array::from_fn(|_| Histogram::new());
-    let mut pending: Option<TraceRecord> = None;
     let mut applied: u64 = 0;
     let mut errors: u64 = 0;
     let mut window = None;
     let mut rows_at_window: u64 = 0;
-    loop {
-        batch.clear();
-        let Some(first) = pending
-            .take()
-            .or_else(|| reader.next_record().expect("decode guard stream"))
-        else {
-            break;
-        };
-        let key = coalesce_key(&first.op);
-        batch.push(first);
-        if key.is_some() {
-            while batch.len() < MAX_BATCH {
-                match reader.next_record().expect("decode guard stream") {
-                    Some(r) if coalesce_key(&r.op) == key => batch.push(r),
-                    Some(r) => {
-                        pending = Some(r);
-                        break;
-                    }
-                    None => break,
-                }
+    while let Some(rec) = reader.next_record().expect("decode guard stream") {
+        clock.advance_to(rec.at);
+        let t0 = clock.now();
+        match m.apply(&rec.op) {
+            Ok(()) => {
+                hists[kind_code(rec.op.kind()) as usize].record_duration(clock.now().since(t0))
             }
+            Err(_) => errors += 1,
         }
-        let n = batch.len();
-        m.apply_batch(&batch, &mut lats[..n]);
-        for (rec, &lat) in batch.iter().zip(&lats[..n]) {
-            if lat == BATCH_ERROR {
-                errors += 1;
-            } else {
-                hists[kind_code(rec.op.kind()) as usize].record_duration(lat);
-            }
-        }
-        applied += n as u64;
+        applied += 1;
         if window.is_none() && applied >= warm {
             rows_at_window = m.timeline_rows().expect("guard stream timeline alive");
             window = Some(ALLOC.counts());

@@ -3,15 +3,13 @@
 //! Replays the throughput-bench BSD trace with an enabled [`Recorder`]
 //! and reports, from the journal aggregates, where simulated time and
 //! energy go — per op kind and per layer — plus host-side throughput for
-//! both the traced and the no-op-recorder configurations.
+//! both the traced and the no-op-recorder configurations, and host time
+//! per op kind.
 
 use ssmc_bench::obs_trace::{throughput_machine, traced_replay};
 use ssmc_core::run_trace;
 use ssmc_sim::obs::{EVENT_KINDS, LAYERS};
-use ssmc_sim::SimDuration;
-use ssmc_trace::{
-    coalesce_key, BatchTarget, GeneratorConfig, OpKind, TraceTarget, Workload, MAX_BATCH,
-};
+use ssmc_trace::{GeneratorConfig, OpKind, TraceTarget, Workload};
 use std::time::Instant;
 
 const OPS: u64 = 25_000;
@@ -118,88 +116,47 @@ fn main() {
         );
     }
 
-    // Host-time breakdown per op kind, unbatched vs batched. Both passes
-    // put an `Instant` pair around each submission, so the per-op timer
-    // overhead lands once per op on the unbatched column but is amortised
-    // over the whole batch on the batched one — the same asymmetry the
-    // real drivers have, since batching exists to amortise per-submission
-    // host cost.
-    let kind_idx = |k: OpKind| OpKind::ALL.iter().position(|&x| x == k).expect("known kind");
-
-    // Unbatched: the classic per-record replay loop, timed per apply.
+    // Host-time breakdown per op kind: the per-record replay loop, one
+    // `Instant` pair around each apply.
+    let kind_idx = |k: OpKind| {
+        OpKind::ALL
+            .iter()
+            .position(|&x| x == k)
+            .expect("known kind")
+    };
     let mut m = throughput_machine();
     let clock = m.clock().clone();
     let mut counts = [0u64; OpKind::ALL.len()];
-    let mut unbatched_ns = [0u64; OpKind::ALL.len()];
+    let mut host_ns = [0u64; OpKind::ALL.len()];
     for rec in &trace.records {
         clock.advance_to(rec.at);
         let i = kind_idx(rec.op.kind());
         counts[i] += 1;
         let t = Instant::now();
         let _ = m.apply(&rec.op);
-        unbatched_ns[i] += t.elapsed().as_nanos() as u64;
-    }
-
-    // Batched: the streaming driver's coalescing rule (via the public
-    // `coalesce_key`), timed per `apply_batch` submission.
-    let mut m = throughput_machine();
-    let mut batched_ns = [0u64; OpKind::ALL.len()];
-    let mut coalesced = [0u64; OpKind::ALL.len()];
-    let mut lats = [SimDuration::ZERO; MAX_BATCH];
-    let records = &trace.records;
-    let mut i = 0;
-    while i < records.len() {
-        let key = coalesce_key(&records[i].op);
-        let mut j = i + 1;
-        if key.is_some() {
-            while j < records.len() && j - i < MAX_BATCH && coalesce_key(&records[j].op) == key {
-                j += 1;
-            }
-        }
-        let recs = &records[i..j];
-        let k = kind_idx(recs[0].op.kind());
-        let t = Instant::now();
-        m.apply_batch(recs, &mut lats[..recs.len()]);
-        batched_ns[k] += t.elapsed().as_nanos() as u64;
-        if recs.len() > 1 {
-            coalesced[k] += recs.len() as u64;
-        }
-        i = j;
+        host_ns[i] += t.elapsed().as_nanos() as u64;
     }
 
     println!();
-    println!("host time per op kind, unbatched vs batched:");
-    println!(
-        "{:<10} {:>8} {:>16} {:>16} {:>9} {:>11}",
-        "kind", "count", "unbatched ns/op", "batched ns/op", "speedup", "coalesced"
-    );
-    let mut tot = (0u64, 0u64, 0u64, 0u64);
+    println!("host time per op kind:");
+    println!("{:<10} {:>8} {:>12}", "kind", "count", "host ns/op");
     for kind in OpKind::ALL {
         let k = kind_idx(kind);
         if counts[k] == 0 {
             continue;
         }
         println!(
-            "{:<10} {:>8} {:>16.1} {:>16.1} {:>8.2}x {:>10.1}%",
+            "{:<10} {:>8} {:>12.1}",
             kind.to_string(),
             counts[k],
-            unbatched_ns[k] as f64 / counts[k] as f64,
-            batched_ns[k] as f64 / counts[k] as f64,
-            unbatched_ns[k] as f64 / batched_ns[k].max(1) as f64,
-            100.0 * coalesced[k] as f64 / counts[k] as f64,
+            host_ns[k] as f64 / counts[k] as f64,
         );
-        tot.0 += counts[k];
-        tot.1 += unbatched_ns[k];
-        tot.2 += batched_ns[k];
-        tot.3 += coalesced[k];
     }
+    let (n, ns) = (counts.iter().sum::<u64>(), host_ns.iter().sum::<u64>());
     println!(
-        "{:<10} {:>8} {:>16.1} {:>16.1} {:>8.2}x {:>10.1}%",
+        "{:<10} {:>8} {:>12.1}",
         "total",
-        tot.0,
-        tot.1 as f64 / tot.0.max(1) as f64,
-        tot.2 as f64 / tot.0.max(1) as f64,
-        tot.1 as f64 / tot.2.max(1) as f64,
-        100.0 * tot.3 as f64 / tot.0.max(1) as f64,
+        n,
+        ns as f64 / n.max(1) as f64
     );
 }

@@ -10,11 +10,11 @@ use crate::config::MachineConfig;
 use ssmc_baseline::{BaselineConfig, DiskFs};
 use ssmc_device::{Battery, BatterySpec, BatteryState};
 use ssmc_memfs::{FileMap, FsError, MemFs, OpenMode};
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
+use ssmc_sim::obs::{EventKind, MetricSink, MetricsRegistry, Recorder, Span};
 use ssmc_sim::timeline::{SampleBuf, Schema, SeekWrite, TimelineSink, TimelineSummary};
 use ssmc_sim::{Clock, Energy, SharedClock, SimDuration, SimTime};
 use ssmc_storage::{DenseIndex, RecoveryReport, StorageManager};
-use ssmc_trace::{BatchTarget, FileId, FileOp, TraceRecord, TraceTarget, BATCH_ERROR};
+use ssmc_trace::{FileId, FileOp, TraceTarget};
 use ssmc_vm::{launch, LaunchStats, Vm, VmConfig, VmError};
 
 /// The solid-state mobile computer.
@@ -42,12 +42,6 @@ pub struct MobileComputer {
     drained: Energy,
     last_maintain: SimTime,
     recorder: Recorder,
-    /// Batches accepted through [`BatchTarget::apply_batch`].
-    replay_batches: u64,
-    /// Records submitted through batches.
-    replay_batch_ops: u64,
-    /// Records that arrived in a coalesced batch (size two or more).
-    replay_coalesced_ops: u64,
     /// Sim-time flight recorder; `None` (one not-taken branch per
     /// maintenance tick) unless [`Self::enable_timeline`] installed one.
     timeline: Option<TimelineSink>,
@@ -83,9 +77,6 @@ impl MobileComputer {
             drained: Energy::ZERO,
             last_maintain: clock.now(),
             recorder: Recorder::disabled(),
-            replay_batches: 0,
-            replay_batch_ops: 0,
-            replay_coalesced_ops: 0,
             timeline: None,
             cfg,
             clock,
@@ -137,23 +128,32 @@ impl MobileComputer {
     /// gauges, and time-weighted instruments under one snapshot.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        self.fs.publish_metrics(&mut reg);
-        self.vm.publish_metrics(&mut reg);
-        reg.counter("machine.energy_total_nj", self.total_energy().as_nanojoules());
-        reg.counter("machine.energy_drained_nj", self.drained.as_nanojoules());
-        reg.counter("replay.batches", self.replay_batches);
-        reg.counter("replay.batch_ops", self.replay_batch_ops);
-        reg.counter("replay.coalesced_ops", self.replay_coalesced_ops);
-        reg.gauge("machine.sim_time_s", self.clock.now().as_secs_f64());
+        self.publish_metrics(&mut reg);
         reg
     }
 
+    /// The machine's one metrics walk, feeding both the registry and
+    /// every timeline row, in channel order: file system (with storage,
+    /// flash, and per-segment wear below it), VM, machine totals, and
+    /// battery.
+    fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
+        self.fs.publish_metrics(sink);
+        self.vm.publish_metrics(sink);
+        sink.counter(
+            "machine.energy_total_nj",
+            self.total_energy().as_nanojoules(),
+        );
+        sink.counter("machine.energy_drained_nj", self.drained.as_nanojoules());
+        sink.gauge("machine.sim_time_s", self.clock.now().as_secs_f64());
+        self.battery.publish_metrics(sink);
+    }
+
     /// The machine's timeline channel schema, built by one registration
-    /// pass over the same per-layer `sample_timeline` walk that later
-    /// produces values — schema and samples cannot drift apart.
+    /// pass over the same metrics walk that later produces values —
+    /// schema and samples cannot drift apart.
     pub fn timeline_schema(&self) -> Schema {
         let mut buf = SampleBuf::registration();
-        self.fill_sample(&mut buf);
+        self.publish_metrics(&mut buf);
         buf.into_schema()
     }
 
@@ -207,29 +207,8 @@ impl MobileComputer {
         let Some(mut tl) = self.timeline.take() else {
             return Ok(None);
         };
-        tl.sample(self.clock.now(), |buf| self.fill_sample(buf))?;
+        tl.sample(self.clock.now(), |buf| self.publish_metrics(buf))?;
         tl.finish().map(Some)
-    }
-
-    /// Fills every timeline channel, in registration order: file system
-    /// (with storage, flash, and per-segment wear below it), VM, machine
-    /// totals, and battery.
-    fn fill_sample(&self, buf: &mut SampleBuf) {
-        self.fs.sample_timeline(buf);
-        self.vm.sample_timeline(buf);
-        buf.counter(
-            || "machine.energy_total_nj".into(),
-            self.total_energy().as_nanojoules(),
-        );
-        buf.counter(
-            || "machine.energy_drained_nj".into(),
-            self.drained.as_nanojoules(),
-        );
-        buf.counter(|| "replay.batches".into(), self.replay_batches);
-        buf.counter(|| "replay.batch_ops".into(), self.replay_batch_ops);
-        buf.counter(|| "replay.coalesced_ops".into(), self.replay_coalesced_ops);
-        buf.gauge(|| "machine.sim_time_s".into(), self.clock.now().as_secs_f64());
-        self.battery.sample_timeline(buf);
     }
 
     /// Samples the timeline if a boundary has been crossed. At most one
@@ -246,7 +225,7 @@ impl MobileComputer {
             _ => return,
         }
         let mut tl = self.timeline.take().expect("checked above");
-        if tl.sample(now, |buf| self.fill_sample(buf)).is_ok() {
+        if tl.sample(now, |buf| self.publish_metrics(buf)).is_ok() {
             self.timeline = Some(tl);
         }
     }
@@ -464,147 +443,6 @@ impl MobileComputer {
     }
 }
 
-impl MobileComputer {
-    /// Batched per-record loop for targets of any shape: advances the
-    /// clock to each arrival, applies through [`TraceTarget::apply`]
-    /// (spans and all), and records simulated latency or the error
-    /// sentinel.
-    // lint: hot-path
-    fn batch_fallback(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            *lat = match TraceTarget::apply(self, &r.op) {
-                Ok(()) => self.clock.now().since(t0),
-                Err(_) => BATCH_ERROR,
-            };
-        }
-    }
-
-    /// A coalesced run of writes to one file: the descriptor is resolved
-    /// once it is known and the payload scratch is grown once, but every
-    /// record still gets its own arrival advance, maintenance tick, and
-    /// file-system call — the simulated sequence is exactly the unbatched
-    /// one.
-    // lint: hot-path
-    fn batch_writes(&mut self, file: FileId, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        let mut max_len = 0usize;
-        for r in records {
-            if let FileOp::Write { len, .. } = r.op {
-                max_len = max_len.max(len as usize);
-            }
-        }
-        if self.write_scratch.len() < max_len {
-            self.write_scratch.resize(max_len, 0xA5);
-        }
-        let mut fd = None;
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            self.maintain();
-            let FileOp::Write { offset, len, .. } = r.op else {
-                unreachable!("driver coalesces only one kind per batch");
-            };
-            let res = match fd {
-                Some(fd) => self.fs.write(fd, offset, &self.write_scratch[..len as usize]),
-                None => match self.trace_fd(file) {
-                    Ok(f) => {
-                        fd = Some(f);
-                        self.fs.write(f, offset, &self.write_scratch[..len as usize])
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            *lat = if res.is_ok() {
-                self.clock.now().since(t0)
-            } else {
-                BATCH_ERROR
-            };
-        }
-    }
-
-    /// A coalesced run of reads from one file; same contract as
-    /// [`Self::batch_writes`].
-    // lint: hot-path
-    fn batch_reads(&mut self, file: FileId, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        let mut fd = None;
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            self.maintain();
-            let FileOp::Read { offset, len, .. } = r.op else {
-                unreachable!("driver coalesces only one kind per batch");
-            };
-            let res = match fd {
-                Some(fd) => self.fs.read_discard(fd, offset, len).map(|_| ()),
-                None => match self.trace_fd(file) {
-                    Ok(f) => {
-                        fd = Some(f);
-                        self.fs.read_discard(f, offset, len).map(|_| ())
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            *lat = if res.is_ok() {
-                self.clock.now().since(t0)
-            } else {
-                BATCH_ERROR
-            };
-        }
-    }
-}
-
-impl BatchTarget for MobileComputer {
-    // lint: hot-path
-    fn apply_batch(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        assert_eq!(records.len(), latencies.len(), "latency slot per record");
-        self.replay_batches += 1;
-        self.replay_batch_ops += records.len() as u64;
-        if records.len() > 1 {
-            self.replay_coalesced_ops += records.len() as u64;
-            if !self.recorder.is_enabled() {
-                // The driver only coalesces one data kind on one file, so
-                // the run shape is known from its first record.
-                match records[0].op {
-                    FileOp::Write { file, .. } => {
-                        return self.batch_writes(file, records, latencies);
-                    }
-                    FileOp::Read { file, .. } => {
-                        return self.batch_reads(file, records, latencies);
-                    }
-                    _ => {}
-                }
-            } else {
-                // Traced batched replay: the fallback emits every per-op
-                // root span, and one batch root span on top attributes
-                // the coalesced run (`pages` = coalesced-op count). Zero
-                // energy on purpose — the per-op roots underneath already
-                // carry the whole-machine deltas.
-                let start = self.clock.now();
-                let mut bytes = 0u64;
-                for r in records {
-                    if let FileOp::Write { len, .. } | FileOp::Read { len, .. } = r.op {
-                        bytes += len;
-                    }
-                }
-                self.batch_fallback(records, latencies);
-                let end = self.clock.now();
-                let n = records.len() as u64;
-                self.recorder.emit(|| Span {
-                    kind: EventKind::TraceBatch,
-                    start,
-                    end,
-                    energy: Energy::ZERO,
-                    pages: n,
-                    bytes,
-                });
-                return;
-            }
-        }
-        self.batch_fallback(records, latencies);
-    }
-}
-
 impl TraceTarget for MobileComputer {
     // lint: hot-path
     fn apply(&mut self, op: &FileOp) -> Result<(), Box<dyn std::error::Error>> {
@@ -717,20 +555,6 @@ impl TraceTarget for DiskComputer {
         self.fs.apply(op)?;
         self.maintain();
         Ok(())
-    }
-}
-
-impl BatchTarget for DiskComputer {
-    fn apply_batch(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]) {
-        assert_eq!(records.len(), latencies.len(), "latency slot per record");
-        for (r, lat) in records.iter().zip(latencies.iter_mut()) {
-            self.clock.advance_to(r.at);
-            let t0 = self.clock.now();
-            *lat = match TraceTarget::apply(self, &r.op) {
-                Ok(()) => self.clock.now().since(t0),
-                Err(_) => BATCH_ERROR,
-            };
-        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! primary pack, a backup pack, load-proportional discharge, pack swaps,
 //! and sudden-failure injection (the dropped computer) for experiment T3.
 
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::MetricSink;
 use ssmc_sim::{Energy, Power, SimDuration};
 
 /// Static battery characteristics.
@@ -86,23 +86,23 @@ impl Battery {
         self.swaps
     }
 
-    /// Timeline channels for the power source: remaining charge (total
-    /// and primary-only), swaps, and the state encoded as a gauge level
+    /// Publishes the power source: remaining charge (total and
+    /// primary-only), swaps, and the state encoded as a gauge level
     /// (0 primary / 1 backup / 2 dead) so depletion renders as a step
-    /// curve. Name closures only run during registration.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        buf.gauge(|| "battery.remaining_j".into(), self.remaining().as_joules());
-        buf.gauge(
-            || "battery.primary_remaining_j".into(),
+    /// curve on the timeline.
+    pub fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
+        sink.gauge("battery.remaining_j", self.remaining().as_joules());
+        sink.gauge(
+            "battery.primary_remaining_j",
             self.primary_remaining.as_joules(),
         );
-        buf.counter(|| "battery.swaps".into(), self.swaps as u64);
+        sink.counter("battery.swaps", self.swaps as u64);
         let state = match self.state() {
             BatteryState::Primary => 0.0,
             BatteryState::Backup => 1.0,
             BatteryState::Dead => 2.0,
         };
-        buf.gauge(|| "battery.state".into(), state);
+        sink.gauge("battery.state", state);
     }
 
     /// Draws `e` from the battery (primary first, then backup) and returns

@@ -15,8 +15,7 @@
 
 use crate::error::DeviceError;
 use crate::Result;
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, EnergyLedger, Power, SharedClock, SimDuration, SimTime};
 
 /// Identifies an erase block within the device (global, not per-bank).
@@ -624,6 +623,9 @@ impl Flash {
         if let Some(plan) = self.cut_plan {
             if self.boundary_ops == plan.cut_at {
                 self.cut_fired = true;
+                // lint: allow(P1): torn-write injection runs only once the
+                // crash-torture harness has armed a power cut, never in a
+                // replay; program_checks bounds-checked the range above.
                 self.tear_program(addr, data, block, plan.tear);
                 return Err(DeviceError::PowerCut);
             }
@@ -692,6 +694,9 @@ impl Flash {
         if let Some(plan) = self.cut_plan {
             if self.boundary_ops == plan.cut_at {
                 self.cut_fired = true;
+                // lint: allow(P1): torn-erase injection runs only once the
+                // crash-torture harness has armed a power cut, never in a
+                // replay; the block index was range-checked above.
                 self.tear_erase(block, plan.tear);
                 return Err(DeviceError::PowerCut);
             }
@@ -843,49 +848,24 @@ impl Flash {
         self.energy.total()
     }
 
-    /// Publishes the device counters, wear, and energy accounts into the
-    /// registry under `flash.*` names.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
+    /// Publishes the device counters and wear under `flash.*` names, and
+    /// its energy as the `energy.flash_total_nj` scalar plus the
+    /// per-component ledger accounts.
+    pub fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
         let c = self.counters;
-        reg.counter("flash.reads", c.reads);
-        reg.counter("flash.bytes_read", c.bytes_read);
-        reg.counter("flash.programs", c.programs);
-        reg.counter("flash.bytes_programmed", c.bytes_programmed);
-        reg.counter("flash.erases", c.erases);
-        reg.counter("flash.read_stall_ns", c.read_stall.as_nanos());
-        reg.counter("flash.stalled_reads", c.stalled_reads);
-        reg.counter("flash.suspended_reads", c.suspended_reads);
+        sink.counter("flash.reads", c.reads);
+        sink.counter("flash.bytes_read", c.bytes_read);
+        sink.counter("flash.programs", c.programs);
+        sink.counter("flash.bytes_programmed", c.bytes_programmed);
+        sink.counter("flash.erases", c.erases);
+        sink.counter("flash.read_stall_ns", c.read_stall.as_nanos());
+        sink.counter("flash.stalled_reads", c.stalled_reads);
+        sink.counter("flash.suspended_reads", c.suspended_reads);
         let wear = self.wear_stats();
-        reg.counter("flash.bad_blocks", wear.bad_blocks as u64);
-        reg.gauge("flash.wear_evenness", wear.evenness());
-        for (component, e) in self.energy.iter() {
-            reg.counter(&format!("energy.{component}_nj"), e.as_nanojoules());
-        }
-    }
-
-    /// Timeline channels for the device: the `flash.*` counters plus the
-    /// scalar energy total. Per-component ledger entries are deliberately
-    /// *not* channels — the ledger grows lazily on first charge, which
-    /// would change the channel count mid-run; a timeline's row width is
-    /// fixed at registration. Not hot-path-marked: the name closures only
-    /// run during the registration pass, never while sampling.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        let c = self.counters;
-        buf.counter(|| "flash.reads".into(), c.reads);
-        buf.counter(|| "flash.bytes_read".into(), c.bytes_read);
-        buf.counter(|| "flash.programs".into(), c.programs);
-        buf.counter(|| "flash.bytes_programmed".into(), c.bytes_programmed);
-        buf.counter(|| "flash.erases".into(), c.erases);
-        buf.counter(|| "flash.read_stall_ns".into(), c.read_stall.as_nanos());
-        buf.counter(|| "flash.stalled_reads".into(), c.stalled_reads);
-        buf.counter(|| "flash.suspended_reads".into(), c.suspended_reads);
-        let wear = self.wear_stats();
-        buf.counter(|| "flash.bad_blocks".into(), wear.bad_blocks as u64);
-        buf.gauge(|| "flash.wear_evenness".into(), wear.evenness());
-        buf.counter(
-            || "energy.flash_total_nj".into(),
-            self.energy.total().as_nanojoules(),
-        );
+        sink.counter("flash.bad_blocks", wear.bad_blocks as u64);
+        sink.gauge("flash.wear_evenness", wear.evenness());
+        sink.counter("energy.flash_total_nj", self.energy.total().as_nanojoules());
+        sink.ledger("energy.", &self.energy);
     }
 }
 

@@ -215,6 +215,14 @@ fn crate_deps_from_manifests(root: &Path) -> io::Result<graph::CrateDeps> {
     Ok(graph::CrateDeps::from_direct(&direct))
 }
 
+/// Whether `dir` holds its own cargo workspace (a manifest with a
+/// `[workspace]` table), which builds apart from this one and is not
+/// linted as part of it.
+fn is_nested_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -222,7 +230,10 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_ref())
+                || name.starts_with('.')
+                || is_nested_workspace(&path)
+            {
                 continue;
             }
             collect_rs_files(root, &path, out)?;

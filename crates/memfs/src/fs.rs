@@ -7,8 +7,7 @@ use crate::layout::{
     INODE_BYTES, ROOT_INO,
 };
 use crate::Result;
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::Energy;
 use ssmc_storage::{PageId, RecoveryReport, StorageManager};
 // lint: allow(D2): the fsck maps/sets below are keyed-access or
@@ -265,39 +264,19 @@ impl MemFs {
         self.recorder = recorder;
     }
 
-    /// Folds the file-system counters — and everything below them — into
-    /// the unified registry.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("fs.creates", self.metrics.creates);
-        reg.counter("fs.deletes", self.metrics.deletes);
-        reg.counter("fs.reads", self.metrics.reads);
-        reg.counter("fs.writes", self.metrics.writes);
-        reg.counter("fs.bytes_read", self.metrics.bytes_read);
-        reg.counter("fs.bytes_written", self.metrics.bytes_written);
-        reg.counter("fs.copy_on_open_bytes", self.metrics.copy_on_open_bytes);
+    /// Publishes the file-system counters and everything below them.
+    pub fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
+        sink.counter("fs.creates", self.metrics.creates);
+        sink.counter("fs.deletes", self.metrics.deletes);
+        sink.counter("fs.reads", self.metrics.reads);
+        sink.counter("fs.writes", self.metrics.writes);
+        sink.counter("fs.bytes_read", self.metrics.bytes_read);
+        sink.counter("fs.bytes_written", self.metrics.bytes_written);
+        sink.counter("fs.copy_on_open_bytes", self.metrics.copy_on_open_bytes);
         let (depth, splits) = self.dindex_stats();
-        reg.counter("fs.dindex_splits", splits);
-        reg.gauge("fs.dindex_depth", f64::from(depth));
-        self.sm.publish_metrics(reg);
-    }
-
-    /// Timeline channels for the file system and everything below it.
-    /// Name closures only run during the registration pass.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        buf.counter(|| "fs.creates".into(), self.metrics.creates);
-        buf.counter(|| "fs.deletes".into(), self.metrics.deletes);
-        buf.counter(|| "fs.reads".into(), self.metrics.reads);
-        buf.counter(|| "fs.writes".into(), self.metrics.writes);
-        buf.counter(|| "fs.bytes_read".into(), self.metrics.bytes_read);
-        buf.counter(|| "fs.bytes_written".into(), self.metrics.bytes_written);
-        buf.counter(
-            || "fs.copy_on_open_bytes".into(),
-            self.metrics.copy_on_open_bytes,
-        );
-        let (depth, splits) = self.dindex_stats();
-        buf.counter(|| "fs.dindex_splits".into(), splits);
-        buf.gauge(|| "fs.dindex_depth".into(), f64::from(depth));
-        self.sm.sample_timeline(buf);
+        sink.counter("fs.dindex_splits", splits);
+        sink.gauge("fs.dindex_depth", f64::from(depth));
+        self.sm.publish_metrics(sink);
     }
 
     /// Directory-index shape: (max B-tree depth across directories, total
@@ -1298,6 +1277,7 @@ impl MemFs {
 mod tests {
     use super::*;
     use ssmc_device::FlashSpec;
+    use ssmc_sim::obs::MetricsRegistry;
     use ssmc_sim::{Clock, SimDuration};
     use ssmc_storage::StorageConfig;
 

@@ -41,7 +41,7 @@ pub use clock::{Clock, SharedClock};
 pub use energy::{Energy, EnergyLedger, Power};
 pub use events::EventQueue;
 pub use obs::{
-    EventKind, Instrument, JournalSnapshot, Layer, MetricsRegistry, Recorder, Span,
+    EventKind, Instrument, JournalSnapshot, Layer, MetricSink, MetricsRegistry, Recorder, Span,
     DEFAULT_JOURNAL_CAPACITY,
 };
 pub use par::{parallel_sweep, set_threads, threads};

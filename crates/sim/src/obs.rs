@@ -12,7 +12,7 @@
 //!   energy, pages, bytes),
 //! * a [`MetricsRegistry`] unifying named counters, gauges, [`Histogram`]s
 //!   and [`TimeWeighted`] instruments behind one snapshot serialized via the
-//!   in-tree `report` model.
+//!   in-tree `report` model, filled by each layer's one [`MetricSink`] walk.
 //!
 //! Determinism rules: events carry only [`SimTime`] stamps (never the wall
 //! clock), aggregates iterate in fixed [`EventKind`] order, and registry
@@ -26,7 +26,7 @@
 //! allocates, and no `Box<dyn>` dispatch exists anywhere on the path — which
 //! preserves the allocation-free replay hot path.
 
-use crate::energy::Energy;
+use crate::energy::{Energy, EnergyLedger};
 use crate::report::{field, FromReport, ReportError, ToReport, Value};
 use crate::stats::{Histogram, TimeWeighted};
 use crate::time::SimTime;
@@ -97,14 +97,6 @@ pub enum EventKind {
     TraceStat,
     /// `FileOp::Rename` root span.
     TraceRename,
-    /// Batched-replay root span: one per coalesced `apply_batch` run of
-    /// the streaming replayer, wrapping that run's per-op root spans.
-    /// `pages` carries the coalesced-op count and `bytes` the payload
-    /// volume, so `trace-dump` attributes batched streaming replays
-    /// instead of under-counting them. Carries zero energy on purpose:
-    /// the per-op root spans underneath already carry the whole-machine
-    /// deltas ("sum one level, not both").
-    TraceBatch,
     // Vm layer.
     /// A page fault (minor or major; `pages` counts major loads).
     VmFault,
@@ -140,7 +132,7 @@ pub enum EventKind {
 }
 
 /// All event kinds, in the fixed order aggregates serialize in.
-pub const EVENT_KINDS: [EventKind; 23] = [
+pub const EVENT_KINDS: [EventKind; 22] = [
     EventKind::TraceCreate,
     EventKind::TraceWrite,
     EventKind::TraceRead,
@@ -149,7 +141,6 @@ pub const EVENT_KINDS: [EventKind; 23] = [
     EventKind::TraceSync,
     EventKind::TraceStat,
     EventKind::TraceRename,
-    EventKind::TraceBatch,
     EventKind::VmFault,
     EventKind::VmXip,
     EventKind::FsOpen,
@@ -178,7 +169,6 @@ impl EventKind {
             EventKind::TraceSync => "trace.sync",
             EventKind::TraceStat => "trace.stat",
             EventKind::TraceRename => "trace.rename",
-            EventKind::TraceBatch => "trace.batch",
             EventKind::VmFault => "vm.fault",
             EventKind::VmXip => "vm.xip",
             EventKind::FsOpen => "fs.open",
@@ -211,8 +201,7 @@ impl EventKind {
             | EventKind::TraceDelete
             | EventKind::TraceSync
             | EventKind::TraceStat
-            | EventKind::TraceRename
-            | EventKind::TraceBatch => Layer::Machine,
+            | EventKind::TraceRename => Layer::Machine,
             EventKind::VmFault | EventKind::VmXip => Layer::Vm,
             EventKind::FsOpen | EventKind::FsRead | EventKind::FsWrite => Layer::MemFs,
             EventKind::StorageFlush
@@ -608,6 +597,51 @@ impl FromReport for Instrument {
     }
 }
 
+/// Where a layer's one metrics walk sends its instruments.
+///
+/// Every layer lists its instruments exactly once, in a `publish_metrics`
+/// walk generic over this trait. Two sinks consume the walk: the
+/// end-of-run [`MetricsRegistry`] and the timeline's
+/// [`SampleBuf`](crate::timeline::SampleBuf), which turns the same walk
+/// into one fixed-width row per sample — so the registry and the
+/// timeline schema cannot drift apart.
+///
+/// Scalar instruments carry `'static` names and land in both sinks. The
+/// two family methods are the only ones that format names, and each
+/// feeds one sink only:
+///
+/// * [`counter_family`](MetricSink::counter_family) is timeline-only
+///   (per-segment wear would add ~1,000 registry entries on a 64 MB
+///   part, and the registry already carries the wear summary);
+/// * [`ledger`](MetricSink::ledger) is registry-only (ledger accounts
+///   appear on first charge, while a timeline row's width is fixed when
+///   the timeline is registered).
+pub trait MetricSink {
+    /// A monotonically accumulated count.
+    fn counter(&mut self, name: &'static str, v: u64);
+
+    /// A point-in-time level.
+    fn gauge(&mut self, name: &'static str, v: f64);
+
+    /// A time-weighted level: the registry keeps the whole instrument, a
+    /// timeline row samples its current level (the timeline itself is
+    /// the time-weighting).
+    fn time_weighted(&mut self, name: &'static str, t: &TimeWeighted);
+
+    /// Timeline only: `n` counters named `{prefix}.{i:04}`, valued
+    /// `value_of(i)`.
+    fn counter_family(
+        &mut self,
+        prefix: &'static str,
+        n: usize,
+        value_of: impl FnMut(usize) -> u64,
+    );
+
+    /// Registry only: one counter per ledger account, named
+    /// `{prefix}{component}_nj`.
+    fn ledger(&mut self, prefix: &'static str, ledger: &EnergyLedger);
+}
+
 /// A unified snapshot of every named instrument in the machine.
 ///
 /// Layers publish into the registry under dotted names (`storage.gc_runs`,
@@ -626,24 +660,30 @@ impl MetricsRegistry {
 
     /// Publishes a counter value.
     pub fn counter(&mut self, name: &str, v: u64) {
-        self.entries.insert(name.to_owned(), Instrument::Counter(v));
+        self.insert(name, Instrument::Counter(v));
     }
 
     /// Publishes a gauge level.
     pub fn gauge(&mut self, name: &str, v: f64) {
-        self.entries.insert(name.to_owned(), Instrument::Gauge(v));
+        self.insert(name, Instrument::Gauge(v));
     }
 
     /// Publishes a histogram.
     pub fn histogram(&mut self, name: &str, h: Histogram) {
-        self.entries
-            .insert(name.to_owned(), Instrument::Histogram(h));
+        self.insert(name, Instrument::Histogram(h));
     }
 
     /// Publishes a time-weighted level.
     pub fn time_weighted(&mut self, name: &str, t: TimeWeighted) {
-        self.entries
-            .insert(name.to_owned(), Instrument::TimeWeighted(t));
+        self.insert(name, Instrument::TimeWeighted(t));
+    }
+
+    /// Stores `inst` under `name`, replacing any earlier value.
+    fn insert(&mut self, name: &str, inst: Instrument) {
+        // lint: allow(H2): registry publication runs once at end of run. The
+        // timeline sampler's walk is monomorphized to SampleBuf and meets
+        // the registry only through name-based call resolution.
+        self.entries.insert(name.to_owned(), inst);
     }
 
     /// Looks up an instrument by name.
@@ -680,6 +720,39 @@ impl MetricsRegistry {
     /// Iterates `(name, instrument)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Instrument)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+impl MetricSink for MetricsRegistry {
+    fn counter(&mut self, name: &'static str, v: u64) {
+        MetricsRegistry::counter(self, name, v);
+    }
+
+    fn gauge(&mut self, name: &'static str, v: f64) {
+        MetricsRegistry::gauge(self, name, v);
+    }
+
+    fn time_weighted(&mut self, name: &'static str, t: &TimeWeighted) {
+        // lint: allow(H2): registry-only copy at end of run; the sampler's
+        // SampleBuf reads the level in place.
+        MetricsRegistry::time_weighted(self, name, t.clone());
+    }
+
+    fn counter_family(
+        &mut self,
+        _prefix: &'static str,
+        _n: usize,
+        _value_of: impl FnMut(usize) -> u64,
+    ) {
+    }
+
+    fn ledger(&mut self, prefix: &'static str, ledger: &EnergyLedger) {
+        for (component, e) in ledger.iter() {
+            // lint: allow(H2): ledger names are formatted in the registry
+            // sink only; SampleBuf's ledger is a no-op.
+            let name = format!("{prefix}{component}_nj");
+            MetricsRegistry::counter(self, &name, e.as_nanojoules());
+        }
     }
 }
 

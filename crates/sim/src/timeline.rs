@@ -27,11 +27,14 @@
 //! Cost rules: a machine without a [`TimelineSink`] pays one not-taken
 //! branch per maintenance tick. With the sampler on, the steady state is
 //! allocation-free: channel names are materialised once at registration
-//! (the [`SampleBuf`] name closures never run in sampling mode), sample
+//! (a sampling-mode [`SampleBuf`] never touches a name), sample
 //! values land in a reused buffer, and rows stream through a fixed
 //! scratch row into a buffered writer — million-op runs never hold their
 //! samples in memory.
 
+use crate::energy::EnergyLedger;
+use crate::obs::MetricSink;
+use crate::stats::TimeWeighted;
 use crate::time::{SimDuration, SimTime};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -96,8 +99,8 @@ pub struct Channel {
 
 /// The ordered channel set a machine samples. Built by running one
 /// registration pass ([`SampleBuf::registration`]) over the same
-/// `sample_timeline` code that later produces values — the schema and
-/// the samples cannot drift apart because they are the same walk.
+/// [`MetricSink`] walk that later produces values — the schema and the
+/// samples cannot drift apart because they are the same walk.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
     /// Channels in sampling order.
@@ -116,18 +119,58 @@ impl Schema {
     }
 }
 
-/// The dual-mode collector layers fill in `sample_timeline` methods.
+/// The dual-mode [`MetricSink`] a layer's metrics walk fills for the
+/// timeline.
 ///
-/// In **registration** mode every `counter`/`gauge` call runs its name
-/// closure and records `(name, kind)`; in **sampling** mode the closure
-/// never runs — only the value is pushed, into a buffer reused across
-/// samples — so the steady-state sampler performs no allocation and no
-/// formatting. One code path serves both, which is what keeps the schema
-/// and the samples aligned by construction.
+/// In **registration** mode every instrument records its `(name, kind)`;
+/// in **sampling** mode only the value is pushed, into a buffer reused
+/// across samples, and no name is materialised — so the steady-state
+/// sampler performs no allocation and no formatting. One walk serves
+/// both, which keeps the schema and the samples aligned by
+/// construction. Time-weighted instruments sample as their current
+/// level; ledger accounts are skipped (their count grows mid-run).
 #[derive(Debug)]
 pub struct SampleBuf {
     names: Option<Vec<Channel>>,
     values: Vec<u64>,
+}
+
+impl MetricSink for SampleBuf {
+    #[inline]
+    fn counter(&mut self, name: &'static str, v: u64) {
+        self.push_channel(name, ChannelKind::Counter, v);
+    }
+
+    #[inline]
+    fn gauge(&mut self, name: &'static str, v: f64) {
+        self.push_channel(name, ChannelKind::Gauge, v.to_bits());
+    }
+
+    #[inline]
+    fn time_weighted(&mut self, name: &'static str, t: &TimeWeighted) {
+        self.push_channel(name, ChannelKind::Gauge, t.level().to_bits());
+    }
+
+    fn counter_family(
+        &mut self,
+        prefix: &'static str,
+        n: usize,
+        mut value_of: impl FnMut(usize) -> u64,
+    ) {
+        for i in 0..n {
+            if let Some(names) = &mut self.names {
+                names.push(Channel {
+                    // lint: allow(H2): registration mode only; a sampling
+                    // buffer has no name list and never formats.
+                    name: format!("{prefix}.{i:04}"),
+                    kind: ChannelKind::Counter,
+                });
+            }
+            self.values.push(value_of(i));
+        }
+    }
+
+    fn ledger(&mut self, _prefix: &'static str, _ledger: &EnergyLedger) {}
 }
 
 impl SampleBuf {
@@ -147,30 +190,19 @@ impl SampleBuf {
         }
     }
 
-    /// Records a counter channel. `name` is only invoked in registration
-    /// mode.
+    /// Pushes one channel's word; in registration mode also records the
+    /// channel.
     #[inline]
-    pub fn counter(&mut self, name: impl FnOnce() -> String, v: u64) {
+    fn push_channel(&mut self, name: &'static str, kind: ChannelKind, word: u64) {
         if let Some(names) = &mut self.names {
             names.push(Channel {
-                name: name(),
-                kind: ChannelKind::Counter,
+                // lint: allow(H2): registration mode only; a sampling
+                // buffer has no name list and never copies a name.
+                name: name.to_owned(),
+                kind,
             });
         }
-        self.values.push(v);
-    }
-
-    /// Records a gauge channel (stored as `f64` bits). `name` is only
-    /// invoked in registration mode.
-    #[inline]
-    pub fn gauge(&mut self, name: impl FnOnce() -> String, v: f64) {
-        if let Some(names) = &mut self.names {
-            names.push(Channel {
-                name: name(),
-                kind: ChannelKind::Gauge,
-            });
-        }
-        self.values.push(v.to_bits());
+        self.values.push(word);
     }
 
     /// Channels registered / values pushed so far.
@@ -538,7 +570,7 @@ impl TimelineSink {
     ///
     /// Write/seek errors from the sink.
     pub fn finish(self) -> io::Result<TimelineSummary> {
-        let channels = self.buf.values.capacity() as u64;
+        let channels = self.w.channels as u64;
         let (rows, _sink) = self.w.finish()?;
         Ok(TimelineSummary { rows, channels })
     }
@@ -601,12 +633,13 @@ mod tests {
         assert_eq!(tl.series(0).collect::<Vec<_>>(), vec![0, 10, 10, u64::MAX]);
     }
 
+    fn fill<S: MetricSink>(sink: &mut S, gc: u64, amp: f64) {
+        sink.counter("storage.gc_runs", gc);
+        sink.gauge("storage.write_amplification", amp);
+    }
+
     #[test]
     fn registration_and_sampling_share_one_walk() {
-        let fill = |buf: &mut SampleBuf, gc: u64, amp: f64| {
-            buf.counter(|| "storage.gc_runs".to_owned(), gc);
-            buf.gauge(|| "storage.write_amplification".to_owned(), amp);
-        };
         let mut reg = SampleBuf::registration();
         fill(&mut reg, 0, 1.0);
         let schema = reg.into_schema();
@@ -636,28 +669,47 @@ mod tests {
         assert_eq!(summary.channels, 3, "tick channel is prepended");
     }
 
+    /// One walk, two sinks: scalars reach both, the counter family only
+    /// the timeline, the ledger only the registry, and a time-weighted
+    /// instrument samples as its current level.
     #[test]
-    fn sample_closure_never_materialises_names() {
-        let schema = schema(&[("x", ChannelKind::Counter)]);
-        let mut sink = TimelineSink::new(
-            Box::new(Cursor::new(Vec::new())),
-            &schema,
-            SimDuration::from_nanos(10),
-            SimTime::ZERO,
-        )
-        .expect("sink");
-        sink.sample(SimTime::ZERO, |buf| {
-            buf.counter(|| unreachable!("name closures must not run while sampling"), 1)
-        })
-        .expect("sample");
+    fn family_and_ledger_each_feed_one_sink() {
+        use crate::obs::MetricsRegistry;
+        use crate::{Energy, EnergyLedger};
+        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
+        tw.set(SimTime::from_nanos(10), 4.0);
+        let mut ledger = EnergyLedger::new();
+        ledger.charge("flash.read", Energy::from_nanojoules(7));
+        fn publish<S: MetricSink>(sink: &mut S, tw: &TimeWeighted, ledger: &EnergyLedger) {
+            sink.counter("a.count", 5);
+            sink.time_weighted("a.level", tw);
+            sink.counter_family("a.wear", 2, |i| 10 + i as u64);
+            sink.ledger("energy.", ledger);
+        }
+        let mut reg = SampleBuf::registration();
+        publish(&mut reg, &tw, &ledger);
+        assert_eq!(reg.values, vec![5, 4.0f64.to_bits(), 10, 11]);
+        let names: Vec<String> = reg
+            .into_schema()
+            .channels
+            .into_iter()
+            .map(|c| c.name)
+            .collect();
+        assert_eq!(names, ["a.count", "a.level", "a.wear.0000", "a.wear.0001"]);
+
+        let mut registry = MetricsRegistry::new();
+        publish(&mut registry, &tw, &ledger);
+        let names: Vec<&str> = registry.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["a.count", "a.level", "energy.flash.read_nj"]);
+        assert_eq!(registry.counter_value("energy.flash.read_nj"), Some(7));
     }
 
     #[test]
     #[should_panic(expected = "duplicate timeline channel")]
     fn duplicate_channel_names_are_rejected() {
         let mut reg = SampleBuf::registration();
-        reg.counter(|| "dup".to_owned(), 1);
-        reg.counter(|| "dup".to_owned(), 2);
+        reg.counter("dup", 1);
+        reg.counter("dup", 2);
         let _ = reg.into_schema();
     }
 

@@ -32,6 +32,8 @@ const fn build_table() -> [u32; 256] {
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
+        // lint: allow(P1): the index is masked to 8 bits and TABLE has 256
+        // entries.
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF

@@ -26,8 +26,7 @@ use crate::recovery::RecoveryReport;
 use crate::segment::{SegState, SegmentTable, Slot, SlotMeta};
 use crate::Result;
 use ssmc_device::{DeviceError, Dram, Flash, TearMode};
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, EnergyLedger, SharedClock, SimDuration, SimTime};
 
 /// Which write head a segment is opened for.
@@ -68,10 +67,10 @@ impl CkptState {
     /// the new entries conservatively dirty (they were never covered by
     /// the snapshot).
     fn mark_dirtied(&mut self, seg: usize) {
-        if seg >= self.dirtied.len() {
-            self.dirtied.resize(seg + 1, true);
+        match self.dirtied.get_mut(seg) {
+            Some(dirty) => *dirty = true,
+            None => self.dirtied.resize(seg + 1, true),
         }
-        self.dirtied[seg] = true;
     }
 
     /// Whether a checkpoint-bounded recovery must rescan `seg`'s
@@ -262,19 +261,32 @@ impl StorageManager {
         self.recorder = recorder;
     }
 
-    /// Publishes storage metrics, flash counters/wear, and device energy
-    /// accounts into the unified registry.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        self.metrics.publish(reg);
-        reg.gauge("storage.gc_efficiency", self.gc_efficiency());
-        reg.gauge(
+    /// Publishes the storage layer: every [`StorageMetrics`] signal, GC
+    /// efficiency and segment-state occupancy, the flash device below,
+    /// the DRAM energy total and ledger, and one wear counter per
+    /// segment — the raw material for the timeline's wear heatmap.
+    pub fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
+        self.metrics.publish(sink);
+        sink.gauge("storage.gc_efficiency", self.gc_efficiency());
+        sink.gauge(
             "storage.data_at_risk_bytes",
             self.data_at_risk_bytes() as f64,
         );
-        self.flash.publish_metrics(reg);
-        for (component, e) in self.dram.energy().iter() {
-            reg.counter(&format!("energy.{component}_nj"), e.as_nanojoules());
-        }
+        sink.counter("storage.free_segments", self.table.free_count() as u64);
+        sink.counter(
+            "storage.retired_segments",
+            self.table.retired_count() as u64,
+        );
+        self.flash.publish_metrics(sink);
+        sink.counter(
+            "energy.dram_total_nj",
+            self.dram.energy().total().as_nanojoules(),
+        );
+        sink.ledger("energy.", self.dram.energy());
+        sink.counter_family("storage.segment_wear", self.table.len(), |seg| {
+            self.flash
+                .erase_count(self.flash.block_of(self.table.block_addr(seg)))
+        });
     }
 
     /// Fraction of reclaimed segment slots that were free (not live
@@ -290,42 +302,6 @@ impl StorageManager {
         }
         let reclaimed = (runs * self.cfg.slots_per_segment() as u64) as f64;
         (1.0 - self.metrics.gc_flash_pages as f64 / reclaimed).max(0.0)
-    }
-
-    /// Timeline channels for the storage layer: every [`StorageMetrics`]
-    /// signal, GC efficiency and segment-state occupancy, the flash
-    /// device channels, the scalar DRAM energy total (per-component
-    /// ledger entries appear lazily and cannot be fixed-width channels),
-    /// and one wear counter per segment — the raw material for the
-    /// per-segment wear heatmap. Name closures only run during the
-    /// registration pass, so steady-state sampling neither formats nor
-    /// allocates.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        self.metrics.sample_timeline(buf);
-        buf.gauge(|| "storage.gc_efficiency".into(), self.gc_efficiency());
-        buf.gauge(
-            || "storage.data_at_risk_bytes".into(),
-            self.data_at_risk_bytes() as f64,
-        );
-        buf.counter(
-            || "storage.free_segments".into(),
-            self.table.free_count() as u64,
-        );
-        buf.counter(
-            || "storage.retired_segments".into(),
-            self.table.retired_count() as u64,
-        );
-        self.flash.sample_timeline(buf);
-        buf.counter(
-            || "energy.dram_total_nj".into(),
-            self.dram.energy().total().as_nanojoules(),
-        );
-        for seg in 0..self.table.len() {
-            let erases = self
-                .flash
-                .erase_count(self.flash.block_of(self.table.block_addr(seg)));
-            buf.counter(|| format!("storage.segment_wear.{seg:04}"), erases);
-        }
     }
 
     /// Flash energy drawn so far — sampled around flush/GC spans so their

@@ -5,8 +5,7 @@
 //! amplification, F4 from erase counts (combined with the device's wear
 //! stats), T3 from the dirty-data exposure.
 
-use ssmc_sim::obs::MetricsRegistry;
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::MetricSink;
 use ssmc_sim::{SimDuration, SimTime, TimeWeighted};
 
 /// Counters and gauges maintained by the storage manager.
@@ -99,81 +98,35 @@ impl StorageMetrics {
         }
     }
 
-    /// Folds every field (and the derived ratios) into the unified
-    /// registry under `storage.*` names.
-    pub fn publish(&self, reg: &mut MetricsRegistry) {
-        reg.counter("storage.pages_written", self.pages_written);
-        reg.counter("storage.bytes_written", self.bytes_written);
-        reg.counter("storage.overwrites_absorbed", self.overwrites_absorbed);
-        reg.counter("storage.deaths_absorbed", self.deaths_absorbed);
-        reg.counter("storage.user_flash_pages", self.user_flash_pages);
-        reg.counter("storage.gc_flash_pages", self.gc_flash_pages);
-        reg.counter("storage.summary_flash_pages", self.summary_flash_pages);
-        reg.counter("storage.checkpoint_flash_pages", self.checkpoint_flash_pages);
-        reg.counter("storage.reads_from_dram", self.reads_from_dram);
-        reg.counter("storage.reads_from_flash", self.reads_from_flash);
-        reg.counter("storage.hole_reads", self.hole_reads);
-        reg.counter("storage.gc_runs", self.gc_runs);
-        reg.counter("storage.wear_migrations", self.wear_migrations);
-        reg.counter("storage.gc_wait_ns", self.gc_wait.as_nanos());
-        reg.time_weighted("storage.buffer_occupancy", self.buffer_occupancy.clone());
-        reg.time_weighted("storage.dirty_exposure", self.dirty_exposure.clone());
-        reg.gauge(
+    /// Publishes every field (and the derived ratios) under `storage.*`
+    /// names: counters as counters, the time-weighted signals as
+    /// time-weighted instruments, the ratios as gauges.
+    pub fn publish<S: MetricSink>(&self, sink: &mut S) {
+        sink.counter("storage.pages_written", self.pages_written);
+        sink.counter("storage.bytes_written", self.bytes_written);
+        sink.counter("storage.overwrites_absorbed", self.overwrites_absorbed);
+        sink.counter("storage.deaths_absorbed", self.deaths_absorbed);
+        sink.counter("storage.user_flash_pages", self.user_flash_pages);
+        sink.counter("storage.gc_flash_pages", self.gc_flash_pages);
+        sink.counter("storage.summary_flash_pages", self.summary_flash_pages);
+        sink.counter(
+            "storage.checkpoint_flash_pages",
+            self.checkpoint_flash_pages,
+        );
+        sink.counter("storage.reads_from_dram", self.reads_from_dram);
+        sink.counter("storage.reads_from_flash", self.reads_from_flash);
+        sink.counter("storage.hole_reads", self.hole_reads);
+        sink.counter("storage.gc_runs", self.gc_runs);
+        sink.counter("storage.wear_migrations", self.wear_migrations);
+        sink.counter("storage.gc_wait_ns", self.gc_wait.as_nanos());
+        sink.time_weighted("storage.buffer_occupancy", &self.buffer_occupancy);
+        sink.time_weighted("storage.dirty_exposure", &self.dirty_exposure);
+        sink.gauge(
             "storage.write_traffic_reduction",
             self.write_traffic_reduction(),
         );
-        reg.gauge("storage.write_amplification", self.write_amplification());
-        reg.gauge("storage.dram_read_fraction", self.dram_read_fraction());
-    }
-
-    /// Timeline channels mirroring [`Self::publish`]: the counters as
-    /// counters, the time-weighted signals as point-in-time levels (the
-    /// timeline itself is the time-weighting), and the derived ratios as
-    /// gauges. Name closures only run during registration.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        buf.counter(|| "storage.pages_written".into(), self.pages_written);
-        buf.counter(|| "storage.bytes_written".into(), self.bytes_written);
-        buf.counter(
-            || "storage.overwrites_absorbed".into(),
-            self.overwrites_absorbed,
-        );
-        buf.counter(|| "storage.deaths_absorbed".into(), self.deaths_absorbed);
-        buf.counter(|| "storage.user_flash_pages".into(), self.user_flash_pages);
-        buf.counter(|| "storage.gc_flash_pages".into(), self.gc_flash_pages);
-        buf.counter(
-            || "storage.summary_flash_pages".into(),
-            self.summary_flash_pages,
-        );
-        buf.counter(
-            || "storage.checkpoint_flash_pages".into(),
-            self.checkpoint_flash_pages,
-        );
-        buf.counter(|| "storage.reads_from_dram".into(), self.reads_from_dram);
-        buf.counter(|| "storage.reads_from_flash".into(), self.reads_from_flash);
-        buf.counter(|| "storage.hole_reads".into(), self.hole_reads);
-        buf.counter(|| "storage.gc_runs".into(), self.gc_runs);
-        buf.counter(|| "storage.wear_migrations".into(), self.wear_migrations);
-        buf.counter(|| "storage.gc_wait_ns".into(), self.gc_wait.as_nanos());
-        buf.gauge(
-            || "storage.buffer_occupancy".into(),
-            self.buffer_occupancy.level(),
-        );
-        buf.gauge(
-            || "storage.dirty_exposure".into(),
-            self.dirty_exposure.level(),
-        );
-        buf.gauge(
-            || "storage.write_traffic_reduction".into(),
-            self.write_traffic_reduction(),
-        );
-        buf.gauge(
-            || "storage.write_amplification".into(),
-            self.write_amplification(),
-        );
-        buf.gauge(
-            || "storage.dram_read_fraction".into(),
-            self.dram_read_fraction(),
-        );
+        sink.gauge("storage.write_amplification", self.write_amplification());
+        sink.gauge("storage.dram_read_fraction", self.dram_read_fraction());
     }
 }
 

@@ -268,8 +268,9 @@ pub fn fill_page(seed: u64, page: PageId, ver: u64, buf: &mut [u8]) {
     }
     let rest = chunks.into_remainder();
     if !rest.is_empty() {
-        let last = rng.next_u64().to_le_bytes();
-        rest.copy_from_slice(&last[..rest.len()]);
+        for (dst, src) in rest.iter_mut().zip(rng.next_u64().to_le_bytes()) {
+            *dst = src;
+        }
     }
 }
 

@@ -39,8 +39,5 @@ pub use io::{OpStreamFileReader, OpStreamWriter, StreamHeader, StreamSummary};
 pub use lifetime::LifetimeModel;
 pub use oracle::{pages_allocated, project, OracleConfig, PageOp, PageOpKind};
 pub use record::{FileId, FileOp, OpKind, Trace, TraceRecord, TraceStats};
-pub use replay::{
-    coalesce_key, replay, replay_stream, BatchStats, BatchTarget, ReplayReport, TraceTarget,
-    BATCH_ERROR, MAX_BATCH,
-};
+pub use replay::{replay, ReplayReport, TraceTarget};
 pub use stream::{kind_code, OpStream, OpStreamCursor};

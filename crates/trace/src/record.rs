@@ -389,6 +389,18 @@ impl Trace {
     }
 }
 
+/// Iterating a borrowed trace yields its records by value
+/// ([`TraceRecord`] is `Copy`), so `replay(&trace, ..)` and a replay of
+/// records decoded from a `.ops` file take the same driver.
+impl<'a> IntoIterator for &'a Trace {
+    type Item = TraceRecord;
+    type IntoIter = std::iter::Copied<std::slice::Iter<'a, TraceRecord>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.records.iter().copied()
+    }
+}
+
 impl ToReport for Trace {
     fn to_report(&self) -> Value {
         Value::object(vec![

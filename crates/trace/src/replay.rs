@@ -5,20 +5,9 @@
 //! the system is still busy, in which case the operation queues behind the
 //! previous one — exactly how a user feels a slow file system.
 
-use crate::record::{FileId, FileOp, OpKind, Trace, TraceRecord};
-use crate::stream::kind_code;
+use crate::record::{FileOp, OpKind, TraceRecord};
 use ssmc_sim::{Clock, Histogram, SimDuration};
 use std::collections::BTreeMap;
-
-/// Most records the streaming replayer coalesces into one batch
-/// submission. Bounds the reusable batch buffer so steady-state replay
-/// allocates nothing.
-pub const MAX_BATCH: usize = 64;
-
-/// Latency sentinel a [`BatchTarget`] stores for an operation that failed.
-/// No real operation takes `SimDuration::MAX`, so the driver can separate
-/// errors from latencies without a second channel.
-pub const BATCH_ERROR: SimDuration = SimDuration::MAX;
 
 /// Anything that can execute trace operations: the memory-resident file
 /// system, the disk-based baseline, or a mock.
@@ -74,157 +63,20 @@ impl ReplayReport {
     }
 }
 
-/// A target that accepts whole batches of records at once.
-///
-/// Batching is a *host-side* optimisation: the implementation must produce
-/// exactly the simulated sequence that per-record [`replay`] produces —
-/// advance the shared clock to each record's arrival instant, run
-/// maintenance, apply the operation, and record its simulated latency. A
-/// coalesced run (the driver only groups consecutive records of one data
-/// kind on one file) lets the target hoist per-batch lookups such as the
-/// replay file descriptor, but never merge or reorder simulated work: the
-/// flash image after a batched replay must be byte-identical to the
-/// unbatched one.
-pub trait BatchTarget: TraceTarget {
-    /// Applies `records` in order, writing each operation's simulated
-    /// latency into the matching `latencies` slot, or [`BATCH_ERROR`] for
-    /// an operation that failed.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `latencies.len() != records.len()`.
-    fn apply_batch(&mut self, records: &[TraceRecord], latencies: &mut [SimDuration]);
-}
-
-/// The driver's coalescing key: consecutive `Write`s or `Read`s against
-/// one file form a batch; everything else is submitted singly. Public so
-/// harnesses (the profiler, the alloc-guard) can reproduce the driver's
-/// batching rule exactly.
-pub fn coalesce_key(op: &FileOp) -> Option<(OpKind, FileId)> {
-    match op {
-        FileOp::Write { file, .. } => Some((OpKind::Write, *file)),
-        FileOp::Read { file, .. } => Some((OpKind::Read, *file)),
-        _ => None,
-    }
-}
-
-/// Running totals from one streaming replay's coalescing stage.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Batches submitted (including singletons).
-    pub batches: u64,
-    /// Records submitted through batches (equals the op count).
-    pub batch_ops: u64,
-    /// Records that rode in a batch of two or more — the coalesce hits.
-    pub coalesced_ops: u64,
-}
-
-impl BatchStats {
-    /// Fraction of operations that were coalesced with a neighbour.
-    pub fn coalesce_rate(&self) -> f64 {
-        if self.batch_ops == 0 {
-            0.0
-        } else {
-            self.coalesced_ops as f64 / self.batch_ops as f64
-        }
-    }
-}
-
-/// Streaming, batching replay: consumes records from any iterator — an
-/// in-memory trace or an [`crate::OpStreamFileReader`] decoding straight
-/// from disk — coalesces adjacent same-file data operations into batches
-/// of at most [`MAX_BATCH`], and submits them through
-/// [`BatchTarget::apply_batch`].
-///
-/// Steady state allocates nothing: the batch buffer and latency scratch
-/// are reused, and per-kind histograms live in a fixed array indexed by
-/// [`kind_code`] until the report is assembled at the end. The report is
-/// byte-for-byte the one per-record [`replay`] of the same records
-/// produces, because latencies are simulated time.
-pub fn replay_stream<I, T>(records: I, target: &mut T, clock: &Clock) -> (ReplayReport, BatchStats)
+/// Replays `records` against `target`, measuring per-operation latency on
+/// `clock` (which the target must share). The one driver every trace
+/// takes to a target: pass `&trace` for an in-memory [`Trace`], a
+/// compiled stream's [`cursor`](crate::OpStream::cursor), or records
+/// decoded one at a time from an [`OpStreamFileReader`](crate::OpStreamFileReader)
+/// so a million-op replay never holds the trace in memory.
+pub fn replay<I, T>(records: I, target: &mut T, clock: &Clock) -> ReplayReport
 where
     I: IntoIterator<Item = TraceRecord>,
-    T: BatchTarget + ?Sized,
+    T: TraceTarget + ?Sized,
 {
-    let start = clock.now();
-    let mut report = ReplayReport::default();
-    let mut stats = BatchStats::default();
-    let mut hists: [Option<Histogram>; 8] = Default::default();
-    let mut batch: Vec<TraceRecord> = Vec::with_capacity(MAX_BATCH);
-    let mut lats = [SimDuration::ZERO; MAX_BATCH];
-    let mut it = records.into_iter();
-    let mut pending: Option<TraceRecord> = None;
-    loop {
-        let Some(first) = pending.take().or_else(|| it.next()) else {
-            break;
-        };
-        let key = coalesce_key(&first.op);
-        // Peek one record ahead: most records do not coalesce with their
-        // successor, and the singleton path below passes the record
-        // straight through without copying it into the batch buffer.
-        let mut second = None;
-        if key.is_some() {
-            match it.next() {
-                Some(r) if coalesce_key(&r.op) == key => second = Some(r),
-                other => pending = other,
-            }
-        }
-        let singleton;
-        let recs: &[TraceRecord] = if let Some(second) = second {
-            batch.clear();
-            batch.push(first);
-            batch.push(second);
-            while batch.len() < MAX_BATCH {
-                let Some(r) = it.next() else { break };
-                if coalesce_key(&r.op) == key {
-                    batch.push(r);
-                } else {
-                    pending = Some(r);
-                    break;
-                }
-            }
-            &batch
-        } else {
-            singleton = first;
-            core::slice::from_ref(&singleton)
-        };
-        let n = recs.len();
-        target.apply_batch(recs, &mut lats[..n]);
-        stats.batches += 1;
-        stats.batch_ops += n as u64;
-        if n > 1 {
-            stats.coalesced_ops += n as u64;
-        }
-        for (rec, &lat) in recs.iter().zip(&lats[..n]) {
-            report.ops += 1;
-            if lat == BATCH_ERROR {
-                report.errors += 1;
-            } else {
-                hists[kind_code(rec.op.kind()) as usize]
-                    .get_or_insert_with(Histogram::new)
-                    .record_duration(lat);
-            }
-        }
-    }
-    for (code, h) in hists.into_iter().enumerate() {
-        if let Some(h) = h {
-            report.per_op.insert(OpKind::ALL[code], h);
-        }
-    }
-    report.elapsed = clock.now().since(start);
-    (report, stats)
-}
-
-/// Replays `trace` against `target`, measuring per-operation latency on
-/// `clock` (which the target must share).
-pub fn replay<T: TraceTarget + ?Sized>(
-    trace: &Trace,
-    target: &mut T,
-    clock: &Clock,
-) -> ReplayReport {
     let mut report = ReplayReport::default();
     let start = clock.now();
-    for record in &trace.records {
+    for record in records {
         // Open-loop arrival: wait for the arrival time unless we are
         // already running behind.
         clock.advance_to(record.at);
@@ -249,7 +101,7 @@ pub fn replay<T: TraceTarget + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FileId;
+    use crate::record::{FileId, Trace};
     use ssmc_sim::{SimDuration, SimTime};
     use std::collections::HashSet;
 

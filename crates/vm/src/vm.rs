@@ -5,8 +5,7 @@ use crate::page_table::{Backing, Pte};
 use crate::space::{AddressSpace, MappingKind, Perm};
 use crate::Result;
 use ssmc_device::{Dram, DramSpec};
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
-use ssmc_sim::timeline::SampleBuf;
+use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, SharedClock, SimDuration, TimeWeighted};
 use ssmc_storage::{PageId, StorageManager};
 use std::collections::VecDeque;
@@ -158,38 +157,22 @@ impl Vm {
         self.recorder = recorder;
     }
 
-    /// Folds the VM counters into the unified registry under `vm.*`.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("vm.faults", self.metrics.faults);
-        reg.counter("vm.minor_faults", self.metrics.minor_faults);
-        reg.counter("vm.major_faults", self.metrics.major_faults);
-        reg.counter("vm.cow_copies", self.metrics.cow_copies);
-        reg.counter("vm.pages_loaded", self.metrics.pages_loaded);
-        reg.counter("vm.swap_outs", self.metrics.swap_outs);
-        reg.counter("vm.swap_ins", self.metrics.swap_ins);
-        reg.time_weighted("vm.frames_used", self.metrics.frames_used.clone());
-        for (component, e) in self.dram.energy().iter() {
-            reg.counter(&format!("energy.vm_{component}_nj"), e.as_nanojoules());
-        }
-    }
-
-    /// Timeline channels for the VM: the `vm.*` counters, the current
-    /// frame occupancy as a level, and the scalar DRAM energy total (the
-    /// per-component ledger grows lazily and cannot be a fixed-width
-    /// channel). Name closures only run during registration.
-    pub fn sample_timeline(&self, buf: &mut SampleBuf) {
-        buf.counter(|| "vm.faults".into(), self.metrics.faults);
-        buf.counter(|| "vm.minor_faults".into(), self.metrics.minor_faults);
-        buf.counter(|| "vm.major_faults".into(), self.metrics.major_faults);
-        buf.counter(|| "vm.cow_copies".into(), self.metrics.cow_copies);
-        buf.counter(|| "vm.pages_loaded".into(), self.metrics.pages_loaded);
-        buf.counter(|| "vm.swap_outs".into(), self.metrics.swap_outs);
-        buf.counter(|| "vm.swap_ins".into(), self.metrics.swap_ins);
-        buf.gauge(|| "vm.frames_used".into(), self.metrics.frames_used.level());
-        buf.counter(
-            || "energy.vm_total_nj".into(),
+    /// Publishes the `vm.*` counters, frame occupancy, and the VM DRAM's
+    /// energy total and ledger.
+    pub fn publish_metrics<S: MetricSink>(&self, sink: &mut S) {
+        sink.counter("vm.faults", self.metrics.faults);
+        sink.counter("vm.minor_faults", self.metrics.minor_faults);
+        sink.counter("vm.major_faults", self.metrics.major_faults);
+        sink.counter("vm.cow_copies", self.metrics.cow_copies);
+        sink.counter("vm.pages_loaded", self.metrics.pages_loaded);
+        sink.counter("vm.swap_outs", self.metrics.swap_outs);
+        sink.counter("vm.swap_ins", self.metrics.swap_ins);
+        sink.time_weighted("vm.frames_used", &self.metrics.frames_used);
+        sink.counter(
+            "energy.vm_total_nj",
             self.dram.energy().total().as_nanojoules(),
         );
+        sink.ledger("energy.vm_", self.dram.energy());
     }
 
     /// VM DRAM energy so far, or zero when the recorder is off (avoids

@@ -16,9 +16,7 @@
 //! those in the same change.
 
 use ssmc::core::{run_trace, MachineConfig, MobileComputer};
-use ssmc::trace::{
-    replay, replay_stream, GeneratorConfig, OpKind, OpStream, ReplayReport, Workload,
-};
+use ssmc::trace::{GeneratorConfig, Workload};
 
 /// FNV-1a hash of the whole flash address space after the replay + sync.
 /// Re-recorded for the shadow-slot crash-consistency fix: stale durable
@@ -61,68 +59,5 @@ fn bsd_replay_produces_the_recorded_flash_image() {
     assert_eq!(
         hash, GOLDEN_FLASH_FNV,
         "flash image diverged from the recorded baseline"
-    );
-}
-
-/// Everything observable about a replay report, in comparable form.
-/// Latencies are simulated time, so two equivalent replays must agree to
-/// the bit — including float means.
-fn report_fingerprint(r: &ReplayReport) -> Vec<(OpKind, u64, u64, u64, u64)> {
-    let mut out = vec![];
-    for (&kind, h) in &r.per_op {
-        out.push((
-            kind,
-            h.count(),
-            h.mean().to_bits(),
-            h.quantile(0.5),
-            h.quantile(0.99),
-        ));
-    }
-    out
-}
-
-/// The batching stage is a host-side optimisation only: replaying the
-/// compiled stream through `apply_batch` must leave the *same recorded
-/// golden image* as the per-record path, and produce the identical
-/// report.
-#[test]
-fn batched_stream_replay_produces_the_same_flash_image() {
-    let trace = GeneratorConfig::new(Workload::Bsd)
-        .with_ops(25_000)
-        .with_max_live_bytes(4 << 20)
-        .generate();
-    let cfg = || {
-        let mut cfg = MachineConfig::with_sizes("equiv", 8 << 20, 24 << 20);
-        cfg.write_buffer_bytes = Some(1 << 20);
-        cfg
-    };
-
-    // Reference: per-record replay.
-    let mut m1 = MobileComputer::new(cfg());
-    let clock1 = m1.clock().clone();
-    let r1 = replay(&trace, &mut m1, &clock1);
-    m1.fs().sync().expect("reference sync");
-    let pages1 = m1.fs().storage().metrics().pages_written;
-    let hash1 = fnv1a(m1.fs().storage().flash().contents());
-
-    // Batched: compile to a dense stream, replay through apply_batch.
-    let stream = OpStream::compile(&trace);
-    let mut m2 = MobileComputer::new(cfg());
-    let clock2 = m2.clock().clone();
-    let (r2, stats) = replay_stream(stream.cursor(), &mut m2, &clock2);
-    m2.fs().sync().expect("batched sync");
-    let pages2 = m2.fs().storage().metrics().pages_written;
-    let hash2 = fnv1a(m2.fs().storage().flash().contents());
-
-    assert_eq!(hash1, GOLDEN_FLASH_FNV, "reference image moved");
-    assert_eq!(pages2, pages1, "batched path programmed a different count");
-    assert_eq!(hash2, hash1, "batched path diverged from the unbatched image");
-    assert_eq!(r2.ops, r1.ops);
-    assert_eq!(r2.errors, r1.errors);
-    assert_eq!(r2.elapsed, r1.elapsed);
-    assert_eq!(report_fingerprint(&r2), report_fingerprint(&r1));
-    assert!(
-        stats.coalesced_ops > 0,
-        "a BSD trace must coalesce some adjacent data ops"
     );
 }

@@ -3,18 +3,17 @@
 //! Every generator profile is compiled straight to disk through
 //! `generate_into`, decoded back with `OpStreamFileReader`, and checked
 //! two ways: the decoded records equal the in-memory `generate()` output
-//! record for record, and a batched streaming replay of the decoded
-//! stream produces a bit-identical report to the classic per-record
-//! replay of the uncompiled trace. Together with the flash-image pin in
-//! `equiv_flash.rs` this makes the compile → decode → batch pipeline an
-//! equivalence-preserving transformation for all five workloads.
+//! record for record, and replaying the decoded stream straight from the
+//! file produces a bit-identical report to replaying the uncompiled
+//! trace. Together with the flash-image pin in `equiv_flash.rs` this
+//! makes the compile → decode → replay pipeline an equivalence-preserving
+//! transformation for all five workloads.
 
 use ssmc::core::{MachineConfig, MobileComputer};
 use ssmc::sim::stats::Histogram;
 use ssmc::sim::SimDuration;
 use ssmc::trace::{
-    replay, replay_stream, GeneratorConfig, OpKind, OpStreamFileReader, OpStreamWriter,
-    ReplayReport, Workload,
+    replay, GeneratorConfig, OpKind, OpStreamFileReader, OpStreamWriter, ReplayReport, Workload,
 };
 
 const OPS: usize = 6_000;
@@ -78,8 +77,8 @@ fn all_five_generators_round_trip_through_the_ops_file() {
         }
         assert_eq!(decoded, trace.records, "{w}: decoded records diverged");
 
-        // Differential replay: batched streaming replay of the decoded
-        // file vs classic per-record replay of the uncompiled trace.
+        // Differential replay: records decoded one at a time from the
+        // file vs the uncompiled in-memory trace.
         let mut m1 = machine();
         let clock1 = m1.clock().clone();
         let r1 = replay(&trace, &mut m1, &clock1);
@@ -87,7 +86,7 @@ fn all_five_generators_round_trip_through_the_ops_file() {
         let mut m2 = machine();
         let clock2 = m2.clock().clone();
         let mut reader = OpStreamFileReader::open(&path).expect("reopen stream file");
-        let (r2, stats) = replay_stream(
+        let r2 = replay(
             std::iter::from_fn(|| reader.next_record().expect("decode record")),
             &mut m2,
             &clock2,
@@ -102,7 +101,6 @@ fn all_five_generators_round_trip_through_the_ops_file() {
             report_fingerprint(&r1),
             "{w}: replay reports diverged"
         );
-        assert_eq!(stats.batch_ops, r2.ops, "{w}: every op flows through a batch");
     }
 }
 
