@@ -194,6 +194,9 @@ impl StorageManager {
         // zero-allocation steady-state window the alloc-guard pins.
         let mut pool = PagePool::new(cfg.page_size as usize);
         pool.prewarm(4);
+        let zero_page = pool.take_zeroed();
+        let zero_crc = crc::crc32(&zero_page);
+        pool.put(zero_page);
         let buffer_frames = cfg.buffer_frames();
         let slots = cfg.slots_per_segment();
         StorageManager {
@@ -207,7 +210,7 @@ impl StorageManager {
             open_cold: None,
             pending_tombstones: Vec::with_capacity(4 * slots.max(64)),
             carry_scratch: Vec::with_capacity(slots.max(16)),
-            zero_crc: crc::crc32_zeros(cfg.page_size as usize),
+            zero_crc,
             flush_scratch: Vec::with_capacity(buffer_frames),
             live_scratch: Vec::with_capacity(slots),
             crashed: false,
