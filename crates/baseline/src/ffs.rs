@@ -201,6 +201,9 @@ impl DiskFs {
         reg.gauge("cache.hit_rate", cs.hit_rate());
         self.disk.publish_metrics(reg);
         for (component, e) in self.cache.dram().energy().iter() {
+            // lint: allow(H2): disk-comparator registry names; only name-based
+            // resolution of `publish_metrics` links the sampler here, and the
+            // machine holds no DiskFs.
             reg.counter(&format!("energy.cache_{component}_nj"), e.as_nanojoules());
         }
     }
@@ -233,6 +236,8 @@ impl DiskFs {
         let addr = block * self.cfg.block_size;
         if write {
             self.disk
+                // lint: allow(H2): the 1993 disk-stack comparator is modelled
+                // for contrast, outside the zero-allocation replay contract.
                 .write(addr, &self.scratch.clone())
                 .expect("in range");
         } else {
@@ -294,6 +299,8 @@ impl DiskFs {
             let reqs: Vec<(u32, u64)> = dirty
                 .into_iter()
                 .map(|b| (self.cfg.disk.cylinder_of(b * self.cfg.block_size), b))
+                // lint: allow(H2): the 1993 disk-stack comparator is modelled
+                // for contrast, outside the zero-allocation replay contract.
                 .collect();
             for (_, block) in cscan_order(self.disk.head_cylinder(), reqs) {
                 self.disk_io(block, true);
@@ -360,6 +367,8 @@ impl DiskFs {
     /// disk accesses real FFS would make.
     fn walk_indirect(&mut self, ino: u32, i: u64, alloc: bool) -> Result<(), FfsError> {
         let per = self.cfg.block_size / 4;
+        // lint: allow(H2): the 1993 disk-stack comparator is modelled for
+        // contrast, outside the zero-allocation replay contract.
         let mut chunks: Vec<u64> = Vec::new();
         if i < NDIRECT {
             return Ok(());

@@ -19,6 +19,17 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = experiments();
 
+    // Parsed before any mode dispatch, so experiments and crash-torture
+    // read the flag the same way.
+    if let Some(i) = args.iter().position(|a| a == "--threads") {
+        let n =
+            ssmc_bench::parse_threads(args.get(i + 1).map(String::as_str)).unwrap_or_else(|e| {
+                eprintln!("{e}");
+                std::process::exit(2);
+            });
+        ssmc_sim::set_threads(n);
+    }
+
     if args.first().map(String::as_str) == Some("trace-compile") {
         trace_compile(&args[1..]);
         return;
@@ -27,17 +38,6 @@ fn main() {
     if args.first().map(String::as_str) == Some("crash-torture") {
         crash_torture(&args[1..]);
         return;
-    }
-
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--threads needs a positive integer");
-                std::process::exit(2);
-            });
-        ssmc_sim::set_threads(n);
     }
 
     if let Some(i) = args.iter().position(|a| a == "--cache-policy") {
@@ -343,13 +343,6 @@ fn crash_torture(args: &[String]) {
             std::process::exit(2);
         }
     };
-    if let Some(v) = flag("--threads") {
-        let n: usize = v.parse().unwrap_or_else(|_| {
-            eprintln!("--threads needs a positive integer");
-            std::process::exit(2);
-        });
-        ssmc_sim::set_threads(n);
-    }
     let json_out = flag("--json").map(std::path::PathBuf::from);
 
     // Fixed page-op stream: generate, project through the oracle.

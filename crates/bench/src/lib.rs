@@ -106,3 +106,34 @@ pub fn experiments() -> Vec<Experiment> {
         },
     ]
 }
+
+/// Parses the value of a `--threads` flag (`None` when the flag is last
+/// on the command line): the worker count for `ssmc_sim::parallel_sweep`,
+/// where `0` means every host core (see `ssmc_sim::threads`).
+///
+/// # Errors
+///
+/// The one-line message the binaries print before exiting 2.
+pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| "--threads needs a non-negative integer (0 = all host cores)".to_owned())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn threads_flag_accepts_zero_and_rejects_junk() {
+        assert_eq!(parse_threads(Some("0")), Ok(0));
+        assert_eq!(parse_threads(Some("4")), Ok(4));
+        for bad in [Some("x"), None] {
+            let err = parse_threads(bad).unwrap_err();
+            assert_eq!(
+                err,
+                "--threads needs a non-negative integer (0 = all host cores)"
+            );
+        }
+    }
+}

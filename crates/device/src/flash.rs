@@ -623,9 +623,6 @@ impl Flash {
         if let Some(plan) = self.cut_plan {
             if self.boundary_ops == plan.cut_at {
                 self.cut_fired = true;
-                // lint: allow(P1): torn-write injection runs only once the
-                // crash-torture harness has armed a power cut, never in a
-                // replay; program_checks bounds-checked the range above.
                 self.tear_program(addr, data, block, plan.tear);
                 return Err(DeviceError::PowerCut);
             }
@@ -694,9 +691,6 @@ impl Flash {
         if let Some(plan) = self.cut_plan {
             if self.boundary_ops == plan.cut_at {
                 self.cut_fired = true;
-                // lint: allow(P1): torn-erase injection runs only once the
-                // crash-torture harness has armed a power cut, never in a
-                // replay; the block index was range-checked above.
                 self.tear_erase(block, plan.tear);
                 return Err(DeviceError::PowerCut);
             }

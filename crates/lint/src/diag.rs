@@ -22,9 +22,6 @@ pub enum Rule {
     /// Allocation-prone calls *reachable* from a hot-path function
     /// through the workspace call graph.
     H2,
-    /// Panic-prone sites (panicking macros, `.unwrap()`, `.expect()`,
-    /// indexing) reachable from a hot-path function.
-    P1,
     /// `unsafe` without an adjacent `// SAFETY:` comment.
     U1,
     /// Dimensional-suffix mixing: arithmetic/assignment combining
@@ -35,27 +32,22 @@ pub enum Rule {
     /// and calls a callee that also charges one.
     E1,
     /// Allowlist hygiene: stale, malformed, or unjustified allow
-    /// directives.
+    /// directives, and directives naming an unknown rule.
     A1,
-    /// Baseline hygiene: `lint-baseline.json` entries that are stale,
-    /// unjustified, or out of date with the tree.
-    B1,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 10] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
         Rule::D4,
         Rule::H1,
         Rule::H2,
-        Rule::P1,
         Rule::U1,
         Rule::U2,
         Rule::E1,
         Rule::A1,
-        Rule::B1,
     ];
 
     pub fn name(self) -> &'static str {
@@ -66,12 +58,10 @@ impl Rule {
             Rule::D4 => "D4",
             Rule::H1 => "H1",
             Rule::H2 => "H2",
-            Rule::P1 => "P1",
             Rule::U1 => "U1",
             Rule::U2 => "U2",
             Rule::E1 => "E1",
             Rule::A1 => "A1",
-            Rule::B1 => "B1",
         }
     }
 
@@ -107,7 +97,7 @@ pub struct RuleDoc {
 /// The single source of truth for rule documentation. `--explain` prints
 /// it and DESIGN.md §8 references it; a test pins full coverage of
 /// [`Rule::ALL`].
-pub const RULE_DOCS: [RuleDoc; 12] = [
+pub const RULE_DOCS: [RuleDoc; 10] = [
     RuleDoc {
         rule: Rule::D1,
         summary: "wall-clock reads (`Instant`, `SystemTime`) outside crates/bench",
@@ -150,17 +140,8 @@ pub const RULE_DOCS: [RuleDoc; 12] = [
         rationale: "H1 only sees the marked function body; a hot path that calls an \
                     allocating helper two crates away is just as non-steady-state. The \
                     diagnostic prints the call chain from the root to the allocation.",
-        allow: "// lint: allow(H2): <argument> on the call edge that breaks the chain, \
-                or a lint-baseline.json entry naming the containing function",
-    },
-    RuleDoc {
-        rule: Rule::P1,
-        summary: "panic-prone sites (panic!/unwrap/expect/indexing) reachable from a hot path",
-        rationale: "A panic mid-operation tears simulated device state and aborts fleet \
-                    sweeps. Hot paths return errors; `debug_assert!` interiors are exempt \
-                    because release builds compile them out.",
-        allow: "// lint: allow(P1): <why the site cannot fire or the edge is cold>, \
-                or a lint-baseline.json entry",
+        allow: "// lint: allow(H2): <argument> on the allocating line (silences that line \
+                only), or on the call edge that breaks the chain",
     },
     RuleDoc {
         rule: Rule::U1,
@@ -187,18 +168,13 @@ pub const RULE_DOCS: [RuleDoc; 12] = [
     },
     RuleDoc {
         rule: Rule::A1,
-        summary: "allow-directive hygiene: stale, malformed, or unjustified directives",
-        rationale: "An allowlist only stays trustworthy if every entry still suppresses a \
-                    real finding and carries a written argument (ten characters minimum).",
+        summary: "allow-directive hygiene: stale, malformed, unjustified, or unknown-rule \
+                  directives",
+        rationale: "Inline allows are the only way to accept a finding, so the allowlist \
+                    only stays trustworthy if every entry names a real rule, still \
+                    suppresses a real finding, and carries a written argument (ten \
+                    characters minimum).",
         allow: "delete the stale directive or fix its justification (A1 has no allow form)",
-    },
-    RuleDoc {
-        rule: Rule::B1,
-        summary: "baseline hygiene: lint-baseline.json entries out of date with the tree",
-        rationale: "Baseline entries suppress in bulk, so each must record the exact \
-                    finding count it covers and a reason; when the tree drifts the entry \
-                    goes stale and must be regenerated with --write-baseline.",
-        allow: "re-run `ssmc-lint --workspace --write-baseline` and re-justify the entry",
     },
 ];
 

@@ -1,5 +1,5 @@
 //! The workspace call graph and the interprocedural passes that run
-//! over it (rules H2, P1, E1).
+//! over it (rules H2 and E1).
 //!
 //! # Construction and what resolution over-approximates
 //!
@@ -49,7 +49,6 @@ pub struct Node {
     pub is_test: bool,
     pub is_debug: bool,
     pub alloc_sites: Vec<Site>,
-    pub panic_sites: Vec<Site>,
     pub charge_sites: Vec<Site>,
 }
 
@@ -147,7 +146,6 @@ impl CallGraph {
                     is_test: f.is_test,
                     is_debug: f.is_debug,
                     alloc_sites: f.alloc_sites.clone(),
-                    panic_sites: f.panic_sites.clone(),
                     charge_sites: f.charge_sites.clone(),
                 });
             }
@@ -397,64 +395,19 @@ impl Allows<'_> {
     }
 }
 
-/// A finding produced by an interprocedural pass, carrying the
-/// function-level key the baseline file matches on.
-#[derive(Debug, Clone)]
-pub struct GraphFinding {
-    pub diag: Diagnostic,
-    /// Qualified name of the function containing the flagged site (for
-    /// E1, the caller; `what` is then the callee).
-    pub func: String,
-    /// Site kind, e.g. `indexing`, `.unwrap()`, `vec! macro`.
-    pub what: String,
-}
-
-/// Runs every interprocedural pass. Returns findings allow-filtered but
-/// not yet baseline-filtered; the caller applies `lint-baseline.json`.
-pub fn run_passes(graph: &CallGraph, allows: &mut Allows<'_>) -> Vec<GraphFinding> {
+/// Runs every interprocedural pass. Returns the findings that no allow
+/// directive suppressed, in pass order; the caller sorts.
+pub fn run_passes(graph: &CallGraph, allows: &mut Allows<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    reachability_pass(
-        graph,
-        allows,
-        Rule::H2,
-        "allocation-prone call",
-        false,
-        |n| n.alloc_sites.as_slice(),
-        &mut out,
-    );
-    reachability_pass(
-        graph,
-        allows,
-        Rule::P1,
-        "panic-prone site",
-        true,
-        |n| n.panic_sites.as_slice(),
-        &mut out,
-    );
+    allocation_pass(graph, allows, &mut out);
     attribution_pass(graph, allows, &mut out);
-    out.sort_by(|a, b| {
-        (&a.diag.file, a.diag.line, a.diag.rule, &a.diag.message).cmp(&(
-            &b.diag.file,
-            b.diag.line,
-            b.diag.rule,
-            &b.diag.message,
-        ))
-    });
     out
 }
 
-/// BFS from every hot-path root, reporting `sites(node)` in reached
-/// functions. `include_root` controls whether the root's own body is in
-/// scope (P1: yes; H2: no — rule H1 already covers direct sites).
-fn reachability_pass(
-    graph: &CallGraph,
-    allows: &mut Allows<'_>,
-    rule: Rule,
-    site_kind: &str,
-    include_root: bool,
-    sites: impl for<'n> Fn(&'n Node) -> &'n [Site],
-    out: &mut Vec<GraphFinding>,
-) {
+/// Rule H2: BFS from every hot-path root, reporting the allocation sites
+/// of every function it reaches. The root's own body is out of scope:
+/// rule H1 already covers its direct sites.
+fn allocation_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Diagnostic>) {
     let mut roots: Vec<usize> = (0..graph.nodes.len())
         .filter(|&i| graph.nodes[i].is_hot && !graph.nodes[i].is_test && !graph.nodes[i].is_debug)
         .collect();
@@ -472,32 +425,28 @@ fn reachability_pass(
         let mut queue: VecDeque<usize> = VecDeque::new();
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
-            if include_root || u != root {
+            if u != root {
                 let n = &graph.nodes[u];
-                for s in sites(n) {
-                    if allows.try_suppress(&n.file, s.line, rule) {
-                        continue;
+                for s in &n.alloc_sites {
+                    if allows.try_suppress(&n.file, s.line, Rule::H2) {
+                        continue; // argued site allow
                     }
                     if !reported.insert((n.file.clone(), s.line, s.what)) {
                         continue;
                     }
                     let chain = chain_to(graph, &parent, root, u, s.what);
-                    out.push(GraphFinding {
-                        diag: Diagnostic {
-                            file: n.file.clone(),
-                            line: s.line,
-                            rule,
-                            message: format!(
-                                "{site_kind} {} reachable from hot-path `{}`: {chain}",
-                                s.what, graph.nodes[root].qual
-                            ),
-                        },
-                        func: n.qual.clone(),
-                        what: s.what.to_owned(),
+                    out.push(Diagnostic {
+                        file: n.file.clone(),
+                        line: s.line,
+                        rule: Rule::H2,
+                        message: format!(
+                            "allocation-prone call {} reachable from hot-path `{}`: {chain}",
+                            s.what, graph.nodes[root].qual
+                        ),
                     });
                 }
             }
-            let caller_file = graph.nodes[u].file.clone();
+            let caller = &graph.nodes[u];
             for e in &graph.edges[u] {
                 if e.in_debug_assert {
                     continue; // not part of the release call graph
@@ -509,7 +458,11 @@ fn reachability_pass(
                 if root_set.contains(&e.to) {
                     continue;
                 }
-                if allows.try_suppress(&caller_file, e.line, rule) {
+                // An allow on a line that allocates is a site allow: it
+                // accepts that allocation only, and the line's calls stay
+                // in the graph. An allow on a call-only line breaks the edge.
+                let site_line = caller.alloc_sites.iter().any(|s| s.line == e.line);
+                if !site_line && allows.try_suppress(&caller.file, e.line, Rule::H2) {
                     continue; // argued edge break
                 }
                 visited.insert(e.to);
@@ -545,7 +498,7 @@ fn chain_to(
 /// Rule E1: a function that charges an `EnergyLedger` and calls a callee
 /// that (transitively) charges one is double-counting — DESIGN.md's
 /// "sum one level, not both".
-fn attribution_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<GraphFinding>) {
+fn attribution_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Diagnostic>) {
     let primitive: BTreeSet<usize> = (0..graph.nodes.len())
         .filter(|&i| CHARGE_PRIMITIVES.contains(&graph.nodes[i].qual.as_str()))
         .collect();
@@ -605,20 +558,16 @@ fn attribution_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Gr
             }
             let callee = &graph.nodes[e.to];
             let via = charge_chain(graph, &reaches, &direct, e.to);
-            out.push(GraphFinding {
-                diag: Diagnostic {
-                    file: nf.file.clone(),
-                    line: e.line,
-                    rule: Rule::E1,
-                    message: format!(
-                        "`{}` charges the EnergyLedger (line {}) and calls `{}`, which also charges ({via}); sum one level, not both",
-                        nf.short(),
-                        nf.charge_sites[0].line,
-                        callee.short(),
-                    ),
-                },
-                func: nf.qual.clone(),
-                what: callee.qual.clone(),
+            out.push(Diagnostic {
+                file: nf.file.clone(),
+                line: e.line,
+                rule: Rule::E1,
+                message: format!(
+                    "`{}` charges the EnergyLedger (line {}) and calls `{}`, which also charges ({via}); sum one level, not both",
+                    nf.short(),
+                    nf.charge_sites[0].line,
+                    callee.short(),
+                ),
             });
         }
     }
@@ -671,13 +620,13 @@ mod tests {
         let g = CallGraph::build(&[a, b], &CrateDeps::permissive());
         let mut allows = no_allows();
         let findings = run_passes(&g, &mut allows);
-        let h2: Vec<_> = findings.iter().filter(|f| f.diag.rule == Rule::H2).collect();
+        let h2: Vec<_> = findings.iter().filter(|f| f.rule == Rule::H2).collect();
         assert_eq!(h2.len(), 1, "{findings:?}");
-        assert_eq!(h2[0].diag.file, "crates/storage/src/help.rs");
+        assert_eq!(h2[0].file, "crates/storage/src/help.rs");
         assert!(
-            h2[0].diag.message.contains("M::hot → helper → vec! macro"),
+            h2[0].message.contains("M::hot → helper → vec! macro"),
             "{}",
-            h2[0].diag.message
+            h2[0].message
         );
     }
 
@@ -690,21 +639,7 @@ mod tests {
         );
         let g = CallGraph::build(&[a], &CrateDeps::permissive());
         let findings = run_passes(&g, &mut no_allows());
-        assert!(findings.iter().all(|f| f.diag.rule != Rule::H2), "{findings:?}");
-    }
-
-    #[test]
-    fn p1_covers_root_and_exempts_debug_assert() {
-        let a = parsed(
-            "crates/storage/src/manager.rs",
-            "ssmc-storage",
-            "// lint: hot-path\nfn hot(v: &[u32]) { let x = v[0]; debug_assert!(v[1] > 0); check(v); }\nfn check(v: &[u32]) { v.first().unwrap(); }\n",
-        );
-        let g = CallGraph::build(&[a], &CrateDeps::permissive());
-        let findings = run_passes(&g, &mut no_allows());
-        let p1: Vec<_> = findings.iter().filter(|f| f.diag.rule == Rule::P1).collect();
-        let whats: Vec<&str> = p1.iter().map(|f| f.what.as_str()).collect();
-        assert_eq!(whats, ["indexing", ".unwrap()"], "{p1:?}");
+        assert!(findings.iter().all(|f| f.rule != Rule::H2), "{findings:?}");
     }
 
     #[test]
@@ -756,7 +691,37 @@ mod tests {
         by_file.insert("crates/storage/src/manager.rs", entries.as_mut_slice());
         let mut allows = Allows { by_file };
         let findings = run_passes(&g, &mut allows);
-        assert!(findings.iter().all(|f| f.diag.rule != Rule::H2), "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule != Rule::H2), "{findings:?}");
+        assert!(entries[0].used);
+    }
+
+    #[test]
+    fn site_allow_keeps_the_calls_on_its_line() {
+        // The allow accepts `helper`'s own `vec!`; the call into `deeper`
+        // on the same line stays in the graph, so its allocation fires.
+        let a = parsed(
+            "crates/storage/src/manager.rs",
+            "ssmc-storage",
+            "// lint: hot-path\nfn hot() { helper(); }\nfn helper() {\n    // lint: allow(H2): warm-up-only buffer, reused after.\n    let v = vec![deeper()];\n}\nfn deeper() -> u8 { let s = String::from(\"x\"); 0 }\n",
+        );
+        let g = CallGraph::build(&[a], &CrateDeps::permissive());
+        let mut entries = vec![AllowEntry {
+            line: 4,
+            target_line: 5,
+            rule: Rule::H2,
+            used: false,
+        }];
+        let mut by_file = BTreeMap::new();
+        by_file.insert("crates/storage/src/manager.rs", entries.as_mut_slice());
+        let findings = run_passes(&g, &mut Allows { by_file });
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(
+            findings[0]
+                .message
+                .contains("helper → deeper → String::from"),
+            "{}",
+            findings[0].message
+        );
         assert!(entries[0].used);
     }
 
@@ -769,10 +734,10 @@ mod tests {
         );
         let g = CallGraph::build(&[a], &CrateDeps::permissive());
         let findings = run_passes(&g, &mut no_allows());
-        let e1: Vec<_> = findings.iter().filter(|f| f.diag.rule == Rule::E1).collect();
+        let e1: Vec<_> = findings.iter().filter(|f| f.rule == Rule::E1).collect();
         assert_eq!(e1.len(), 1, "{findings:?}");
-        assert!(e1[0].diag.message.contains("sum one level"), "{}", e1[0].diag.message);
-        assert!(e1[0].diag.message.contains("Disk::seek"));
+        assert!(e1[0].message.contains("sum one level"), "{}", e1[0].message);
+        assert!(e1[0].message.contains("Disk::seek"));
     }
 
     #[test]
@@ -784,12 +749,12 @@ mod tests {
         );
         let g = CallGraph::build(&[a], &CrateDeps::permissive());
         let findings = run_passes(&g, &mut no_allows());
-        let e1: Vec<_> = findings.iter().filter(|f| f.diag.rule == Rule::E1).collect();
+        let e1: Vec<_> = findings.iter().filter(|f| f.rule == Rule::E1).collect();
         assert_eq!(e1.len(), 1, "{findings:?}");
         assert!(
-            e1[0].diag.message.contains("Disk::mid → Disk::leaf → .charge()"),
+            e1[0].message.contains("Disk::mid → Disk::leaf → .charge()"),
             "{}",
-            e1[0].diag.message
+            e1[0].message
         );
     }
 

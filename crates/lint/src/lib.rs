@@ -6,15 +6,15 @@
 //! built from a hand-rolled lexer ([`lexer`]), a token-pattern rule
 //! engine ([`rules`]), and a lightweight item parser ([`parse`]) that
 //! feeds a workspace-wide call graph ([`graph`]) for the
-//! interprocedural passes (H2/P1/E1). Bulk suppressions live in
-//! `lint-baseline.json` ([`baseline`]). It deliberately has no external
-//! dependencies, because rule D4 is the property that keeps it that way.
+//! interprocedural passes (H2/E1). A finding is accepted only by an
+//! inline `// lint: allow(RULE): <why>` directive ([`rules`]), which rule
+//! A1 keeps honest. It deliberately has no external dependencies,
+//! because rule D4 is the property that keeps it that way.
 //!
 //! Run it with `cargo run -p ssmc-lint -- --workspace`.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod diag;
 pub mod graph;
 pub mod lexer;
@@ -24,7 +24,7 @@ pub mod rules;
 pub use diag::{run_to_report, Diagnostic, Rule};
 pub use rules::lint_source;
 
-use rules::{analyze_source, apply_allows, stale_allow_diags, AllowEntry};
+use rules::{analyze_source, apply_allows, stale_allow_diags};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -33,10 +33,6 @@ use std::path::{Path, PathBuf};
 /// Directories never descended into: build output, VCS metadata, and the
 /// linter's own fixture corpus (which exists to violate the rules).
 const SKIP_DIRS: [&str; 3] = ["target", ".git", "fixtures"];
-
-/// Display label for baseline diagnostics; also the file's location
-/// relative to the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
 
 /// Maps a repo-relative path to the cargo package that owns it:
 /// `crates/<name>/...` → `ssmc-<name>`, everything else → the root
@@ -51,126 +47,82 @@ pub fn crate_for_path(rel: &str) -> String {
     "ssmc".to_owned()
 }
 
-/// The result of a full workspace run.
+/// The result of a lint run.
 pub struct WorkspaceAnalysis {
     pub checked_files: usize,
     pub graph: graph::CallGraph,
-    /// Interprocedural findings after inline allows, before the
-    /// baseline filter — the population `--write-baseline` records.
-    pub graph_findings: Vec<graph::GraphFinding>,
-    /// The parsed baseline entries in effect for this run.
-    pub baseline: Vec<baseline::BaselineEntry>,
-    /// Final diagnostics: per-file rules, baseline-filtered
-    /// interprocedural findings, and A1/B1 hygiene, sorted by
-    /// (file, line, rule).
+    /// Final diagnostics: per-file rules, interprocedural findings, and
+    /// A1 allow hygiene, sorted by (file, line, rule).
     pub diags: Vec<Diagnostic>,
 }
 
-/// Lints every `.rs` file under `root` (the workspace root), including
-/// the interprocedural passes and the baseline filter. Backwards-
-/// compatible wrapper around [`analyze_workspace`].
-pub fn lint_workspace(root: &Path) -> io::Result<(usize, Vec<Diagnostic>)> {
-    let a = analyze_workspace(root)?;
-    Ok((a.checked_files, a.diags))
+/// Lints every `.rs` file under `root` (the workspace root) through the
+/// same pipeline as [`lint_files`], with crate dependencies read from
+/// the package manifests.
+pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceAnalysis> {
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &mut paths)?;
+    paths.sort();
+    let mut sources = Vec::with_capacity(paths.len());
+    for rel in &paths {
+        let src = fs::read_to_string(root.join(rel))?;
+        let rel = rel.to_string_lossy().replace('\\', "/");
+        let krate = crate_for_path(&rel);
+        sources.push((rel, krate, src));
+    }
+    let files: Vec<(&str, &str, &str)> = sources
+        .iter()
+        .map(|(p, k, s)| (p.as_str(), k.as_str(), s.as_str()))
+        .collect();
+    let deps = crate_deps_from_manifests(root).unwrap_or_else(|_| graph::CrateDeps::permissive());
+    Ok(run_pipeline(&files, &deps))
 }
 
-/// The full pipeline: per-file rules, call-graph construction, the
-/// interprocedural passes, baseline filtering, and allow/baseline
-/// hygiene.
-pub fn analyze_workspace(root: &Path) -> io::Result<WorkspaceAnalysis> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
+/// Runs the full pipeline over an in-memory `(path, crate, source)` file
+/// set — the harness for multi-file fixtures. Crate dependencies are
+/// permissive.
+pub fn lint_files(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
+    run_pipeline(files, &graph::CrateDeps::permissive()).diags
+}
 
+/// The one lint pipeline: per-file rules, call-graph construction, the
+/// interprocedural passes, and A1 allow hygiene.
+fn run_pipeline(files: &[(&str, &str, &str)], deps: &graph::CrateDeps) -> WorkspaceAnalysis {
     let mut parsed_files = Vec::new();
     // Per file: (path, per-file findings pre-allow, allows, final diags).
-    let mut per_file: Vec<(String, Vec<Diagnostic>, Vec<AllowEntry>, Vec<Diagnostic>)> = Vec::new();
-    for rel in &files {
-        let src = fs::read_to_string(root.join(rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let krate = crate_for_path(&rel_str);
-        let a = analyze_source(&rel_str, &krate, &src);
+    let mut per_file = Vec::new();
+    for &(path, krate, src) in files {
+        let a = analyze_source(path, krate, src);
         parsed_files.push(a.parsed);
-        per_file.push((rel_str, a.findings, a.allows, a.diags));
+        per_file.push((path, a.findings, a.allows, a.diags));
     }
-
-    let deps = crate_deps_from_manifests(root).unwrap_or_else(|_| graph::CrateDeps::permissive());
-    let call_graph = graph::CallGraph::build(&parsed_files, &deps);
+    let call_graph = graph::CallGraph::build(&parsed_files, deps);
 
     // Per-file rules consume their allows first, then the graph passes
     // get a shot at the rest; A1 staleness is judged only after both.
     let mut diags: Vec<Diagnostic> = Vec::new();
     for (_, findings, allows, immediate) in &mut per_file {
         diags.append(immediate);
-        let survivors = apply_allows(std::mem::take(findings), allows);
-        diags.extend(survivors);
+        diags.extend(apply_allows(std::mem::take(findings), allows));
     }
-
     let mut allow_view = graph::Allows {
         by_file: per_file
             .iter_mut()
-            .map(|(path, _, allows, _)| (path.as_str(), allows.as_mut_slice()))
+            .map(|(path, _, allows, _)| (*path, allows.as_mut_slice()))
             .collect(),
     };
-    let graph_findings = graph::run_passes(&call_graph, &mut allow_view);
-
-    let baseline_path = root.join(BASELINE_FILE);
-    let (entries, baseline_diags) = match fs::read_to_string(&baseline_path) {
-        Ok(text) => baseline::parse(BASELINE_FILE, &text),
-        Err(_) => (Vec::new(), Vec::new()), // absent baseline: nothing suppressed
-    };
-    diags.extend(baseline_diags);
-    diags.extend(baseline::apply(BASELINE_FILE, &entries, graph_findings.clone()));
-
+    diags.extend(graph::run_passes(&call_graph, &mut allow_view));
     for (path, _, allows, _) in &per_file {
         diags.extend(stale_allow_diags(path, allows));
     }
-
     diags.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-
-    Ok(WorkspaceAnalysis {
+    WorkspaceAnalysis {
         checked_files: files.len(),
         graph: call_graph,
-        graph_findings,
-        baseline: entries,
         diags,
-    })
-}
-
-/// Runs the full pipeline (per-file rules + interprocedural passes) over
-/// an in-memory file set — the harness for multi-file fixtures. Crate
-/// dependencies are permissive and no baseline applies.
-pub fn lint_files(files: &[(&str, &str, &str)]) -> Vec<Diagnostic> {
-    let mut parsed_files = Vec::new();
-    let mut per_file: Vec<(String, Vec<Diagnostic>, Vec<AllowEntry>, Vec<Diagnostic>)> = Vec::new();
-    for (path, krate, src) in files {
-        let a = analyze_source(path, krate, src);
-        parsed_files.push(a.parsed);
-        per_file.push(((*path).to_owned(), a.findings, a.allows, a.diags));
     }
-    let call_graph = graph::CallGraph::build(&parsed_files, &graph::CrateDeps::permissive());
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    for (_, findings, allows, immediate) in &mut per_file {
-        diags.append(immediate);
-        let survivors = apply_allows(std::mem::take(findings), allows);
-        diags.extend(survivors);
-    }
-    let mut allow_view = graph::Allows {
-        by_file: per_file
-            .iter_mut()
-            .map(|(path, _, allows, _)| (path.as_str(), allows.as_mut_slice()))
-            .collect(),
-    };
-    diags.extend(graph::run_passes(&call_graph, &mut allow_view).into_iter().map(|f| f.diag));
-    for (path, _, allows, _) in &per_file {
-        diags.extend(stale_allow_diags(path, allows));
-    }
-    diags.sort_by(|a, b| {
-        (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
-    });
-    diags
 }
 
 /// Reads the direct `ssmc-*` dependency edges out of every package

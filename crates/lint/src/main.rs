@@ -1,8 +1,7 @@
 //! CLI for `ssmc-lint`.
 //!
 //! ```text
-//! cargo run -p ssmc-lint -- --workspace [--root PATH] [--json]
-//!                           [--graph-out PATH] [--write-baseline]
+//! cargo run -p ssmc-lint -- --workspace [--root PATH] [--json] [--graph-out PATH]
 //! cargo run -p ssmc-lint -- --explain RULE
 //! ```
 //!
@@ -11,23 +10,20 @@
 //! `--json` emits the run as report JSON on stdout instead (including
 //! `lint.functions` / `lint.edges` / `lint.diags`, the call-graph
 //! dimensions future changes can gate on). `--graph-out` writes the
-//! name-ordered call-graph dump; `--write-baseline` regenerates
-//! `lint-baseline.json` from the current interprocedural findings,
-//! inheriting reasons for entries that survived.
+//! name-ordered call-graph dump.
 
 #![forbid(unsafe_code)]
 
-use ssmc_lint::{analyze_workspace, baseline, run_to_report, Rule, BASELINE_FILE};
+use ssmc_lint::{analyze_workspace, run_to_report, Rule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ssmc-lint --workspace [--root PATH] [--json] \
-                     [--graph-out PATH] [--write-baseline] | --explain RULE";
+const USAGE: &str =
+    "usage: ssmc-lint --workspace [--root PATH] [--json] [--graph-out PATH] | --explain RULE";
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut json = false;
-    let mut write_baseline = false;
     let mut root: Option<PathBuf> = None;
     let mut graph_out: Option<PathBuf> = None;
     let mut explain: Option<String> = None;
@@ -36,7 +32,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -88,24 +83,6 @@ fn main() -> ExitCode {
             eprintln!("ssmc-lint: write {}: {e}", path.display());
             return ExitCode::from(2);
         }
-    }
-
-    if write_baseline {
-        let fresh = baseline::generate(&analysis.graph_findings, &analysis.baseline);
-        let path = root.join(BASELINE_FILE);
-        if let Err(e) = std::fs::write(&path, baseline::encode(&fresh)) {
-            eprintln!("ssmc-lint: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        let unreviewed =
-            fresh.iter().filter(|e| e.reason == baseline::UNREVIEWED).count();
-        eprintln!(
-            "ssmc-lint: wrote {} baseline entr{} ({unreviewed} needing a reason) to {}",
-            fresh.len(),
-            if fresh.len() == 1 { "y" } else { "ies" },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
     }
 
     let diags = &analysis.diags;

@@ -62,13 +62,9 @@ const KEYWORDS: [&str; 31] = [
     "where", "unsafe", "dyn", "const", "static", "type", "await", "yield",
 ];
 
-/// Macros whose interior is only compiled under `debug_assertions`; panic
-/// sites and call edges inside them are exempt from rule P1.
+/// Macros whose interior is only compiled under `debug_assertions`; call
+/// edges inside them do not exist in the release call graph.
 const DEBUG_ASSERT_MACROS: [&str; 3] = ["debug_assert", "debug_assert_eq", "debug_assert_ne"];
-
-/// Panicking macros recorded as P1 sites.
-const PANIC_MACROS: [&str; 7] =
-    ["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
 
 /// How a call was written at the call site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,7 +87,7 @@ pub struct CallSite {
     pub line: u32,
     pub kind: CallKind,
     /// True when the call is inside a `debug_assert*!` argument list —
-    /// the edge does not exist in release builds, so P1 skips it.
+    /// the edge does not exist in release builds, so the passes skip it.
     pub in_debug_assert: bool,
 }
 
@@ -127,9 +123,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Allocation-prone sites (the ALLOC_PATTERNS table).
     pub alloc_sites: Vec<Site>,
-    /// Panic-prone sites: panicking macros, `.unwrap()`, `.expect(`,
-    /// and `expr[...]` indexing. `debug_assert*!` interiors excluded.
-    pub panic_sites: Vec<Site>,
     /// Lines of `.charge(` / `.charge_power(` calls (rule E1).
     pub charge_sites: Vec<Site>,
 }
@@ -599,7 +592,6 @@ impl<'a> Parser<'a> {
             is_hot: false,
             calls: Vec::new(),
             alloc_sites: Vec::new(),
-            panic_sites: Vec::new(),
             charge_sites: Vec::new(),
         };
         let idx = self.fns.len();
@@ -625,7 +617,6 @@ impl<'a> Parser<'a> {
     fn extract_sites(&mut self, idx: usize, lo: usize, hi: usize, nested: &[(u32, u32)]) {
         let mut calls = Vec::new();
         let mut alloc_sites = Vec::new();
-        let mut panic_sites = Vec::new();
         let mut charge_sites = Vec::new();
         // Token ranges inside debug_assert*! argument lists.
         let mut exempt: Vec<(usize, usize)> = Vec::new();
@@ -636,23 +627,6 @@ impl<'a> Parser<'a> {
         while i < hi {
             let t = self.s[i];
             if in_nested(t.line) {
-                i += 1;
-                continue;
-            }
-            // Indexing: `expr[...]` panics on out-of-bounds. The `[` must
-            // follow a value-producing token; `#[attr]`, `vec![..]`, and
-            // array literals/types follow puncts and are excluded.
-            if t.is_punct('[') && i > 0 {
-                let prev = self.s[i - 1];
-                let is_value = match &prev.kind {
-                    TokKind::Ident(id) => !KEYWORDS.contains(&id.as_str()),
-                    TokKind::Punct(')') | TokKind::Punct(']') => true,
-                    TokKind::Lit => true,
-                    _ => false,
-                };
-                if is_value && !within(&exempt, i) {
-                    panic_sites.push(Site { line: t.line, what: "indexing" });
-                }
                 i += 1;
                 continue;
             }
@@ -685,8 +659,6 @@ impl<'a> Parser<'a> {
                     if let Some(close) = self.delim_close(i + 2, hi) {
                         exempt.push((i + 2, close));
                     }
-                } else if PANIC_MACROS.contains(&id) && !in_da {
-                    panic_sites.push(Site { line: t.line, what: macro_site_name(id) });
                 }
                 i += 2;
                 continue;
@@ -703,33 +675,30 @@ impl<'a> Parser<'a> {
                 }
             }
             if call_paren.is_some() && !KEYWORDS.contains(&id) && id != "self" && id != "Self" {
-                let in_da = within(&exempt, i);
                 let kind = self.classify_call(i, id);
-                match &kind {
-                    CallKind::Method(m) | CallKind::SelfMethod(m) => {
-                        if (m == "unwrap" || m == "expect") && !in_da {
-                            panic_sites.push(Site {
-                                line: t.line,
-                                what: if m == "unwrap" { ".unwrap()" } else { ".expect()" },
-                            });
-                        }
-                        if m == "charge" || m == "charge_power" {
-                            charge_sites.push(Site {
-                                line: t.line,
-                                what: if m == "charge" { ".charge()" } else { ".charge_power()" },
-                            });
-                        }
+                if let CallKind::Method(m) | CallKind::SelfMethod(m) = &kind {
+                    if m == "charge" || m == "charge_power" {
+                        charge_sites.push(Site {
+                            line: t.line,
+                            what: if m == "charge" {
+                                ".charge()"
+                            } else {
+                                ".charge_power()"
+                            },
+                        });
                     }
-                    _ => {}
                 }
-                calls.push(CallSite { line: t.line, kind, in_debug_assert: in_da });
+                calls.push(CallSite {
+                    line: t.line,
+                    kind,
+                    in_debug_assert: within(&exempt, i),
+                });
             }
             i += 1;
         }
         let f = &mut self.fns[idx];
         f.calls = calls;
         f.alloc_sites = alloc_sites;
-        f.panic_sites = panic_sites;
         f.charge_sites = charge_sites;
     }
 
@@ -926,19 +895,6 @@ fn within(ranges: &[(usize, usize)], i: usize) -> bool {
     ranges.iter().any(|&(s, e)| i > s && i < e)
 }
 
-fn macro_site_name(id: &str) -> &'static str {
-    match id {
-        "panic" => "panic!",
-        "unreachable" => "unreachable!",
-        "todo" => "todo!",
-        "unimplemented" => "unimplemented!",
-        "assert" => "assert!",
-        "assert_eq" => "assert_eq!",
-        "assert_ne" => "assert_ne!",
-        _ => "panicking macro",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,14 +991,6 @@ mod tests {
                 &CallKind::Method("collect".into()),
             ]
         );
-    }
-
-    #[test]
-    fn panic_sites_found_and_debug_assert_exempt() {
-        let src = "fn f(v: &[u32], m: &M) {\n    let a = v[0];\n    let b = m.get().unwrap();\n    debug_assert!(v[1] > 0, \"bad\");\n    if bad { panic!(\"boom\") }\n}\n";
-        let p = parse(src);
-        let sites: Vec<(&str, u32)> = p.fns[0].panic_sites.iter().map(|s| (s.what, s.line)).collect();
-        assert_eq!(sites, [("indexing", 2), (".unwrap()", 3), ("panic!", 5)]);
     }
 
     #[test]

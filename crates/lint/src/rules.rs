@@ -2,7 +2,7 @@
 //! (`#[cfg(test)]` bodies, `// lint: hot-path` functions), and the
 //! per-site allow directive machinery.
 //!
-//! Per-file rules live here; the interprocedural passes (H2/P1/E1) live
+//! Per-file rules live here; the interprocedural passes (H2/E1) live
 //! in [`crate::graph`] and consume the [`FileAnalysis`] this module
 //! produces, so a file is lexed and parsed exactly once per run.
 //!
@@ -16,7 +16,8 @@
 //!
 //! Every directive must name a real rule and carry a written
 //! justification (at least ten characters); a directive that suppresses
-//! nothing is itself reported (A1) so the allowlist cannot rot.
+//! nothing is itself reported (A1) so the allowlist cannot rot. These
+//! directives are the linter's only suppression mechanism.
 
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{lex, Tok, TokKind};
@@ -555,6 +556,21 @@ mod tests {
         let unjustified = "// lint: allow(D2)\nuse std::collections::HashMap;\n";
         let fired = rules_fired("x.rs", "ssmc-core", unjustified);
         assert!(fired.contains(&"A1".to_owned()) && fired.contains(&"D2".to_owned()));
+    }
+
+    #[test]
+    fn directive_naming_a_retired_rule_is_unknown() {
+        // P1 (panic reachability) was retired; a leftover directive for it
+        // must fail loudly rather than sit inert.
+        let src = "// lint: allow(P1): the index is masked to the table size.\nfn f(t: &[u32; 256], b: u8) -> u32 { t[b as usize] }\n";
+        let diags = lint_source("x.rs", "ssmc-storage", src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, Rule::A1);
+        assert!(
+            diags[0].message.contains("names unknown rule `P1`"),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Per-file rules iterate the `{rule}_bad.rs` / `{rule}_clean.rs`
 //! convention: every bad fixture must produce exactly one diagnostic of
 //! its rule, every clean fixture none. The interprocedural rules
-//! (H2/P1/E1) need a call graph, so their fixtures run through
+//! (H2/E1) need a call graph, so their fixtures run through
 //! [`ssmc_lint::lint_files`] under synthetic `crates/...` paths — paths
 //! under `tests/` would mark every function test-only and exclude it
 //! from the graph. The fixtures live outside the workspace walk (the
@@ -25,8 +25,7 @@ fn fixture(name: &str) -> String {
 const FIXTURE_CRATE: &str = "ssmc-storage";
 
 /// The rules whose fixtures are a single file through [`lint_source`].
-/// H2/P1/E1 are interprocedural (explicit tests below); B1 is driven by
-/// the baseline file, covered by `baseline` module tests.
+/// H2/E1 are interprocedural (explicit tests below).
 const PER_FILE_RULES: [Rule; 8] =
     [Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::H1, Rule::U1, Rule::U2, Rule::A1];
 
@@ -120,21 +119,21 @@ fn h2_clean_fixture_breaks_the_chain_at_the_allowed_edge() {
 }
 
 #[test]
-fn p1_bad_fixture_reports_the_unwrap_chain() {
-    let diags = lint_interprocedural("p1_bad.rs", None);
+fn h2_site_allow_silences_only_its_own_line() {
+    // The helper's first allocation carries an argued allow; its second
+    // allocation does not, and must still fire. The allow is used, so A1
+    // stays silent.
+    let src = fixture("h2_site_allow_helper.rs");
+    let clone_line = src.lines().position(|l| l.contains(".clone()")).unwrap() as u32 + 1;
+    let diags = lint_interprocedural("h2_bad_entry.rs", Some("h2_site_allow_helper.rs"));
     assert_eq!(diags.len(), 1, "{:?}", render(&diags));
-    assert_eq!(diags[0].rule, Rule::P1, "{}", diags[0]);
+    assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
+    assert_eq!(diags[0].line, clone_line, "{}", diags[0]);
     assert!(
-        diags[0].message.contains("replay_step → helper_lookup → .unwrap()"),
-        "chain missing: {}",
+        diags[0].message.contains("record_op → .clone()"),
+        "{}",
         diags[0]
     );
-}
-
-#[test]
-fn p1_clean_fixture_is_silent() {
-    let diags = lint_interprocedural("p1_clean.rs", None);
-    assert!(diags.is_empty(), "{:?}", render(&diags));
 }
 
 #[test]

@@ -17,18 +17,16 @@ fn live_workspace_lints_clean() {
     assert!(a.checked_files > 50, "only {} files checked — walker is broken", a.checked_files);
     // The interprocedural passes must actually have a graph to walk: a
     // near-empty graph means the item parser or call resolution silently
-    // regressed and H2/P1/E1 are vacuously "clean".
+    // regressed and H2/E1 are vacuously "clean". The passes themselves
+    // are kept honest by the tree's site allows: if the H2 pass stopped
+    // finding anything, every `allow(H2)` on an allocating line would go
+    // stale, and A1 would fail the clean-workspace assert below.
     assert!(
         a.graph.nodes.len() > 500 && a.graph.edge_count() > 1000,
         "call graph too small ({} functions, {} edges) — parser or resolver regressed",
         a.graph.nodes.len(),
         a.graph.edge_count()
     );
-    // The baseline must be in force (it suppresses the recorded findings)
-    // and the findings it records must exist — both zero would mean the
-    // graph passes never ran.
-    assert!(!a.baseline.is_empty(), "lint-baseline.json missing or empty");
-    assert!(!a.graph_findings.is_empty(), "interprocedural passes found nothing — passes broken");
     assert!(
         a.diags.is_empty(),
         "workspace must lint clean, got {} diagnostics:\n{}",

@@ -72,9 +72,13 @@ impl DirIndex {
             }
         }
         if self.slot_claims(slot) > 0 {
+            // lint: allow(H2): rename/unlink of a slot other names still claim:
+            // namespace mutation, not read/write replay (alloc-guard pinned).
             let mut stale = Vec::new();
             self.names.for_each(|n, (s, _)| {
                 if s == slot {
+                    // lint: allow(H2): the stale-name list above; namespace
+                    // mutation only.
                     stale.push(n.to_owned());
                 }
             });
@@ -373,6 +377,8 @@ impl MemFs {
     }
 
     fn write_superblock(&mut self) -> Result<()> {
+        // lint: allow(H2): the superblock is rewritten on inode allocation
+        // (namespace mutation), not per read/write op.
         let mut page = vec![0u8; self.page_size() as usize];
         Superblock {
             magic: crate::layout::MAGIC,
@@ -632,6 +638,8 @@ impl MemFs {
             dir,
             &DirEntry {
                 ino,
+                // lint: allow(H2): a new directory entry owns its name;
+                // namespace growth by design.
                 name: name.to_owned(),
             },
         )?;
@@ -713,6 +721,8 @@ impl MemFs {
         }
         self.fds[fd as usize] = Some((ino, mode));
         if self.ino_fds.len() <= ino as usize {
+            // lint: allow(H2): the per-inode fd table grows once per new inode
+            // number.
             self.ino_fds.resize_with(ino as usize + 1, Vec::new);
         }
         self.ino_fds[ino as usize].push(fd);
@@ -942,6 +952,8 @@ impl MemFs {
             let within = (len % ps) as usize;
             if within != 0 {
                 let page = file_page(ino, len / ps);
+                // lint: allow(H2): a truncate ending mid-page zero-fills the
+                // tail once; truncate is metadata churn, not read/write replay.
                 let zeros = vec![0u8; ps as usize - within];
                 self.rmw(page, within, &zeros)?;
             }
@@ -1074,6 +1086,8 @@ impl MemFs {
             new_dir,
             &DirEntry {
                 ino,
+                // lint: allow(H2): a renamed entry owns its new name; namespace
+                // mutation by design.
                 name: new_name.to_owned(),
             },
         )?;

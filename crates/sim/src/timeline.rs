@@ -290,7 +290,10 @@ impl<W: Write + Seek> TimelineWriter<W> {
             w,
             channels: n,
             rows: 0,
+            // lint: allow(H2): sized once when the timeline opens; replay
+            // reaches it only through name-based resolution of `create`.
             prev: vec![0u64; n],
+            // lint: allow(H2): sized once when the timeline opens, like `prev`.
             scratch: vec![0u8; n * 8],
         })
     }
@@ -365,6 +368,9 @@ impl Timeline {
         }
         let version = u16::from_le_bytes([fixed[8], fixed[9]]);
         if version != TIMELINE_VERSION {
+            // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
+            // obs-diff); linked to replay only by name-based resolution of
+            // `read`.
             return Err(corrupt(format!(
                 "unsupported timeline version {version} (this build reads {TIMELINE_VERSION})"
             )));
@@ -380,8 +386,14 @@ impl Timeline {
             let mut head = [0u8; 3];
             r.read_exact(&mut head)?;
             let kind = ChannelKind::from_code(head[0])
+                // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
+                // obs-diff); linked to replay only by name-based resolution of
+                // `read`.
                 .ok_or_else(|| corrupt(format!("unknown channel kind code {}", head[0])))?;
             let len = u16::from_le_bytes([head[1], head[2]]) as usize;
+            // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
+            // obs-diff); linked to replay only by name-based resolution of
+            // `read`.
             let mut name = vec![0u8; len];
             r.read_exact(&mut name)?;
             let name =
@@ -391,6 +403,8 @@ impl Timeline {
         let n_values = rows
             .checked_mul(channel_count)
             .ok_or_else(|| corrupt("row count overflows"))?;
+        // lint: allow(H2): tooling-side `.tl` decode (timeline-dump, obs-diff);
+        // linked to replay only by name-based resolution of `read`.
         let mut values = vec![0u64; n_values];
         let mut buf = [0u8; 8];
         for row in 0..rows {

@@ -274,25 +274,10 @@ impl WriteBuffer {
         }
     }
 
-    /// Pages whose last write is at or before `cutoff`, coldest first,
-    /// up to `limit`.
-    pub fn colder_than(&self, cutoff: SimTime, limit: usize) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.colder_than_into(cutoff, limit, &mut out);
-        out
-    }
-
     /// Appends up to `k` coldest pages (regardless of age) to `out`.
     // lint: hot-path
     pub fn coldest_k_into(&self, k: usize, out: &mut Vec<PageId>) {
         self.colder_than_into(SimTime::MAX, k, out);
-    }
-
-    /// Up to `k` coldest pages regardless of age.
-    pub fn coldest_k(&self, k: usize) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.coldest_k_into(k, &mut out);
-        out
     }
 
     /// Appends every buffered page, coldest first, to `out`.
@@ -303,13 +288,6 @@ impl WriteBuffer {
     // lint: hot-path
     pub fn pages_into(&self, out: &mut Vec<PageId>) {
         self.colder_than_into(SimTime::MAX, usize::MAX, out);
-    }
-
-    /// All buffered pages, coldest (least recently written) first.
-    pub fn pages(&self) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.pages_into(&mut out);
-        out
     }
 
     /// Drops every entry without returning frames individually (battery
@@ -331,6 +309,13 @@ mod tests {
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// Every buffered page, coldest first.
+    fn pages(b: &WriteBuffer) -> Vec<PageId> {
+        let mut out = Vec::new();
+        b.pages_into(&mut out);
+        out
     }
 
     #[test]
@@ -363,7 +348,9 @@ mod tests {
         // Rewriting page 1 makes page 2 the coldest.
         b.touch(1, t(3));
         assert_eq!(b.coldest(), Some(2));
-        assert_eq!(b.coldest_k(2), vec![2, 3]);
+        let mut out = Vec::new();
+        b.coldest_k_into(2, &mut out);
+        assert_eq!(out, [2, 3]);
     }
 
     #[test]
@@ -372,9 +359,15 @@ mod tests {
         for (p, s) in [(1, 0), (2, 10), (3, 20), (4, 30)] {
             b.insert(p, t(s));
         }
-        assert_eq!(b.colder_than(t(20), 10), vec![1, 2, 3]);
-        assert_eq!(b.colder_than(t(20), 2), vec![1, 2]);
-        assert!(b.colder_than(SimTime::ZERO, 10).len() <= 1);
+        let mut out = Vec::new();
+        b.colder_than_into(t(20), 10, &mut out);
+        assert_eq!(out, [1, 2, 3]);
+        out.clear();
+        b.colder_than_into(t(20), 2, &mut out);
+        assert_eq!(out, [1, 2]);
+        out.clear();
+        b.colder_than_into(SimTime::ZERO, 10, &mut out);
+        assert!(out.len() <= 1);
     }
 
     #[test]
@@ -438,11 +431,11 @@ mod tests {
         b.insert(2, t(1));
         b.insert(3, t(2));
         b.remove(2);
-        assert_eq!(b.pages(), vec![1, 3]);
+        assert_eq!(pages(&b), [1, 3]);
         b.remove(1);
-        assert_eq!(b.pages(), vec![3]);
+        assert_eq!(pages(&b), [3]);
         b.remove(3);
-        assert!(b.pages().is_empty());
+        assert!(pages(&b).is_empty());
         assert_eq!(b.coldest(), None);
     }
 
@@ -480,6 +473,6 @@ mod tests {
         b.insert(5, t(1));
         b.insert(3, t(1));
         b.insert(4, t(1));
-        assert_eq!(b.pages(), vec![5, 3, 4]);
+        assert_eq!(pages(&b), [5, 3, 4]);
     }
 }

@@ -44,10 +44,10 @@ const fn build_tables() -> [[u32; 256]; 8] {
     t
 }
 
+/// `TABLES[k][b]`. Every call passes a constant `k` below 8, and a `u8`
+/// cannot index past a 256-entry table.
 #[inline(always)]
 fn lookup(k: usize, b: u8) -> u32 {
-    // lint: allow(P1): every call passes a constant `k` below 8, and a
-    // `u8` index cannot reach past a 256-entry table.
     TABLES[k][b as usize]
 }
 

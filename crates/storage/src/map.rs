@@ -9,11 +9,9 @@
 //! The map sits on [`DenseIndex`]: page ids are structured
 //! `(ino << 32) | index` values, so lookups are two array indexes rather
 //! than hash-map probes, iteration order is deterministic, and ids past
-//! the configurable dense bound ([`StorageConfig::dense_map_pages`]) fall
-//! back to a sorted overflow map. The flash-resident page count is
-//! maintained on every mutation, making [`PageMap::flash_pages`] O(1).
-//!
-//! [`StorageConfig::dense_map_pages`]: crate::StorageConfig::dense_map_pages
+//! the dense bound ([`DEFAULT_DENSE_PAGES`]) fall back to a sorted
+//! overflow map. The flash-resident page count is maintained on every
+//! mutation, making [`PageMap::flash_pages`] O(1).
 
 use crate::dense::DenseIndex;
 

@@ -119,14 +119,6 @@ impl Segment {
             }
         }
     }
-
-    /// Live slot metas, with their slot indices (allocating convenience
-    /// wrapper over [`Segment::live_slots_into`]).
-    pub fn live_slots(&self) -> Vec<(usize, SlotMeta)> {
-        let mut out = Vec::new();
-        self.live_slots_into(&mut out);
-        out
-    }
 }
 
 /// The table of all log segments plus free/erase bookkeeping.
@@ -146,7 +138,7 @@ pub struct SegmentTable {
     /// Free segments, maintained on every state transition so the GC
     /// trigger check is O(1) per operation.
     free_count: usize,
-    /// Retired segments, maintained by [`SegmentTable::retire`]; part of
+    /// Retired segments, maintained by [`SegmentTable::retire_into`]; part of
     /// the wear-spread cache key in the manager.
     retired_count: usize,
     /// Recycled backing stores for tombstone slots. A `Slot::Tomb` owns a
@@ -209,16 +201,6 @@ impl SegmentTable {
         &self.segments[idx]
     }
 
-    /// Mutable access to a segment.
-    pub fn seg_mut(&mut self, idx: usize) -> &mut Segment {
-        &mut self.segments[idx]
-    }
-
-    /// Indices of free segments.
-    pub fn free_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Free)
-    }
-
     /// Free segments, O(1): the count is maintained on every state
     /// transition; debug builds reconcile it against a full scan.
     pub fn free_count(&self) -> usize {
@@ -242,16 +224,6 @@ impl SegmentTable {
             .map(|(i, _)| i)
     }
 
-    /// Indices of closed segments (GC candidates).
-    pub fn closed_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Closed)
-    }
-
-    /// Indices of retired segments.
-    pub fn retired_segments(&self) -> Vec<usize> {
-        self.by_state(SegState::Retired)
-    }
-
     /// Retired segments, O(1); debug builds reconcile against a scan.
     pub fn retired_count(&self) -> usize {
         debug_assert_eq!(
@@ -263,15 +235,6 @@ impl SegmentTable {
             "maintained retired-segment counter diverged from a full scan"
         );
         self.retired_count
-    }
-
-    fn by_state(&self, state: SegState) -> Vec<usize> {
-        self.segments
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == state)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Total live pages across all segments.
@@ -571,27 +534,12 @@ impl SegmentTable {
         self.pending_erase.push((completes, seg));
     }
 
-    /// Allocating convenience wrapper over
-    /// [`SegmentTable::begin_erase_into`].
-    pub fn begin_erase(&mut self, seg: usize, completes: SimTime) -> Vec<(PageId, u64)> {
-        let mut carried = Vec::new();
-        self.begin_erase_into(seg, completes, &mut carried);
-        carried
-    }
-
     /// Permanently retires a worn-out closed segment. Tombstones to carry
     /// forward are appended to `carried`.
     pub fn retire_into(&mut self, seg: usize, carried: &mut Vec<(PageId, u64)>) {
         self.release_metadata_into(seg, carried);
         self.segments[seg].state = SegState::Retired;
         self.retired_count += 1;
-    }
-
-    /// Allocating convenience wrapper over [`SegmentTable::retire_into`].
-    pub fn retire(&mut self, seg: usize) -> Vec<(PageId, u64)> {
-        let mut carried = Vec::new();
-        self.retire_into(seg, &mut carried);
-        carried
     }
 
     /// Moves segments whose erase has completed by `now` back to the free
@@ -740,15 +688,6 @@ impl SegmentTable {
         (live_map, max_seq)
     }
 
-    /// Total slots programmed (headers recovery would have to scan).
-    pub fn programmed_slots(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| !matches!(s.state, SegState::Free))
-            .map(|s| s.next_slot)
-            .sum()
-    }
-
     /// Earliest pending-erase completion, if any.
     pub fn next_erase_completion(&self) -> Option<SimTime> {
         self.pending_erase.iter().map(|&(t, _)| t).min()
@@ -795,7 +734,10 @@ mod tests {
     #[test]
     fn open_append_close_lifecycle() {
         let mut tb = table();
-        assert_eq!(tb.free_segments(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            tb.segments_in(SegState::Free).collect::<Vec<_>>(),
+            [0, 1, 2, 3]
+        );
         tb.open(0);
         let slot = tb.append(0, sm(42, 1), t(1));
         assert_eq!(slot, 0);
@@ -811,7 +753,7 @@ mod tests {
         assert!(tb.seg(0).is_full());
         assert_eq!(tb.seg(0).slots_free(), 0);
         tb.close(0);
-        assert_eq!(tb.closed_segments(), vec![0]);
+        assert_eq!(tb.segments_in(SegState::Closed).collect::<Vec<_>>(), [0]);
         assert_eq!(tb.live_pages(), 8);
     }
 
@@ -845,7 +787,8 @@ mod tests {
         let s = tb.append(0, sm(1, 1), t(0));
         tb.kill_at(tb.slot_addr(0, s));
         tb.close(0);
-        let carried = tb.begin_erase(0, t(5));
+        let mut carried = Vec::new();
+        tb.begin_erase_into(0, t(5), &mut carried);
         assert!(carried.is_empty());
         assert_eq!(tb.pending_erases(), 1);
         assert_eq!(tb.reap_erased(t(4)), 0);
@@ -860,11 +803,14 @@ mod tests {
         let before = tb.usable_slots();
         tb.open(0);
         tb.close(0);
-        tb.retire(0);
-        assert_eq!(tb.retired_segments(), vec![0]);
+        tb.retire_into(0, &mut Vec::new());
+        assert_eq!(tb.segments_in(SegState::Retired).collect::<Vec<_>>(), [0]);
         assert_eq!(tb.usable_slots(), before - 8);
         // Retired segments never return to the free list.
-        assert_eq!(tb.free_segments(), vec![1, 2, 3]);
+        assert_eq!(
+            tb.segments_in(SegState::Free).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
     }
 
     #[test]
@@ -878,18 +824,20 @@ mod tests {
         tb.open(0);
         tb.append_tomb(0, vec![(9, 2)], t(1));
         tb.close(0);
-        let carried = tb.begin_erase(0, t(1));
+        let mut carried = Vec::new();
+        tb.begin_erase_into(0, t(1), &mut carried);
         assert_eq!(carried, vec![(9, 2)]);
 
         // Once segment 1 (the stale copy) is erased too, a fresh tombstone
         // can be dropped with its segment.
         tb.close(1);
-        tb.begin_erase(1, t(2));
+        tb.begin_erase_into(1, t(2), &mut Vec::new());
         tb.reap_erased(t(3));
         tb.open(2);
         tb.append_tomb(2, vec![(9, 3)], t(4));
         tb.close(2);
-        let carried = tb.begin_erase(2, t(4));
+        carried.clear();
+        tb.begin_erase_into(2, t(4), &mut carried);
         assert!(carried.is_empty());
     }
 
@@ -900,7 +848,7 @@ mod tests {
         tb.open(0);
         tb.append(0, sm(1, 1), t(0));
         tb.close(0);
-        tb.begin_erase(0, t(1));
+        tb.begin_erase_into(0, t(1), &mut Vec::new());
     }
 
     #[test]
@@ -911,7 +859,8 @@ mod tests {
         let s2 = tb.append(0, sm(2, 2), t(0));
         tb.kill_at(tb.slot_addr(0, s2));
         tb.append_tomb(0, vec![(2, 3)], t(0));
-        let live = tb.seg(0).live_slots();
+        let mut live = Vec::new();
+        tb.seg(0).live_slots_into(&mut live);
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].1.page, 1);
     }
@@ -923,8 +872,8 @@ mod tests {
             tb.open(seg);
             tb.close(seg);
         }
-        tb.begin_erase(1, t(10));
-        tb.begin_erase(0, t(3));
+        tb.begin_erase_into(1, t(10), &mut Vec::new());
+        tb.begin_erase_into(0, t(3), &mut Vec::new());
         assert_eq!(tb.next_erase_completion(), Some(t(3)));
     }
 }
