@@ -29,8 +29,8 @@ use ssmc_sim::report::{FromReport, ToReport};
 use ssmc_sim::{Clock, Energy, Histogram, SimDuration, SimTime, Table};
 use ssmc_storage::{StorageConfig, StorageManager};
 use ssmc_trace::{
-    kind_code, replay, FileId, FileOp, GeneratorConfig, OpStream, OpStreamFileReader,
-    OpStreamWriter, Trace, TraceTarget, Workload,
+    kind_code, replay, FileId, FileOp, GeneratorConfig, OpStreamFileReader, OpStreamWriter, Trace,
+    TraceTarget, Workload,
 };
 use std::hint::black_box;
 // lint: allow(D3): host-side bench harness state, not simulator code;
@@ -447,15 +447,22 @@ fn stream_1m_machine() -> MobileComputer {
     MobileComputer::new(cfg)
 }
 
-/// The timeline-enabled row: the BSD trace compiled to dense fixed-width
-/// records, replayed from the compiled stream with the flight recorder
-/// sampling every simulated second into a temp-file `.tl` (~900 rows
-/// over this trace's ~940 simulated seconds). Sitting next to `bsd` in
-/// the recording keeps the sampler's cost on the record: the `--check`
-/// gate fails if sampling ever stops being cheap.
+/// The timeline-enabled row: the BSD trace written through
+/// `OpStreamWriter` to a temp `.ops` file outside the timed section, then
+/// decoded record by record through `OpStreamFileReader` inside it — the
+/// way perfbench and the alloc-guard read streams — with the flight
+/// recorder sampling every simulated second into a temp-file `.tl` (~900
+/// rows over this trace's ~940 simulated seconds). Sitting next to `bsd`
+/// in the recording keeps the sampler's cost on the record: the
+/// `--check` gate fails if sampling ever stops being cheap.
 fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
     let (trace, data_bytes) = bench_trace(Workload::Bsd, ops);
-    let stream = OpStream::compile(&trace);
+    let ops_path = std::env::temp_dir().join("ssmc_bench_stream_bsd.ops");
+    let mut w = OpStreamWriter::create(&ops_path, &trace.name).expect("create bench stream");
+    for r in &trace.records {
+        w.push(r.at, &r.op).expect("push bench record");
+    }
+    let records = w.finish().expect("finish bench stream").records;
     drop(trace);
     let path = std::env::temp_dir().join("ssmc_bench_stream_bsd.tl");
     let mut best = f64::INFINITY;
@@ -464,8 +471,10 @@ fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
         m.enable_timeline_file(&path, SimDuration::from_secs(1))
             .expect("enable bench timeline");
         let clock = m.clock().clone();
+        let mut reader = OpStreamFileReader::open(&ops_path).expect("open bench stream");
         let start = Instant::now();
-        let report = black_box(replay(stream.cursor(), &mut m, &clock));
+        let records = std::iter::from_fn(|| reader.next_record().expect("decode bench stream"));
+        let report = black_box(replay(records, &mut m, &clock));
         best = best.min(start.elapsed().as_secs_f64());
         assert_eq!(
             report.errors, 0,
@@ -478,7 +487,8 @@ fn measure_stream_tl_row(ops: usize, reps: usize) -> ThroughputRow {
         assert!(summary.rows > 0, "timeline must sample during the replay");
     }
     let _ = std::fs::remove_file(&path);
-    ThroughputRow::new("stream_bsd_tl", stream.len() as u64, data_bytes, best)
+    let _ = std::fs::remove_file(&ops_path);
+    ThroughputRow::new("stream_bsd_tl", records, data_bytes, best)
 }
 
 /// End-to-end macrobenchmark: reports host ops/sec and bytes/sec. With

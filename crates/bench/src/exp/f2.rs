@@ -1,6 +1,6 @@
 //! F2 — §3.3 write buffering (the paper's headline number).
 //!
-//! Paper, citing Baker et al. [1]: "as little as one megabyte of
+//! Paper, citing Baker et al. \[1\]: "as little as one megabyte of
 //! battery-backed RAM can reduce write traffic by 40 to 50%." We sweep the
 //! DRAM write-buffer size under a BSD-like workload and report the flash
 //! write-traffic reduction, then sweep the *data-lifetime* assumption the

@@ -1,4 +1,4 @@
-//! F5 — cleaning cost vs utilisation (the LFS curve, ref [11]).
+//! F5 — cleaning cost vs utilisation (the LFS curve, ref \[11\]).
 //!
 //! The paper adopts LFS-style cleaning; its cost structure is the classic
 //! Rosenblum/Ousterhout result: as the live fraction of the log grows,

@@ -57,7 +57,7 @@ pub struct ProductSpec {
     pub notes: &'static str,
 }
 
-/// NEC 3.3 V DRAM with low-power self-refresh ([7] in the paper).
+/// NEC 3.3 V DRAM with low-power self-refresh (\[7\] in the paper).
 pub fn nec_dram() -> DramSpec {
     DramSpec {
         name: "NEC 3.3V self-refresh DRAM".to_owned(),
@@ -72,7 +72,7 @@ pub fn nec_dram() -> DramSpec {
     }
 }
 
-/// Intel memory-mapped flash ([6]): fast reads, slow writes, large erase
+/// Intel memory-mapped flash (\[6\]): fast reads, slow writes, large erase
 /// blocks. This is the part the execute-in-place and direct-mapping
 /// arguments assume.
 pub fn intel_flash() -> FlashSpec {
@@ -98,7 +98,7 @@ pub fn intel_flash() -> FlashSpec {
     }
 }
 
-/// SunDisk solid-state drive replacement ([13]): disk-like sector
+/// SunDisk solid-state drive replacement (\[13\]): disk-like sector
 /// interface, balanced read/write, small auto-erased sectors.
 pub fn sundisk_flash() -> FlashSpec {
     FlashSpec {
@@ -123,7 +123,7 @@ pub fn sundisk_flash() -> FlashSpec {
     }
 }
 
-/// HP KittyHawk 1.3-inch personal storage module ([5]).
+/// HP KittyHawk 1.3-inch personal storage module (\[5\]).
 pub fn hp_kittyhawk() -> DiskSpec {
     DiskSpec {
         name: "HP KittyHawk 1.3-inch".to_owned(),
@@ -145,7 +145,7 @@ pub fn hp_kittyhawk() -> DiskSpec {
     }
 }
 
-/// Fujitsu M2633 2.5-inch drive ([4]): larger, denser, cheaper per MB.
+/// Fujitsu M2633 2.5-inch drive (\[4\]): larger, denser, cheaper per MB.
 pub fn fujitsu_m2633() -> DiskSpec {
     DiskSpec {
         name: "Fujitsu M2633 2.5-inch".to_owned(),

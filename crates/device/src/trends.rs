@@ -8,8 +8,6 @@
 //! estimate that implies a steeper early flash learning curve than the
 //! baseline 40 %). The model exposes both scenarios.
 
-use ssmc_sim::report::{field, FromReport, ReportError, ToReport, Value};
-
 /// Storage technology being extrapolated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technology {
@@ -27,31 +25,6 @@ impl core::fmt::Display for Technology {
             Technology::Dram => write!(f, "DRAM"),
             Technology::Flash => write!(f, "flash"),
             Technology::Disk => write!(f, "disk"),
-        }
-    }
-}
-
-// Unit variants serialise as their names, as the serde derive did.
-impl ToReport for Technology {
-    fn to_report(&self) -> Value {
-        Value::Str(
-            match self {
-                Technology::Dram => "Dram",
-                Technology::Flash => "Flash",
-                Technology::Disk => "Disk",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromReport for Technology {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        match v.as_str() {
-            Some("Dram") => Ok(Technology::Dram),
-            Some("Flash") => Ok(Technology::Flash),
-            Some("Disk") => Ok(Technology::Disk),
-            _ => Err(ReportError::schema("unknown Technology variant")),
         }
     }
 }
@@ -127,66 +100,6 @@ impl Default for TrendModel {
             disk_rate: 0.25,
             flash_forecast_rate: 0.75,
         }
-    }
-}
-
-impl ToReport for TrendScenario {
-    fn to_report(&self) -> Value {
-        Value::Str(
-            match self {
-                TrendScenario::PaperRates => "PaperRates",
-                TrendScenario::IntelForecast => "IntelForecast",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromReport for TrendScenario {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        match v.as_str() {
-            Some("PaperRates") => Ok(TrendScenario::PaperRates),
-            Some("IntelForecast") => Ok(TrendScenario::IntelForecast),
-            _ => Err(ReportError::schema("unknown TrendScenario variant")),
-        }
-    }
-}
-
-impl ToReport for TrendModel {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("base_year", self.base_year.to_report()),
-            ("dram_cost_per_mb", self.dram_cost_per_mb.to_report()),
-            ("flash_cost_per_mb", self.flash_cost_per_mb.to_report()),
-            ("disk_cost_per_mb", self.disk_cost_per_mb.to_report()),
-            ("disk_fixed_cost", self.disk_fixed_cost.to_report()),
-            ("disk_fixed_rate", self.disk_fixed_rate.to_report()),
-            ("dram_density", self.dram_density.to_report()),
-            ("flash_density", self.flash_density.to_report()),
-            ("disk_density", self.disk_density.to_report()),
-            ("memory_rate", self.memory_rate.to_report()),
-            ("disk_rate", self.disk_rate.to_report()),
-            ("flash_forecast_rate", self.flash_forecast_rate.to_report()),
-        ])
-    }
-}
-
-impl FromReport for TrendModel {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(TrendModel {
-            base_year: field(v, "base_year")?,
-            dram_cost_per_mb: field(v, "dram_cost_per_mb")?,
-            flash_cost_per_mb: field(v, "flash_cost_per_mb")?,
-            disk_cost_per_mb: field(v, "disk_cost_per_mb")?,
-            disk_fixed_cost: field(v, "disk_fixed_cost")?,
-            disk_fixed_rate: field(v, "disk_fixed_rate")?,
-            dram_density: field(v, "dram_density")?,
-            flash_density: field(v, "flash_density")?,
-            disk_density: field(v, "disk_density")?,
-            memory_rate: field(v, "memory_rate")?,
-            disk_rate: field(v, "disk_rate")?,
-            flash_forecast_rate: field(v, "flash_forecast_rate")?,
-        })
     }
 }
 

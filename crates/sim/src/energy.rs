@@ -6,9 +6,8 @@
 //! component name, so experiments can report joules per workload and
 //! per-component breakdowns.
 
-use crate::report::{field, FromReport, ReportError, ToReport, Value};
+use crate::report::{FromReport, ReportError, ToReport, Value};
 use crate::time::SimDuration;
-use std::collections::BTreeMap;
 
 /// An amount of energy, stored in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -94,18 +93,6 @@ impl core::iter::Sum for Energy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Power(u64);
 
-impl ToReport for Power {
-    fn to_report(&self) -> Value {
-        self.0.to_report()
-    }
-}
-
-impl FromReport for Power {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        u64::from_report(v).map(Power)
-    }
-}
-
 impl Power {
     /// Zero draw.
     pub const ZERO: Power = Power(0);
@@ -188,32 +175,6 @@ pub struct EnergyLedger {
     /// the total before every replayed operation, and walking the
     /// accounts there would put a traversal on the hot path.
     total: Energy,
-}
-
-impl ToReport for EnergyLedger {
-    fn to_report(&self) -> Value {
-        let accounts = Value::object(
-            self.accounts
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.to_report()))
-                .collect(),
-        );
-        Value::object(vec![("accounts", accounts)])
-    }
-}
-
-impl FromReport for EnergyLedger {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        let map: BTreeMap<String, Energy> = field(v, "accounts")?;
-        let total = map.values().copied().sum();
-        // BTreeMap iteration is name-ordered, matching the Vec invariant.
-        let accounts: Vec<(String, Energy)> = map.into_iter().collect();
-        Ok(EnergyLedger {
-            accounts,
-            last: 0,
-            total,
-        })
-    }
 }
 
 impl EnergyLedger {

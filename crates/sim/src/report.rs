@@ -2,23 +2,24 @@
 //! and the [`ToReport`]/[`FromReport`] traits the workspace uses instead
 //! of serde derives.
 //!
-//! Every artifact the experiment harness persists (`results/*.json`,
-//! archived traces) flows through this module, so the workspace needs no
+//! Every JSON artifact the workspace persists — the `results/*.json`
+//! tables, `--trace-out` artifacts, crash-torture reports and the bench
+//! recordings — flows through this module, so the workspace needs no
 //! external serialization crates and the on-disk field names are an
-//! explicit, reviewable contract. The encoding mirrors what the previous
-//! serde derives produced:
+//! explicit, reviewable contract. Only types some artifact carries
+//! implement the traits (traces persist in the binary `.ops` container
+//! instead). The encoding mirrors what the previous serde derives
+//! produced:
 //!
 //! * structs → objects with the field names in declaration order;
-//! * `Vec<T>` and tuples → arrays;
+//! * `Vec<T>` → arrays;
 //! * `Option<T>` → the inner value or `null`;
 //! * newtype wrappers (e.g. `SimTime`) → the bare inner value;
-//! * unit enum variants → their name as a string; data-carrying variants
-//!   → externally tagged objects, `{"Variant": {...fields...}}`.
+//! * enum variants → externally tagged objects, `{"Variant": value}`.
 //!
 //! Non-finite floats have no JSON representation; they encode as `null`
 //! (the same policy serde_json applies) and decode back as `f64::NAN`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A JSON value.
@@ -598,18 +599,6 @@ fn utf8_len(first: u8) -> usize {
 
 // --------------------------------------------------------- trait impls
 
-impl ToReport for Value {
-    fn to_report(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl FromReport for Value {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(v.clone())
-    }
-}
-
 impl ToReport for bool {
     fn to_report(&self) -> Value {
         Value::Bool(*self)
@@ -678,7 +667,7 @@ macro_rules! int_report {
     )*};
 }
 
-int_report!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_report!(u64, i64);
 
 impl ToReport for u128 {
     fn to_report(&self) -> Value {
@@ -732,41 +721,6 @@ impl<T: FromReport> FromReport for Vec<T> {
             .ok_or_else(|| ReportError::schema("expected array"))?
             .iter()
             .map(T::from_report)
-            .collect()
-    }
-}
-
-impl<A: ToReport, B: ToReport> ToReport for (A, B) {
-    fn to_report(&self) -> Value {
-        Value::Array(vec![self.0.to_report(), self.1.to_report()])
-    }
-}
-
-impl<A: FromReport, B: FromReport> FromReport for (A, B) {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        match v.as_array() {
-            Some([a, b]) => Ok((A::from_report(a)?, B::from_report(b)?)),
-            _ => Err(ReportError::schema("expected two-element array")),
-        }
-    }
-}
-
-impl<T: ToReport> ToReport for BTreeMap<String, T> {
-    fn to_report(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_report()))
-                .collect(),
-        )
-    }
-}
-
-impl<T: FromReport> FromReport for BTreeMap<String, T> {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        v.as_object()
-            .ok_or_else(|| ReportError::schema("expected object"))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), T::from_report(v)?)))
             .collect()
     }
 }
@@ -912,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn option_vec_tuple_map_impls() {
+    fn option_and_vec_impls() {
         let none: Option<f64> = None;
         assert_eq!(none.to_report(), Value::Null);
         assert_eq!(Some(2.5f64).to_report(), Value::Float(2.5));
@@ -921,18 +875,11 @@ mod tests {
             None
         );
 
-        let pts = vec![(1.0f64, 2.0f64), (3.0, 4.0)];
-        let enc = pts.to_report();
-        assert_eq!(enc.encode(), "[[1.0,2.0],[3.0,4.0]]");
-        let back: Vec<(f64, f64)> = FromReport::from_report(&enc).expect("back");
-        assert_eq!(back, pts);
-
-        let mut m = BTreeMap::new();
-        m.insert("flash".to_owned(), 3u64);
-        let enc = m.to_report();
-        assert_eq!(enc.encode(), "{\"flash\":3}");
-        let back: BTreeMap<String, u64> = FromReport::from_report(&enc).expect("map");
-        assert_eq!(back, m);
+        let xs = vec![1.0f64, 2.5];
+        let enc = xs.to_report();
+        assert_eq!(enc.encode(), "[1.0,2.5]");
+        let back: Vec<f64> = FromReport::from_report(&enc).expect("back");
+        assert_eq!(back, xs);
     }
 
     #[test]

@@ -1,72 +1,12 @@
-//! Labeled result series and plain-text table rendering.
+//! Result tables and plain-text table rendering.
 //!
-//! The experiment harness regenerates each of the paper's tables/figures as
-//! a [`Table`] (fixed-width text, one row per parameter point) and, for
-//! figure-shaped results, a [`Series`] of `(x, y)` points per curve. Both
-//! serialise to JSON so EXPERIMENTS.md can be produced mechanically.
+//! The experiment harness regenerates each of the paper's tables and
+//! figures as a [`Table`] (fixed-width text, one row per parameter
+//! point), which serialises to the `results/*.json` files so
+//! EXPERIMENTS.md can be produced mechanically.
 
 use crate::report::{field, FromReport, ReportError, ToReport, Value};
 use std::fmt::Write as _;
-
-/// One curve in a figure: a label and a list of `(x, y)` points.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Curve label, e.g. `"cost-benefit GC"`.
-    pub label: String,
-    /// Points in x order.
-    pub points: Vec<(f64, f64)>,
-}
-
-impl Series {
-    /// Creates an empty curve with the given label.
-    pub fn new(label: impl Into<String>) -> Self {
-        Series {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push((x, y));
-    }
-
-    /// Returns the y value at the largest x ≤ `x`, if any.
-    pub fn value_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .rfind(|(px, _)| *px <= x)
-            .map(|(_, y)| *y)
-    }
-
-    /// Returns true if y is monotonically non-increasing in x.
-    pub fn is_non_increasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[1].1 <= w[0].1 + 1e-9)
-    }
-
-    /// Returns true if y is monotonically non-decreasing in x.
-    pub fn is_non_decreasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-9)
-    }
-}
-
-impl ToReport for Series {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("label", self.label.to_report()),
-            ("points", self.points.to_report()),
-        ])
-    }
-}
-
-impl FromReport for Series {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(Series {
-            label: field(v, "label")?,
-            points: field(v, "points")?,
-        })
-    }
-}
 
 /// A table cell: either text or a number (formatted on render).
 #[derive(Debug, Clone)]
@@ -254,28 +194,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_value_at_finds_floor_point() {
-        let mut s = Series::new("x");
-        s.push(1.0, 10.0);
-        s.push(2.0, 20.0);
-        s.push(4.0, 40.0);
-        assert_eq!(s.value_at(0.5), None);
-        assert_eq!(s.value_at(2.0), Some(20.0));
-        assert_eq!(s.value_at(3.0), Some(20.0));
-        assert_eq!(s.value_at(100.0), Some(40.0));
-    }
-
-    #[test]
-    fn series_monotonicity_checks() {
-        let mut s = Series::new("down");
-        s.push(0.0, 5.0);
-        s.push(1.0, 3.0);
-        s.push(2.0, 3.0);
-        assert!(s.is_non_increasing());
-        assert!(!s.is_non_decreasing());
-    }
-
-    #[test]
     fn table_renders_aligned_columns() {
         let mut t = Table::new("demo", &["name", "value"]);
         t.row(vec!["flash".into(), Cell::Num(123.456)]);
@@ -315,13 +233,6 @@ mod tests {
             .expect("table");
         assert_eq!(decoded.title, "demo");
         assert_eq!(decoded.rows.len(), 1);
-
-        let mut s = Series::new("curve");
-        s.push(1.0, 2.0);
-        assert_eq!(
-            s.to_report().encode(),
-            "{\"label\":\"curve\",\"points\":[[1.0,2.0]]}"
-        );
     }
 
     #[test]

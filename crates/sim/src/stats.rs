@@ -336,41 +336,6 @@ impl TimeWeighted {
     }
 }
 
-impl ToReport for OnlineStats {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("n", self.n.to_report()),
-            ("mean", self.mean.to_report()),
-            ("m2", self.m2.to_report()),
-            // The empty accumulator's ±∞ sentinels have no JSON encoding
-            // (they would serialize as null); emit the public 0-if-empty
-            // accessors instead. `from_report` restores the sentinels.
-            ("min", self.min().to_report()),
-            ("max", self.max().to_report()),
-        ])
-    }
-}
-
-impl FromReport for OnlineStats {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        let n: u64 = field(v, "n")?;
-        let mut s = OnlineStats {
-            n,
-            mean: field(v, "mean")?,
-            m2: field(v, "m2")?,
-            min: field(v, "min")?,
-            max: field(v, "max")?,
-        };
-        if n == 0 {
-            // Empty accumulators carry ±∞ sentinels, which JSON cannot
-            // represent; restore them after the null → NaN decode.
-            s.min = f64::INFINITY;
-            s.max = f64::NEG_INFINITY;
-        }
-        Ok(s)
-    }
-}
-
 impl ToReport for Histogram {
     fn to_report(&self) -> Value {
         // Bucket upper bounds ride along so a decoded snapshot can be
@@ -549,23 +514,6 @@ mod tests {
         let p1 = h.quantile(0.01);
         assert!(p1 >= 1u64 << 63, "p1 was {p1}");
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn empty_online_stats_serialize_finite_min_max() {
-        let s = OnlineStats::new();
-        let encoded = s.to_report().encode();
-        assert_eq!(
-            encoded,
-            "{\"n\":0,\"mean\":0.0,\"m2\":0.0,\"min\":0.0,\"max\":0.0}"
-        );
-        // Decoding restores the ±∞ sentinels so later records still win
-        // the min/max comparisons.
-        let mut back =
-            OnlineStats::from_report(&Value::decode(&encoded).expect("json")).expect("stats");
-        back.record(5.0);
-        assert_eq!(back.min(), 5.0);
-        assert_eq!(back.max(), 5.0);
     }
 
     #[cfg(debug_assertions)]

@@ -18,8 +18,8 @@ pub struct SimTime(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
-// Like the serde newtype derives before them, both wrappers serialise as
-// their bare nanosecond count.
+// Like the serde newtype derive before it, the instant serialises as its
+// bare nanosecond count.
 impl ToReport for SimTime {
     fn to_report(&self) -> Value {
         self.0.to_report()
@@ -29,18 +29,6 @@ impl ToReport for SimTime {
 impl FromReport for SimTime {
     fn from_report(v: &Value) -> Result<Self, ReportError> {
         u64::from_report(v).map(SimTime)
-    }
-}
-
-impl ToReport for SimDuration {
-    fn to_report(&self) -> Value {
-        self.0.to_report()
-    }
-}
-
-impl FromReport for SimDuration {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        u64::from_report(v).map(SimDuration)
     }
 }
 

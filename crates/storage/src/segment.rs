@@ -503,7 +503,7 @@ impl SegmentTable {
     /// The erase path logs these durably *before* issuing the erase.
     ///
     /// This is deliberately broader than the filter in
-    /// [`SegmentTable::release_metadata_into`] (which skips tombstones
+    /// `SegmentTable::release_metadata_into` (which skips tombstones
     /// whose only stale copies die with the segment): a *torn* erase can
     /// wipe the half of the block holding the tombstone slot while the
     /// half holding the stale data copy survives, and recovery would

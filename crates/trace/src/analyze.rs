@@ -1,7 +1,7 @@
 //! Workload characterization.
 //!
 //! The generators claim calibration against the published findings of the
-//! BSD [8] and Sprite [3] studies; this module measures a trace the same
+//! BSD \[8\] and Sprite \[3\] studies; this module measures a trace the same
 //! way those papers measured their systems, so the claim is checkable:
 //! operation mix, write-size distribution, and — the load-bearing one —
 //! the *survival curve of written bytes* (what fraction of new data is

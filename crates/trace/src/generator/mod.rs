@@ -1,6 +1,6 @@
 //! Synthetic workload generators.
 //!
-//! Each workload is a [`Profile`] — operation mix, file-size distribution,
+//! Each workload is a `Profile` — operation mix, file-size distribution,
 //! chunk sizes, access skew, and data-lifetime model — driven by a common
 //! engine that maintains a live-file population, schedules deaths from the
 //! [`LifetimeModel`], and emits a time-ordered [`Trace`]. Generation is
@@ -217,12 +217,13 @@ impl GeneratorConfig {
         trace
     }
 
-    /// Generates straight into a compiled op-stream writer, never
+    /// Generates straight into a `.ops` stream writer, never
     /// materialising a `Vec<TraceRecord>`: each operation is encoded and
     /// written the moment it is drawn, so million-op traces cost the
     /// writer's buffer plus the engine's live-file table. Emits exactly
     /// the records [`Self::generate`] would — the same seed produces a
-    /// byte-identical stream to compiling the in-memory trace.
+    /// byte-identical stream to pushing the in-memory trace's records
+    /// through the writer.
     ///
     /// Returns the number of records written (`self.ops`, unless the
     /// writer failed).
@@ -590,8 +591,8 @@ mod tests {
     #[test]
     fn generate_into_matches_generate_byte_for_byte() {
         // The streaming path must be indistinguishable from generating in
-        // memory and compiling: same records in, same container bytes out,
-        // including the truncate-at-cap tail behaviour.
+        // memory and pushing each record: same records in, same container
+        // bytes out, including the truncate-at-cap tail behaviour.
         for w in [
             Workload::Bsd,
             Workload::Office,
@@ -602,11 +603,9 @@ mod tests {
             let cfg = GeneratorConfig::new(w).with_ops(3_000);
             let trace = cfg.generate();
             let via_memory = {
-                let stream = crate::stream::OpStream::compile(&trace);
                 let mut buf = io::Cursor::new(Vec::new());
-                let mut writer = OpStreamWriter::new(&mut buf, stream.name()).expect("header");
-                let mut cursor = stream.cursor();
-                while let Some(r) = cursor.next_record() {
+                let mut writer = OpStreamWriter::new(&mut buf, &trace.name).expect("header");
+                for r in &trace.records {
                     writer.push(r.at, &r.op).expect("push");
                 }
                 writer.finish().expect("finish");

@@ -4,13 +4,12 @@
 //! file data dies young: "a large percentage of write operations are to
 //! short-lived files or to file blocks that are soon overwritten" [3, 8],
 //! which is why a small DRAM write buffer absorbs 40–50 % of write traffic
-//! [1]. This module parameterises that fact as a bimodal lifetime
+//! \[1\]. This module parameterises that fact as a bimodal lifetime
 //! distribution: a *short-lived* mode (deleted/overwritten within tens of
 //! seconds) and a *long-lived* mode (survives to stable storage), with the
 //! short fraction and both means sweepable so experiment F2 can show the
 //! claim's sensitivity to the underlying locality.
 
-use ssmc_sim::report::{field, FromReport, ReportError, ToReport, Value};
 use ssmc_sim::{SimDuration, SimRng};
 
 /// Bimodal file/data lifetime distribution.
@@ -32,26 +31,6 @@ impl Default for LifetimeModel {
             short_mean: SimDuration::from_secs(30),
             long_mean: SimDuration::from_secs(4 * 3600),
         }
-    }
-}
-
-impl ToReport for LifetimeModel {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("short_fraction", self.short_fraction.to_report()),
-            ("short_mean", self.short_mean.to_report()),
-            ("long_mean", self.long_mean.to_report()),
-        ])
-    }
-}
-
-impl FromReport for LifetimeModel {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(LifetimeModel {
-            short_fraction: field(v, "short_fraction")?,
-            short_mean: field(v, "short_mean")?,
-            long_mean: field(v, "long_mean")?,
-        })
     }
 }
 

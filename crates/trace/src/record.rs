@@ -5,7 +5,6 @@
 //! disk-based baseline replay the same records, which is what makes the
 //! organisational comparisons (T2, F7) apples-to-apples.
 
-use ssmc_sim::report::{field, FromReport, ReportError, ToReport, Value};
 use ssmc_sim::SimTime;
 use std::collections::BTreeSet;
 
@@ -100,100 +99,6 @@ impl FileOp {
     }
 }
 
-// FileOp keeps the externally tagged layout of the old serde derive:
-// struct variants as `{"Write": {"file": 1, "offset": 0, "len": 8}}` and
-// the unit variant as the bare string `"Sync"`, so archived traces stay
-// loadable.
-impl ToReport for FileOp {
-    fn to_report(&self) -> Value {
-        match self {
-            FileOp::Create { file } => Value::object(vec![(
-                "Create",
-                Value::object(vec![("file", file.to_report())]),
-            )]),
-            FileOp::Write { file, offset, len } => Value::object(vec![(
-                "Write",
-                Value::object(vec![
-                    ("file", file.to_report()),
-                    ("offset", offset.to_report()),
-                    ("len", len.to_report()),
-                ]),
-            )]),
-            FileOp::Read { file, offset, len } => Value::object(vec![(
-                "Read",
-                Value::object(vec![
-                    ("file", file.to_report()),
-                    ("offset", offset.to_report()),
-                    ("len", len.to_report()),
-                ]),
-            )]),
-            FileOp::Delete { file } => Value::object(vec![(
-                "Delete",
-                Value::object(vec![("file", file.to_report())]),
-            )]),
-            FileOp::Truncate { file, len } => Value::object(vec![(
-                "Truncate",
-                Value::object(vec![
-                    ("file", file.to_report()),
-                    ("len", len.to_report()),
-                ]),
-            )]),
-            FileOp::Stat { file } => Value::object(vec![(
-                "Stat",
-                Value::object(vec![("file", file.to_report())]),
-            )]),
-            FileOp::Rename { file, to } => Value::object(vec![(
-                "Rename",
-                Value::object(vec![("file", file.to_report()), ("to", to.to_report())]),
-            )]),
-            FileOp::Sync => Value::Str("Sync".to_owned()),
-        }
-    }
-}
-
-impl FromReport for FileOp {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        if v.as_str() == Some("Sync") {
-            return Ok(FileOp::Sync);
-        }
-        match v.as_object() {
-            Some([(tag, inner)]) => match tag.as_str() {
-                "Create" => Ok(FileOp::Create {
-                    file: field(inner, "file")?,
-                }),
-                "Write" => Ok(FileOp::Write {
-                    file: field(inner, "file")?,
-                    offset: field(inner, "offset")?,
-                    len: field(inner, "len")?,
-                }),
-                "Read" => Ok(FileOp::Read {
-                    file: field(inner, "file")?,
-                    offset: field(inner, "offset")?,
-                    len: field(inner, "len")?,
-                }),
-                "Delete" => Ok(FileOp::Delete {
-                    file: field(inner, "file")?,
-                }),
-                "Truncate" => Ok(FileOp::Truncate {
-                    file: field(inner, "file")?,
-                    len: field(inner, "len")?,
-                }),
-                "Stat" => Ok(FileOp::Stat {
-                    file: field(inner, "file")?,
-                }),
-                "Rename" => Ok(FileOp::Rename {
-                    file: field(inner, "file")?,
-                    to: field(inner, "to")?,
-                }),
-                other => Err(ReportError::schema(format!(
-                    "unknown FileOp variant `{other}`"
-                ))),
-            },
-            _ => Err(ReportError::schema("expected FileOp variant")),
-        }
-    }
-}
-
 /// Operation kinds, used as aggregation keys in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpKind {
@@ -246,40 +151,6 @@ impl core::fmt::Display for OpKind {
     }
 }
 
-impl ToReport for OpKind {
-    fn to_report(&self) -> Value {
-        Value::Str(
-            match self {
-                OpKind::Create => "Create",
-                OpKind::Write => "Write",
-                OpKind::Read => "Read",
-                OpKind::Delete => "Delete",
-                OpKind::Truncate => "Truncate",
-                OpKind::Sync => "Sync",
-                OpKind::Stat => "Stat",
-                OpKind::Rename => "Rename",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl FromReport for OpKind {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        match v.as_str() {
-            Some("Create") => Ok(OpKind::Create),
-            Some("Write") => Ok(OpKind::Write),
-            Some("Read") => Ok(OpKind::Read),
-            Some("Delete") => Ok(OpKind::Delete),
-            Some("Truncate") => Ok(OpKind::Truncate),
-            Some("Sync") => Ok(OpKind::Sync),
-            Some("Stat") => Ok(OpKind::Stat),
-            Some("Rename") => Ok(OpKind::Rename),
-            _ => Err(ReportError::schema("unknown OpKind variant")),
-        }
-    }
-}
-
 /// A timestamped operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -287,24 +158,6 @@ pub struct TraceRecord {
     pub at: SimTime,
     /// The operation.
     pub op: FileOp,
-}
-
-impl ToReport for TraceRecord {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("at", self.at.to_report()),
-            ("op", self.op.to_report()),
-        ])
-    }
-}
-
-impl FromReport for TraceRecord {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(TraceRecord {
-            at: field(v, "at")?,
-            op: field(v, "op")?,
-        })
-    }
 }
 
 /// A named, time-ordered operation sequence.
@@ -401,24 +254,6 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
-impl ToReport for Trace {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("name", self.name.to_report()),
-            ("records", self.records.to_report()),
-        ])
-    }
-}
-
-impl FromReport for Trace {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(Trace {
-            name: field(v, "name")?,
-            records: field(v, "records")?,
-        })
-    }
-}
-
 /// Aggregate counts over a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -444,42 +279,6 @@ pub struct TraceStats {
     pub bytes_read: u64,
     /// Distinct files referenced.
     pub unique_files: u64,
-}
-
-impl ToReport for TraceStats {
-    fn to_report(&self) -> Value {
-        Value::object(vec![
-            ("creates", self.creates.to_report()),
-            ("writes", self.writes.to_report()),
-            ("reads", self.reads.to_report()),
-            ("deletes", self.deletes.to_report()),
-            ("truncates", self.truncates.to_report()),
-            ("syncs", self.syncs.to_report()),
-            ("stats", self.stats.to_report()),
-            ("renames", self.renames.to_report()),
-            ("bytes_written", self.bytes_written.to_report()),
-            ("bytes_read", self.bytes_read.to_report()),
-            ("unique_files", self.unique_files.to_report()),
-        ])
-    }
-}
-
-impl FromReport for TraceStats {
-    fn from_report(v: &Value) -> Result<Self, ReportError> {
-        Ok(TraceStats {
-            creates: field(v, "creates")?,
-            writes: field(v, "writes")?,
-            reads: field(v, "reads")?,
-            deletes: field(v, "deletes")?,
-            truncates: field(v, "truncates")?,
-            syncs: field(v, "syncs")?,
-            stats: field(v, "stats")?,
-            renames: field(v, "renames")?,
-            bytes_written: field(v, "bytes_written")?,
-            bytes_read: field(v, "bytes_read")?,
-            unique_files: field(v, "unique_files")?,
-        })
-    }
 }
 
 impl TraceStats {
@@ -563,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn stat_and_rename_round_trip_and_aggregate() {
+    fn stat_and_rename_aggregate() {
         let mut tr = Trace::new("meta");
         tr.push(t(0), FileOp::Create { file: 1 });
         tr.push(t(1), FileOp::Stat { file: 1 });
@@ -574,33 +373,5 @@ mod tests {
         assert_eq!(s.renames, 1);
         assert_eq!(s.unique_files, 2, "rename target counts as a file");
         assert_eq!(s.total_ops(), 4);
-        let json = tr.to_report().encode();
-        let back = Trace::from_report(&Value::decode(&json).expect("json")).expect("trace");
-        assert_eq!(back.records, tr.records);
-        assert!(json.contains("{\"Rename\":{\"file\":1,\"to\":2}}"), "json: {json}");
-        let s2 = TraceStats::from_report(&Value::decode(&s.to_report().encode()).expect("json"))
-            .expect("stats");
-        assert_eq!(s2, s);
-    }
-
-    #[test]
-    fn report_round_trip() {
-        let mut tr = Trace::new("rt");
-        tr.push(t(0), FileOp::Create { file: 7 });
-        tr.push(
-            t(1),
-            FileOp::Write {
-                file: 7,
-                offset: 0,
-                len: 8,
-            },
-        );
-        tr.push(t(2), FileOp::Sync);
-        let json = tr.to_report().encode();
-        let back = Trace::from_report(&Value::decode(&json).expect("json")).expect("trace");
-        assert_eq!(back.records, tr.records);
-        // The archive format keeps serde's externally tagged layout.
-        assert!(json.contains("{\"Create\":{\"file\":7}}"), "json: {json}");
-        assert!(json.contains("\"Sync\""), "json: {json}");
     }
 }

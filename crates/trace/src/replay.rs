@@ -65,10 +65,10 @@ impl ReplayReport {
 
 /// Replays `records` against `target`, measuring per-operation latency on
 /// `clock` (which the target must share). The one driver every trace
-/// takes to a target: pass `&trace` for an in-memory [`Trace`], a
-/// compiled stream's [`cursor`](crate::OpStream::cursor), or records
-/// decoded one at a time from an [`OpStreamFileReader`](crate::OpStreamFileReader)
-/// so a million-op replay never holds the trace in memory.
+/// takes to a target: pass `&trace` for an in-memory [`Trace`](crate::Trace),
+/// or records decoded one at a time from an
+/// [`OpStreamFileReader`](crate::OpStreamFileReader) so a million-op
+/// replay never holds the trace in memory.
 pub fn replay<I, T>(records: I, target: &mut T, clock: &Clock) -> ReplayReport
 where
     I: IntoIterator<Item = TraceRecord>,

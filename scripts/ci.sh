@@ -10,6 +10,12 @@ set -eu
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
 cargo test -q --offline --workspace
 
+# Rustdoc must be warning-clean too: every intra-doc link resolves and no
+# public doc links a private item, so a doc left pointing at a deleted or
+# renamed item fails here. Paper citations are written `\[8\]` so rustdoc
+# does not read them as links.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # The replay benchmark is a cargo workspace of its own, so the step
 # above never builds it; its tests compile it against the crates' public
 # API, and a signature change in memfs or core fails here rather than
