@@ -27,6 +27,7 @@ use ssmc_device::{BlockId, Dram, DramSpec, Flash, FlashSpec};
 use ssmc_memfs::{MemFs, WritePolicy};
 use ssmc_sim::report::{FromReport, ToReport};
 use ssmc_sim::{Clock, Energy, Histogram, SimDuration, SimTime, Table};
+use ssmc_storage::crc::crc32;
 use ssmc_storage::{StorageConfig, StorageManager};
 use ssmc_trace::{
     kind_code, replay, FileId, FileOp, GeneratorConfig, OpStreamFileReader, OpStreamWriter, Trace,
@@ -232,6 +233,45 @@ fn bench_storage(filter: Option<String>) {
         |(sm, p)| {
             sm.write_page(*p % 16, &[0u8; 512]).expect("write");
             *p += 1;
+        },
+    );
+    // The new-page branch, which the rewrites above never reach: each
+    // write maps a page id that is not mapped yet, so it runs the
+    // capacity check on a 64 MB part (1,022 segments). Freeing the page
+    // written 1,024 iterations earlier, still buffered, keeps live data
+    // under the flush watermark and the ids inside one dense window.
+    g.bench(
+        "write_page_fresh",
+        || {
+            let cfg = StorageConfig {
+                flash: FlashSpec {
+                    endurance: u64::MAX,
+                    ..FlashSpec::default().with_capacity(64 << 20)
+                },
+                ..StorageConfig::default()
+            };
+            (StorageManager::new(cfg, Clock::shared()), 0u64)
+        },
+        |(sm, p)| {
+            sm.write_page(*p % 65_536, &[0u8; 512]).expect("write");
+            if let Some(old) = p.checked_sub(1024) {
+                sm.free_page(old % 65_536).expect("free");
+            }
+            *p += 1;
+        },
+    );
+    // The checksum the flush path computes for every page it programs.
+    g.bench(
+        "crc32_page",
+        || {
+            let mut page = [0u8; 512];
+            for (i, b) in page.iter_mut().enumerate() {
+                *b = (i as u8).wrapping_mul(31) ^ 0x5A;
+            }
+            page
+        },
+        |page| {
+            black_box(crc32(page));
         },
     );
     g.bench(

@@ -1893,6 +1893,49 @@ mod tests {
         m.write_page(100_000, &data).expect("write after free");
     }
 
+    /// Capacity shrinks by exactly one segment's share per worn-out
+    /// block. Checked against a scan of the table, not the maintained
+    /// retired count, so the check holds in release builds too, where
+    /// `usable_slots` skips its debug reconciliation.
+    #[test]
+    fn capacity_tracks_blocks_retired_by_gc() {
+        let clock = Clock::shared();
+        let cfg = StorageConfig {
+            flash: FlashSpec {
+                endurance: 4,
+                ..small_cfg().flash
+            },
+            checkpointing: false,
+            ..small_cfg()
+        };
+        let max_utilization = cfg.max_utilization;
+        let mut m = StorageManager::new(cfg, clock.clone());
+        let segments = m.table.len();
+        let slots = m.cfg.slots_per_segment();
+        let expected = |retired: usize| ((segments - retired) * slots) as f64 * max_utilization;
+        assert_eq!(m.page_capacity(), expected(0) as u64);
+        let mut rng = ssmc_sim::SimRng::seed_from_u64(0x0E0D_0004);
+        let mut retired = 0;
+        for round in 0..2_000u64 {
+            for _ in 0..8 {
+                let p = rng.next_u64() % 20;
+                m.write_page(p, &page_of(round as u8)).expect("write");
+            }
+            m.sync().expect("sync");
+            clock.advance(SimDuration::from_secs(1));
+            m.tick().expect("tick");
+            let now = m.table.segments_in(SegState::Retired).count();
+            if now != retired {
+                retired = now;
+                assert_eq!(m.page_capacity(), expected(retired) as u64, "round {round}");
+            }
+            if retired >= 2 {
+                break;
+            }
+        }
+        assert!(retired >= 2, "only {retired} blocks retired");
+    }
+
     #[test]
     fn write_through_mode_bypasses_buffer() {
         let clock = Clock::shared();

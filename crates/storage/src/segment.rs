@@ -129,6 +129,9 @@ pub struct SegmentTable {
     base_addr: u64,
     block_bytes: u64,
     page_size: u64,
+    /// Slots in every segment; fixed at construction, so usable capacity
+    /// follows from the retired count alone.
+    slots_per_segment: usize,
     /// Erases in flight: (completion instant, segment index).
     pending_erase: Vec<(SimTime, usize)>,
     /// Stale (dead) copies per page, used to decide when a tombstone can
@@ -138,8 +141,10 @@ pub struct SegmentTable {
     /// Free segments, maintained on every state transition so the GC
     /// trigger check is O(1) per operation.
     free_count: usize,
-    /// Retired segments, maintained by [`SegmentTable::retire_into`]; part of
-    /// the wear-spread cache key in the manager.
+    /// Retired segments, maintained by [`SegmentTable::retire_into`] and
+    /// [`SegmentTable::retire_free`]; part of the wear-spread cache key in
+    /// the manager, and the only varying input of
+    /// [`SegmentTable::usable_slots`].
     retired_count: usize,
     /// Recycled backing stores for tombstone slots. A `Slot::Tomb` owns a
     /// `Vec` of deletion records; when its segment is erased and reaped,
@@ -170,6 +175,7 @@ impl SegmentTable {
             base_addr,
             block_bytes,
             page_size,
+            slots_per_segment,
             // Sized up front so steady-state GC/erase churn never grows
             // them: every segment can have at most one pending erase, and
             // the tombstone pool is stocked with ready batches (a batch
@@ -242,13 +248,22 @@ impl SegmentTable {
         self.segments.iter().map(|s| s.live).sum()
     }
 
-    /// Total slot capacity across non-retired segments.
+    /// Total slot capacity across non-retired segments, O(1): every
+    /// segment has the same slot count, so only the retired count varies.
+    /// The manager's capacity check runs this on every write of a page
+    /// not yet mapped; debug builds reconcile it against a full scan.
     pub fn usable_slots(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| s.state != SegState::Retired)
-            .map(|s| s.slots.len())
-            .sum()
+        let usable = (self.segments.len() - self.retired_count) * self.slots_per_segment;
+        debug_assert_eq!(
+            usable,
+            self.segments
+                .iter()
+                .filter(|s| s.state != SegState::Retired)
+                .map(|s| s.slots.len())
+                .sum::<usize>(),
+            "usable slots diverged from a full scan"
+        );
+        usable
     }
 
     /// The erase-block byte address of a segment.
@@ -811,6 +826,25 @@ mod tests {
             tb.segments_in(SegState::Free).collect::<Vec<_>>(),
             [1, 2, 3]
         );
+    }
+
+    #[test]
+    fn retire_free_shrinks_usable_capacity() {
+        let mut tb = table();
+        let before = tb.usable_slots();
+        tb.retire_free(2);
+        assert_eq!(tb.retired_count(), 1);
+        assert_eq!(tb.free_count(), 3);
+        assert_eq!(tb.usable_slots(), before - 8);
+        // Both retirement paths feed the same count.
+        tb.open(0);
+        tb.close(0);
+        tb.retire_into(0, &mut Vec::new());
+        assert_eq!(
+            tb.segments_in(SegState::Retired).collect::<Vec<_>>(),
+            [0, 2]
+        );
+        assert_eq!(tb.usable_slots(), before - 16);
     }
 
     #[test]

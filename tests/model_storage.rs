@@ -167,7 +167,7 @@ fn check_against_model(ops: &[Op], ctx: &str) {
         }
         // Global invariant: live pages within capacity.
         assert!(
-            sm.pages_live() <= sm.page_capacity() + 1,
+            sm.pages_live() <= sm.page_capacity(),
             "{ctx}: live pages exceed capacity"
         );
     }
