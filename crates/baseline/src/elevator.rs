@@ -10,6 +10,9 @@
 pub fn cscan_order<T: Copy>(head_cylinder: u32, mut requests: Vec<(u32, T)>) -> Vec<(u32, T)> {
     requests.sort_by_key(|&(cyl, _)| cyl);
     let split = requests.partition_point(|&(cyl, _)| cyl < head_cylinder);
+    // lint: allow(H2): the 1993 disk-stack comparator is modelled for
+    // contrast; only name-based resolution of `create` links replay here,
+    // and the machine holds no DiskFs.
     let mut ordered = Vec::with_capacity(requests.len());
     ordered.extend_from_slice(&requests[split..]);
     ordered.extend_from_slice(&requests[..split]);

@@ -216,7 +216,11 @@ fn main() {
 /// `experiments trace-compile --out PATH [--workload NAME] [--ops N]`
 ///
 /// Compiles a generated workload straight to a fixed-width `.ops` stream
-/// on disk, then reopens it and dumps the header as a sanity check.
+/// on disk, reports the host time and records/s of that generation, then
+/// reopens the stream and dumps the header as a sanity check. The seed
+/// (the generator's default, 21932) and the 4 MB live cap are the replay
+/// benchmark's, so `--workload bsd --ops 50000` times the generation of
+/// its bsd-long sub-trace 0.
 fn trace_compile(args: &[String]) {
     use ssmc_trace::io::{OpStreamFileReader, OpStreamWriter};
     use ssmc_trace::{GeneratorConfig, Workload};
@@ -262,7 +266,11 @@ fn trace_compile(args: &[String]) {
         .expect("create op stream");
     let written = cfg.generate_into(&mut w).expect("compile op stream");
     w.finish().expect("finish op stream");
-    eprintln!("    ({:.1} s)", start.elapsed().as_secs_f64());
+    let secs = start.elapsed().as_secs_f64();
+    eprintln!(
+        "    ({secs:.3} s, {:.0} records/s)",
+        written as f64 / secs.max(1e-9)
+    );
 
     let r = OpStreamFileReader::open(&out).expect("reopen op stream");
     let h = r.header();

@@ -28,9 +28,21 @@ use std::collections::BTreeMap;
 pub(crate) const ALLOC_PATTERNS: &[(&[Pat], bool, &str)] = &[
     (&[Pat::Id("Box"), Pat::P(':'), Pat::P(':'), Pat::Id("new")], false, "Box::new"),
     (&[Pat::Id("Vec"), Pat::P(':'), Pat::P(':'), Pat::Id("new")], false, "Vec::new"),
+    // Path form only: a builder's `FlashSpec::with_capacity` or a
+    // `.with_capacity(..)` method is not a heap allocation.
+    (
+        &[Pat::Id("Vec"), Pat::P(':'), Pat::P(':'), Pat::Id("with_capacity")],
+        false,
+        "Vec::with_capacity",
+    ),
     (&[Pat::Id("vec"), Pat::P('!')], false, "vec! macro"),
     (&[Pat::Id("format"), Pat::P('!')], false, "format! macro"),
     (&[Pat::Id("String"), Pat::P(':'), Pat::P(':'), Pat::Id("from")], false, "String::from"),
+    (
+        &[Pat::Id("String"), Pat::P(':'), Pat::P(':'), Pat::Id("with_capacity")],
+        false,
+        "String::with_capacity",
+    ),
     (&[Pat::Id("to_vec")], true, ".to_vec()"),
     (&[Pat::Id("to_string")], true, ".to_string()"),
     (&[Pat::Id("to_owned")], true, ".to_owned()"),

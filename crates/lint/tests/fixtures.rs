@@ -87,6 +87,22 @@ fn h1_fixture_survives_an_inner_block_before_the_allocation() {
     assert!(diags[0].message.contains(".to_vec()"), "{}", diags[0]);
 }
 
+#[test]
+fn h1_capacity_fixtures_match_only_the_path_forms() {
+    let lint = |name: &str| {
+        let path = format!("crates/lint/tests/fixtures/{name}");
+        lint_source(&path, FIXTURE_CRATE, &fixture(name))
+    };
+    let diags = lint("h1_capacity_bad.rs");
+    let rendered = render(&diags);
+    assert_eq!(diags.len(), 2, "{rendered:?}");
+    assert!(diags.iter().all(|d| d.rule == Rule::H1), "{rendered:?}");
+    assert!(diags[0].message.contains("Vec::with_capacity"), "{}", diags[0]);
+    assert!(diags[1].message.contains("String::with_capacity"), "{}", diags[1]);
+    let diags = lint("h1_capacity_clean.rs");
+    assert!(diags.is_empty(), "{:?}", render(&diags));
+}
+
 /// Runs an interprocedural fixture pair: `entry` becomes
 /// `crates/storage/src/entry.rs`, `helper` (if any) becomes the `help`
 /// module the entry calls into.
@@ -116,6 +132,18 @@ fn h2_bad_fixture_reports_the_chain_across_files() {
 fn h2_clean_fixture_breaks_the_chain_at_the_allowed_edge() {
     let diags = lint_interprocedural("h2_clean_entry.rs", Some("h2_bad_helper.rs"));
     assert!(diags.is_empty(), "{:?}", render(&diags));
+}
+
+#[test]
+fn h2_reports_a_sized_vec_behind_a_hot_root() {
+    let diags = lint_interprocedural("h2_bad_entry.rs", Some("h2_capacity_helper.rs"));
+    assert_eq!(diags.len(), 1, "{:?}", render(&diags));
+    assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
+    assert!(
+        diags[0].message.contains("replay_op → record_op → Vec::with_capacity"),
+        "chain missing: {}",
+        diags[0]
+    );
 }
 
 #[test]

@@ -171,7 +171,8 @@ impl SimRng {
     }
 }
 
-/// A Zipf-distributed sampler over ranks `0..n` with exponent `s`.
+/// A Zipf-distributed sampler over ranks `0..n` with exponent `s`, for
+/// any `n`.
 ///
 /// # Examples
 ///
@@ -179,61 +180,73 @@ impl SimRng {
 /// use ssmc_sim::rng::Zipf;
 /// use ssmc_sim::SimRng;
 ///
-/// let zipf = Zipf::new(100, 1.0);
+/// let mut zipf = Zipf::new(1.0);
 /// let mut rng = SimRng::seed_from_u64(7);
-/// let rank = zipf.sample(&mut rng);
+/// let rank = zipf.sample(100, &mut rng);
 /// assert!(rank < 100);
+/// // The same sampler serves a population that shrinks or grows.
+/// assert!(zipf.sample(3, &mut rng) < 3);
 /// ```
 ///
-/// Rank 0 is the most popular item. Sampling is O(log n) via binary search
-/// on a precomputed CDF, which is exact (no rejection) and fast enough for
-/// the trace generators.
+/// Rank 0 is the most popular item. Sampling is exact (no rejection): a
+/// binary search over the CDF of ranks `0..n`. The CDF is read off one
+/// grow-only table of unnormalised prefix sums shared by every `n`, so a
+/// draw costs O(log n) and the table only extends when `n` exceeds every
+/// earlier `n` — the trace generators draw over a live-file population
+/// that changes size on every operation.
 #[derive(Debug, Clone)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    s: f64,
+    /// `acc[i]` is the sum of k^-s for k = 1..=i+1.
+    acc: Vec<f64>,
 }
 
 impl Zipf {
-    /// Builds a sampler over `n` ranks with skew exponent `s` (`s = 0` is
-    /// uniform; `s ≈ 1` is classic Zipf).
+    /// A sampler with skew exponent `s` (`s = 0` is uniform; `s ≈ 1` is
+    /// classic Zipf).
+    pub fn new(s: f64) -> Self {
+        Zipf { s, acc: Vec::new() }
+    }
+
+    /// Samples a rank in `0..n`.
+    ///
+    /// Normalising each probe by `acc[n - 1]` reproduces, bit for bit, the
+    /// CDF a sampler built for exactly `n` ranks would store, so the
+    /// search makes the same comparisons and returns the same rank.
+    /// (Comparing `acc[k]` with `u * acc[n - 1]` instead rounds
+    /// differently, so a draw next to a rank boundary can land on the
+    /// other side of it and change a seeded trace.)
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub fn sample(&mut self, n: usize, rng: &mut SimRng) -> usize {
+        self.rank(n, rng.f64())
+    }
+
+    /// The rank in `0..n` whose CDF interval holds `u` (a draw in
+    /// `[0, 1)`); an exact tie with a CDF value falls to the next rank.
+    fn rank(&mut self, n: usize, u: f64) -> usize {
         assert!(n > 0, "Zipf over zero items");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+        if n > self.acc.len() {
+            self.extend_to(n);
         }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
+        let acc = &self.acc[..n];
+        let total = acc[n - 1];
+        match acc.binary_search_by(|p| (p / total).partial_cmp(&u).expect("CDF is finite")) {
+            Ok(i) => (i + 1).min(n - 1),
+            Err(i) => i.min(n - 1),
         }
-        Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler is degenerate (cannot happen via `new`).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Samples a rank in `0..len()`.
-    pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i.min(self.cdf.len() - 1),
+    /// Extends the prefix sums to `n` ranks, continuing the running sum
+    /// in the same order a from-scratch build adds its terms.
+    fn extend_to(&mut self, n: usize) {
+        self.acc.reserve(n - self.acc.len());
+        let mut acc = self.acc.last().copied().unwrap_or(0.0);
+        for k in self.acc.len() + 1..=n {
+            acc += 1.0 / (k as f64).powf(self.s);
+            self.acc.push(acc);
         }
     }
 }
@@ -301,11 +314,11 @@ mod tests {
 
     #[test]
     fn zipf_rank_zero_dominates() {
-        let z = Zipf::new(100, 1.0);
+        let mut z = Zipf::new(1.0);
         let mut rng = SimRng::seed_from_u64(11);
         let mut counts = vec![0u32; 100];
         for _ in 0..50_000 {
-            counts[z.sample(&mut rng)] += 1;
+            counts[z.sample(100, &mut rng)] += 1;
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[90]);
@@ -316,15 +329,104 @@ mod tests {
 
     #[test]
     fn zipf_uniform_when_s_zero() {
-        let z = Zipf::new(10, 0.0);
+        let mut z = Zipf::new(0.0);
         let mut rng = SimRng::seed_from_u64(13);
         let mut counts = vec![0u32; 10];
         for _ in 0..50_000 {
-            counts[z.sample(&mut rng)] += 1;
+            counts[z.sample(10, &mut rng)] += 1;
         }
         for &c in &counts {
             let share = c as f64 / 50_000.0;
             assert!((share - 0.1).abs() < 0.02, "share was {share}");
+        }
+    }
+
+    /// The sampler the shared table replaced, kept as the reference it
+    /// must match draw for draw: a normalised CDF built from scratch for
+    /// exactly `n` ranks.
+    struct PerCallZipf {
+        cdf: Vec<f64>,
+    }
+
+    impl PerCallZipf {
+        fn new(n: usize, s: f64) -> Self {
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0;
+            for k in 1..=n {
+                acc += 1.0 / (k as f64).powf(s);
+                cdf.push(acc);
+            }
+            let total = acc;
+            for v in &mut cdf {
+                *v /= total;
+            }
+            PerCallZipf { cdf }
+        }
+
+        fn rank(&self, u: f64) -> usize {
+            match self
+                .cdf
+                .binary_search_by(|p| p.partial_cmp(&u).expect("CDF is finite"))
+            {
+                Ok(i) => (i + 1).min(self.cdf.len() - 1),
+                Err(i) => i.min(self.cdf.len() - 1),
+            }
+        }
+    }
+
+    /// The five generator profiles' recency skews (0.6, 0.9, 1.0, 1.1),
+    /// plus uniform and a steeper one.
+    const SKEWS: [f64; 6] = [0.0, 0.6, 0.9, 1.0, 1.1, 1.5];
+
+    /// Draws `draws` ranks over `n` from `z` and from a per-call CDF on
+    /// twin generators seeded with `seed`; they must agree.
+    fn assert_draws_match(z: &mut Zipf, n: usize, s: f64, seed: u64, draws: usize) {
+        let reference = PerCallZipf::new(n, s);
+        let mut a = SimRng::seed_from_u64(seed);
+        let mut b = a.clone();
+        for _ in 0..draws {
+            assert_eq!(z.sample(n, &mut a), reference.rank(b.f64()), "n {n}, s {s}");
+        }
+    }
+
+    #[test]
+    fn zipf_matches_per_call_cdf_for_every_n() {
+        for s in SKEWS {
+            let mut z = Zipf::new(s);
+            // Growing: each n extends the table by one rank.
+            for n in 1..=2_000 {
+                assert_draws_match(&mut z, n, s, n as u64, 3);
+            }
+            // Shrinking: each n reads a prefix of the full table.
+            for n in (1..=2_000).rev() {
+                assert_draws_match(&mut z, n, s, !(n as u64), 3);
+            }
+            // Jumping both ways over a fresh table.
+            let mut z = Zipf::new(s);
+            let mut pick = SimRng::seed_from_u64(s.to_bits());
+            for i in 0..1_000 {
+                let n = 1 + pick.below(2_000) as usize;
+                assert_draws_match(&mut z, n, s, i, 2);
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_breaks_exact_ties_like_per_call_cdf() {
+        // A uniform draw almost never lands on a CDF value, so probe
+        // each one and its neighbours directly.
+        for s in SKEWS {
+            let mut z = Zipf::new(s);
+            for n in (1..=300).rev() {
+                let reference = PerCallZipf::new(n, s);
+                for &c in &reference.cdf {
+                    for u in [c.next_down(), c, c.next_up()] {
+                        if (0.0..1.0).contains(&u) {
+                            assert_eq!(z.rank(n, u), reference.rank(u), "n {n}, s {s}, u {u}");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -423,9 +525,9 @@ mod tests {
 
     #[test]
     fn golden_zipf_vector() {
-        let z = Zipf::new(100, 1.0);
+        let mut z = Zipf::new(1.0);
         let mut r = SimRng::seed_from_u64(11);
-        let got: Vec<usize> = (0..10).map(|_| z.sample(&mut r)).collect();
+        let got: Vec<usize> = (0..10).map(|_| z.sample(100, &mut r)).collect();
         assert_eq!(got, [48, 36, 82, 12, 1, 22, 0, 0, 33, 3]);
     }
 

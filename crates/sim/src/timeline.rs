@@ -381,6 +381,9 @@ impl Timeline {
         if interval_ns == 0 {
             return Err(corrupt("zero sample interval"));
         }
+        // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
+        // obs-diff); linked to replay only by name-based resolution of
+        // `read`.
         let mut channels = Vec::with_capacity(channel_count);
         for _ in 0..channel_count {
             let mut head = [0u8; 3];

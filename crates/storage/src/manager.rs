@@ -1169,43 +1169,28 @@ impl StorageManager {
         let mut carried = core::mem::take(&mut self.carry_scratch);
         carried.clear();
         self.table.peek_carried_into(victim, &mut carried);
-        let relogged = if carried.is_empty() {
-            false
+        let logged = if carried.is_empty() {
+            Ok(false)
         } else {
-            match self.log_carried_tombstones(&mut carried) {
-                Ok(durable) => durable,
-                Err(e) => {
-                    carried.clear();
-                    self.carry_scratch = carried;
-                    return Err(e);
-                }
-            }
-        };
-        let block = self.flash.block_of(self.table.block_addr(victim));
-        let r = match self.flash.erase_async(block) {
-            Ok(done) => {
-                if relogged {
-                    // Already durable: discard the release-time copies.
-                    self.table.begin_erase_into(victim, done, &mut carried);
-                } else {
-                    self.table
-                        .begin_erase_into(victim, done, &mut self.pending_tombstones);
-                }
-                Ok(())
-            }
-            Err(DeviceError::WornOut { .. }) | Err(DeviceError::BadBlock { .. }) => {
-                if relogged {
-                    self.table.retire_into(victim, &mut carried);
-                } else {
-                    self.table.retire_into(victim, &mut self.pending_tombstones);
-                }
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
+            self.log_carried_tombstones(&carried)
         };
         carried.clear();
         self.carry_scratch = carried;
-        r
+        // Records already re-logged are not queued again, so the release
+        // skips its filter; otherwise its copies go to the DRAM list.
+        let pending = (!logged?).then_some(&mut self.pending_tombstones);
+        let block = self.flash.block_of(self.table.block_addr(victim));
+        match self.flash.erase_async(block) {
+            Ok(done) => {
+                self.table.begin_erase_into(victim, done, pending);
+                Ok(())
+            }
+            Err(DeviceError::WornOut { .. }) | Err(DeviceError::BadBlock { .. }) => {
+                self.table.retire_into(victim, pending);
+                Ok(())
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Durably logs carried tombstone records into the cold head ahead
@@ -1214,15 +1199,17 @@ impl StorageManager {
     /// recursing into GC and the records went to the DRAM pending list
     /// instead (the degraded pre-fix behaviour).
     // lint: hot-path
-    fn log_carried_tombstones(&mut self, records: &mut Vec<(PageId, u64)>) -> Result<bool> {
+    fn log_carried_tombstones(&mut self, records: &[(PageId, u64)]) -> Result<bool> {
         let per_slot = self.tombstones_per_slot();
-        while !records.is_empty() {
+        let mut next = 0;
+        while next < records.len() {
             let Ok(seg) = self.ensure_open(SegClass::Write, false) else {
-                self.pending_tombstones.append(records);
+                self.pending_tombstones.extend_from_slice(&records[next..]);
                 return Ok(false);
             };
-            let take = per_slot.min(records.len());
-            let batch = self.table.tomb_batch(records, take);
+            let end = records.len().min(next + per_slot);
+            let batch = self.table.tomb_batch(records[next..end].iter().copied());
+            next = end;
             let now = self.now();
             let slot = self.table.append_tomb(seg, batch, now);
             let addr = self.table.slot_addr(seg, slot);
@@ -1382,7 +1369,7 @@ impl StorageManager {
             // the manager is out of space and the error is terminal for
             // the operation that triggered the flush.
             let take = per_slot.min(self.pending_tombstones.len());
-            let batch = self.table.tomb_batch(&mut self.pending_tombstones, take);
+            let batch = self.table.tomb_batch(self.pending_tombstones.drain(..take));
             let seg = match self.ensure_open(SegClass::Write, true) {
                 Ok(seg) => seg,
                 Err(e) => {
@@ -2300,6 +2287,82 @@ mod tests {
                 assert_eq!(buf, page_of(p as u8), "cut_offset {cut_offset} page {p}");
             }
         }
+    }
+
+    /// 3 × per-slot + 5 records, each for a page (0..8) that has a stale
+    /// copy on flash, with rising sequence numbers.
+    fn staged_tombstones(m: &mut StorageManager) -> Vec<(PageId, u64)> {
+        for round in 0..2u8 {
+            for p in 0..8u64 {
+                m.write_page(p, &page_of(round)).expect("write");
+            }
+            m.sync().expect("sync");
+        }
+        assert!((0..8).all(|p| m.table.has_dead_copies(p)));
+        let n = 3 * m.tombstones_per_slot() + 5;
+        (0..n as u64).map(|i| (i % 8, 1_000 + i)).collect()
+    }
+
+    /// Asserts the write head's first slots hold `records` in order, one
+    /// full slot at a time, then a short last slot.
+    fn assert_tomb_slots(m: &StorageManager, records: &[(PageId, u64)]) {
+        let head = m.open_write.expect("a write head holds the slots");
+        let slots = &m.table.seg(head).slots;
+        let chunks: Vec<_> = records.chunks(m.tombstones_per_slot()).collect();
+        assert_eq!(chunks.len(), 4);
+        for (i, chunk) in chunks.iter().enumerate() {
+            assert_eq!(slots[i], Slot::Tomb(chunk.to_vec()), "slot {i}");
+        }
+        assert_eq!(slots[chunks.len()], Slot::Empty);
+    }
+
+    /// The erase path re-logs a victim's carried tombstones slot by slot
+    /// in the victim's order, and queues none of them again. The erase
+    /// still forgets the victim's own stale copies.
+    #[test]
+    fn carried_tombstones_relog_in_order_across_slots() {
+        let (mut m, _) = manager();
+        let records = staged_tombstones(&mut m);
+        let victim = m
+            .table
+            .segments_in(SegState::Free)
+            .next()
+            .expect("a free segment");
+        let now = m.now();
+        m.table.open(victim);
+        // Page 100's only stale copy lives in the victim.
+        let meta = SlotMeta {
+            page: 100,
+            seq: 1,
+            crc: 0,
+        };
+        let slot = m.table.append(victim, meta, now);
+        m.table.kill_at(m.table.slot_addr(victim, slot));
+        m.table.append_tomb(victim, records.clone(), now);
+        m.table.close(victim);
+        let summary0 = m.metrics.summary_flash_pages;
+        m.retire_or_erase(victim).expect("erase");
+        assert_tomb_slots(&m, &records);
+        assert_eq!(m.metrics.summary_flash_pages - summary0, 4);
+        assert!(
+            m.pending_tombstones.is_empty(),
+            "re-logged records queued again"
+        );
+        assert_eq!(m.table.seg(victim).state, SegState::ErasePending);
+        assert!(!m.table.has_dead_copies(100), "erased copy still counted");
+        assert!((0..8).all(|p| m.table.has_dead_copies(p)));
+    }
+
+    /// A tombstone flush drains the DRAM list from the front, slot by
+    /// slot, in arrival order.
+    #[test]
+    fn pending_tombstones_flush_in_order_across_slots() {
+        let (mut m, _) = manager();
+        let records = staged_tombstones(&mut m);
+        m.pending_tombstones.extend(records.iter().copied());
+        m.flush_tombstones().expect("flush");
+        assert_tomb_slots(&m, &records);
+        assert!(m.pending_tombstones.is_empty());
     }
 
     /// Regression for the torn-erase resurrection bug: a tombstone whose

@@ -328,20 +328,19 @@ impl SegmentTable {
         slot
     }
 
-    /// Drains the first `take` records of `pending` into a batch whose
-    /// backing store comes from the reuse pool, so a steady-state
-    /// tombstone flush performs no allocation once the pool is warm.
-    /// Hand the batch to [`SegmentTable::append_tomb`], or return it via
+    /// Collects `records` (one slot's worth) into a batch whose backing
+    /// store comes from the reuse pool, so a steady-state tombstone flush
+    /// performs no allocation once the pool is warm. Hand the batch to
+    /// [`SegmentTable::append_tomb`], or return it via
     /// [`SegmentTable::recycle_tomb_batch`] if no segment can be opened.
     // lint: hot-path
     pub fn tomb_batch(
         &mut self,
-        pending: &mut Vec<(PageId, u64)>,
-        take: usize,
+        records: impl IntoIterator<Item = (PageId, u64)>,
     ) -> Vec<(PageId, u64)> {
         let mut batch = self.tomb_pool.pop().unwrap_or_default();
         batch.clear();
-        batch.extend(pending.drain(..take));
+        batch.extend(records);
         batch
     }
 
@@ -473,9 +472,10 @@ impl SegmentTable {
     /// Common bookkeeping for removing a closed, fully dead segment from
     /// circulation: forgets its stale copies and appends to `carried` the
     /// tombstones that must be re-logged because stale copies of their
-    /// pages still exist elsewhere.
+    /// pages still exist elsewhere. With `carried` `None` (the caller
+    /// already re-logged them) the tombstones are dropped unfiltered.
     // lint: hot-path
-    fn release_metadata_into(&mut self, seg: usize, carried: &mut Vec<(PageId, u64)>) {
+    fn release_metadata_into(&mut self, seg: usize, carried: Option<&mut Vec<(PageId, u64)>>) {
         assert_eq!(
             self.segments[seg].state,
             SegState::Closed,
@@ -501,6 +501,10 @@ impl SegmentTable {
                 }
             }
         }
+        let Some(carried) = carried else {
+            self.segments[seg].tombstones.clear();
+            return;
+        };
         let mut tombs = core::mem::take(&mut self.segments[seg].tombstones);
         carried.extend(
             tombs
@@ -536,13 +540,14 @@ impl SegmentTable {
 
     /// Begins erasing a closed segment; it becomes usable again once
     /// [`SegmentTable::reap_erased`] is called past `completes`.
-    /// Tombstones to carry forward are appended to `carried`.
+    /// Tombstones to carry forward are appended to `carried`, or dropped
+    /// if it is `None`.
     // lint: hot-path
     pub fn begin_erase_into(
         &mut self,
         seg: usize,
         completes: SimTime,
-        carried: &mut Vec<(PageId, u64)>,
+        carried: Option<&mut Vec<(PageId, u64)>>,
     ) {
         self.release_metadata_into(seg, carried);
         self.segments[seg].state = SegState::ErasePending;
@@ -550,8 +555,8 @@ impl SegmentTable {
     }
 
     /// Permanently retires a worn-out closed segment. Tombstones to carry
-    /// forward are appended to `carried`.
-    pub fn retire_into(&mut self, seg: usize, carried: &mut Vec<(PageId, u64)>) {
+    /// forward are appended to `carried`, or dropped if it is `None`.
+    pub fn retire_into(&mut self, seg: usize, carried: Option<&mut Vec<(PageId, u64)>>) {
         self.release_metadata_into(seg, carried);
         self.segments[seg].state = SegState::Retired;
         self.retired_count += 1;
@@ -803,7 +808,7 @@ mod tests {
         tb.kill_at(tb.slot_addr(0, s));
         tb.close(0);
         let mut carried = Vec::new();
-        tb.begin_erase_into(0, t(5), &mut carried);
+        tb.begin_erase_into(0, t(5), Some(&mut carried));
         assert!(carried.is_empty());
         assert_eq!(tb.pending_erases(), 1);
         assert_eq!(tb.reap_erased(t(4)), 0);
@@ -818,7 +823,7 @@ mod tests {
         let before = tb.usable_slots();
         tb.open(0);
         tb.close(0);
-        tb.retire_into(0, &mut Vec::new());
+        tb.retire_into(0, None);
         assert_eq!(tb.segments_in(SegState::Retired).collect::<Vec<_>>(), [0]);
         assert_eq!(tb.usable_slots(), before - 8);
         // Retired segments never return to the free list.
@@ -839,7 +844,7 @@ mod tests {
         // Both retirement paths feed the same count.
         tb.open(0);
         tb.close(0);
-        tb.retire_into(0, &mut Vec::new());
+        tb.retire_into(0, None);
         assert_eq!(
             tb.segments_in(SegState::Retired).collect::<Vec<_>>(),
             [0, 2]
@@ -859,19 +864,19 @@ mod tests {
         tb.append_tomb(0, vec![(9, 2)], t(1));
         tb.close(0);
         let mut carried = Vec::new();
-        tb.begin_erase_into(0, t(1), &mut carried);
-        assert_eq!(carried, vec![(9, 2)]);
+        tb.begin_erase_into(0, t(1), Some(&mut carried));
+        assert_eq!(carried, [(9, 2)]);
 
         // Once segment 1 (the stale copy) is erased too, a fresh tombstone
         // can be dropped with its segment.
         tb.close(1);
-        tb.begin_erase_into(1, t(2), &mut Vec::new());
+        tb.begin_erase_into(1, t(2), None);
         tb.reap_erased(t(3));
         tb.open(2);
         tb.append_tomb(2, vec![(9, 3)], t(4));
         tb.close(2);
         carried.clear();
-        tb.begin_erase_into(2, t(4), &mut carried);
+        tb.begin_erase_into(2, t(4), Some(&mut carried));
         assert!(carried.is_empty());
     }
 
@@ -882,7 +887,7 @@ mod tests {
         tb.open(0);
         tb.append(0, sm(1, 1), t(0));
         tb.close(0);
-        tb.begin_erase_into(0, t(1), &mut Vec::new());
+        tb.begin_erase_into(0, t(1), None);
     }
 
     #[test]
@@ -906,8 +911,8 @@ mod tests {
             tb.open(seg);
             tb.close(seg);
         }
-        tb.begin_erase_into(1, t(10), &mut Vec::new());
-        tb.begin_erase_into(0, t(3), &mut Vec::new());
+        tb.begin_erase_into(1, t(10), None);
+        tb.begin_erase_into(0, t(3), None);
         assert_eq!(tb.next_erase_completion(), Some(t(3)));
     }
 }
