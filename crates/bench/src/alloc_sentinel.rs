@@ -11,9 +11,11 @@
 //! on — dropping a previously allocated buffer in steady state is
 //! harmless; acquiring a new one is the regression.
 //!
-//! This is the only unsafe code in the workspace (every other crate is
-//! `#![forbid(unsafe_code)]`), and it is confined to delegating the
-//! `GlobalAlloc` contract to [`System`].
+//! Its unsafe code is confined to delegating the `GlobalAlloc` contract
+//! to [`System`]. The workspace's only other unsafe site is the call
+//! in `ssmc_storage::crc::crc32` into its carry-less kernel, behind a
+//! CPU-feature check. `ssmc-storage` is `#![deny(unsafe_code)]` for that
+//! one call, and every other library crate is `#![forbid(unsafe_code)]`.
 
 // This file is D3-exempt (see ssmc-lint's rule table): allocator
 // counters must be updatable through &self from any thread per the

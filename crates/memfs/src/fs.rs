@@ -3,7 +3,7 @@
 use crate::btree::BTreeIndex;
 use crate::error::FsError;
 use crate::layout::{
-    file_page, split_path, window, DirEntry, Ino, Inode, InodeKind, Superblock, DIRENT_BYTES,
+    check_path, file_page, window, DirEntry, Ino, Inode, InodeKind, Superblock, DIRENT_BYTES,
     INODE_BYTES, ROOT_INO,
 };
 use crate::Result;
@@ -575,9 +575,33 @@ impl MemFs {
 
     /// Resolves a path to its inode.
     fn resolve(&mut self, path: &str) -> Result<Ino> {
-        let parts = split_path(path).ok_or(FsError::BadPath)?;
+        let rel = check_path(path).ok_or(FsError::BadPath)?;
+        self.walk(rel)
+    }
+
+    /// Resolves a path to `(parent_dir, leaf_name)`.
+    fn resolve_parent<'p>(&mut self, path: &'p str) -> Result<(Ino, &'p str)> {
+        let rel = check_path(path).ok_or(FsError::BadPath)?;
+        if rel.is_empty() {
+            // The root has no parent.
+            return Err(FsError::BadPath);
+        }
+        let (dirs, leaf) = rel.rsplit_once('/').unwrap_or(("", rel));
+        let dir = self.walk(dirs)?;
+        if self.read_inode(dir)?.kind != InodeKind::Dir {
+            return Err(FsError::NotDir);
+        }
+        Ok((dir, leaf))
+    }
+
+    /// Walks `rel`, a path [`check_path`] accepted, down from the root;
+    /// `""` is the root itself.
+    fn walk(&mut self, rel: &str) -> Result<Ino> {
         let mut cur = ROOT_INO;
-        for part in parts {
+        if rel.is_empty() {
+            return Ok(cur);
+        }
+        for part in rel.split('/') {
             let inode = self.read_inode(cur)?;
             if inode.kind != InodeKind::Dir {
                 return Err(FsError::NotDir);
@@ -588,27 +612,6 @@ impl MemFs {
             cur = next;
         }
         Ok(cur)
-    }
-
-    /// Resolves a path to `(parent_dir, leaf_name)`.
-    fn resolve_parent<'p>(&mut self, path: &'p str) -> Result<(Ino, &'p str)> {
-        let parts = split_path(path).ok_or(FsError::BadPath)?;
-        let (&leaf, dirs) = parts.split_last().ok_or(FsError::BadPath)?;
-        let mut cur = ROOT_INO;
-        for part in dirs {
-            let inode = self.read_inode(cur)?;
-            if inode.kind != InodeKind::Dir {
-                return Err(FsError::NotDir);
-            }
-            let Some((_, next)) = self.dir_lookup(cur, inode.size, part)? else {
-                return Err(FsError::NotFound);
-            };
-            cur = next;
-        }
-        if self.read_inode(cur)?.kind != InodeKind::Dir {
-            return Err(FsError::NotDir);
-        }
-        Ok((cur, leaf))
     }
 
     // ------------------------------------------------------------------
@@ -1374,6 +1377,12 @@ mod tests {
         assert_eq!(f.open("/missing", OpenMode::Read), Err(FsError::NotFound));
         // A file used as a directory component.
         assert_eq!(f.create("/a/b"), Err(FsError::NotDir));
+        // The whole path is checked before any component is looked up,
+        // so a bad path wins over NotDir, NotFound and Exists.
+        assert_eq!(f.create("/a/b/.."), Err(FsError::BadPath));
+        assert_eq!(f.create("/no/dir//file"), Err(FsError::BadPath));
+        assert_eq!(f.create("/a/"), Err(FsError::BadPath));
+        assert_eq!(f.stat("/no/.."), Err(FsError::BadPath));
     }
 
     #[test]

@@ -215,24 +215,18 @@ pub fn valid_name(name: &str) -> bool {
     !name.is_empty() && name.len() <= NAME_MAX && !name.contains('/') && name != "." && name != ".."
 }
 
-/// Splits an absolute path into components.
+/// Checks an absolute path and returns it without its leading `/`
+/// (`""` for the root), so callers walk its components with
+/// `split('/')` and allocate nothing.
 ///
 /// Returns `None` for relative paths or paths with empty components
-/// (`"//"`), over-long names, or `"."`/`".."`.
-pub fn split_path(path: &str) -> Option<Vec<&str>> {
+/// (`"//"`, a trailing `/`), over-long names, or `"."`/`".."`. Every
+/// component is checked before the caller looks any up, so a bad path
+/// is reported as such even where an earlier component is missing or
+/// not a directory.
+pub fn check_path(path: &str) -> Option<&str> {
     let rest = path.strip_prefix('/')?;
-    if rest.is_empty() {
-        // lint: allow(H2): `Vec::new()` for the root path allocates nothing.
-        return Some(Vec::new());
-    }
-    // lint: allow(H2): path lookup splits a path once per namespace call;
-    // read/write replay goes through open fds (alloc-guard pinned).
-    let parts: Vec<&str> = rest.split('/').collect();
-    if parts.iter().all(|p| valid_name(p)) {
-        Some(parts)
-    } else {
-        None
-    }
+    (rest.is_empty() || rest.split('/').all(valid_name)).then_some(rest)
 }
 
 #[cfg(test)]
@@ -305,12 +299,16 @@ mod tests {
 
     #[test]
     fn path_splitting() {
-        assert_eq!(split_path("/"), Some(vec![]));
-        assert_eq!(split_path("/a/b"), Some(vec!["a", "b"]));
-        assert_eq!(split_path("a/b"), None);
-        assert_eq!(split_path("/a//b"), None);
-        assert_eq!(split_path("/a/../b"), None);
-        assert!(split_path(&format!("/{}", "x".repeat(NAME_MAX + 1))).is_none());
+        assert_eq!(check_path("/"), Some(""));
+        assert_eq!(check_path("/a/b"), Some("a/b"));
+        assert_eq!(check_path("a/b"), None);
+        assert_eq!(check_path("/a//b"), None);
+        assert_eq!(check_path("/a/"), None);
+        assert_eq!(check_path("/a/../b"), None);
+        // A bad last component fails the whole path, however good the
+        // prefix.
+        assert_eq!(check_path("/a/b/.."), None);
+        assert!(check_path(&format!("/{}", "x".repeat(NAME_MAX + 1))).is_none());
     }
 
     #[test]

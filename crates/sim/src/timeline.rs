@@ -354,13 +354,24 @@ impl Timeline {
         Timeline::decode(&mut io::BufReader::new(fs::File::open(path)?))
     }
 
-    /// Decodes a `.tl` container from any reader.
+    /// Decodes a `.tl` container from any seekable reader, from its
+    /// current position to its end. The header's counts are untrusted:
+    /// the channel table must fit in the bytes that follow the header,
+    /// and the rows must fill exactly what the table leaves, before
+    /// anything is sized by them.
     ///
     /// # Errors
     ///
-    /// Read errors or corruption (bad magic/version/kind codes, short
-    /// rows).
-    pub fn decode<R: Read>(r: &mut R) -> io::Result<Timeline> {
+    /// Read errors, or `InvalidData` for a malformed container: bad
+    /// magic, version or kind code, or counts the container's length
+    /// cannot hold.
+    pub fn decode<R: Read + Seek>(r: &mut R) -> io::Result<Timeline> {
+        let start = r.stream_position()?;
+        let len = r.seek(SeekFrom::End(0))?.saturating_sub(start);
+        r.seek(SeekFrom::Start(start))?;
+        if len < HEADER_BYTES {
+            return Err(corrupt("shorter than a timeline header"));
+        }
         let mut fixed = [0u8; HEADER_BYTES as usize];
         r.read_exact(&mut fixed)?;
         if fixed[..8] != TIMELINE_MAGIC {
@@ -375,12 +386,18 @@ impl Timeline {
                 "unsupported timeline version {version} (this build reads {TIMELINE_VERSION})"
             )));
         }
-        let channel_count = u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes")) as usize;
-        let rows = u64::from_le_bytes(fixed[16..24].try_into().expect("8 bytes")) as usize;
+        let channel_count = u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes"));
+        let rows = u64::from_le_bytes(fixed[16..24].try_into().expect("8 bytes"));
         let interval_ns = u64::from_le_bytes(fixed[24..32].try_into().expect("8 bytes"));
         if interval_ns == 0 {
             return Err(corrupt("zero sample interval"));
         }
+        // Each table entry takes at least its 3-byte kind and length.
+        let mut left = len - HEADER_BYTES;
+        if u64::from(channel_count) * 3 > left {
+            return Err(corrupt("channel count exceeds the container length"));
+        }
+        let channel_count = channel_count as usize;
         // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
         // obs-diff); linked to replay only by name-based resolution of
         // `read`.
@@ -393,34 +410,34 @@ impl Timeline {
                 // obs-diff); linked to replay only by name-based resolution of
                 // `read`.
                 .ok_or_else(|| corrupt(format!("unknown channel kind code {}", head[0])))?;
-            let len = u16::from_le_bytes([head[1], head[2]]) as usize;
+            let name_len = u16::from_le_bytes([head[1], head[2]]);
+            left = left
+                .checked_sub(3 + u64::from(name_len))
+                .ok_or_else(|| corrupt("channel table exceeds the container length"))?;
             // lint: allow(H2): tooling-side `.tl` decode (timeline-dump,
             // obs-diff); linked to replay only by name-based resolution of
             // `read`.
-            let mut name = vec![0u8; len];
+            let mut name = vec![0u8; usize::from(name_len)];
             r.read_exact(&mut name)?;
             let name =
                 String::from_utf8(name).map_err(|_| corrupt("channel name is not UTF-8"))?;
             channels.push(Channel { name, kind });
         }
-        let n_values = rows
-            .checked_mul(channel_count)
-            .ok_or_else(|| corrupt("row count overflows"))?;
+        if rows.checked_mul(channel_count as u64 * 8) != Some(left) {
+            return Err(corrupt("row count disagrees with the container length"));
+        }
+        let n_values = usize::try_from(left / 8)
+            .map_err(|_| corrupt("row data exceeds this host's address space"))?;
         // lint: allow(H2): tooling-side `.tl` decode (timeline-dump, obs-diff);
         // linked to replay only by name-based resolution of `read`.
         let mut values = vec![0u64; n_values];
+        // Row-major, so a value's predecessor in its channel sits one
+        // row width back; row 0 is delta-encoded against zeros.
         let mut buf = [0u8; 8];
-        for row in 0..rows {
-            for c in 0..channel_count {
-                r.read_exact(&mut buf)?;
-                let delta = u64::from_le_bytes(buf);
-                let prev = if row == 0 {
-                    0
-                } else {
-                    values[(row - 1) * channel_count + c]
-                };
-                values[row * channel_count + c] = prev.wrapping_add(delta);
-            }
+        for i in 0..values.len() {
+            r.read_exact(&mut buf)?;
+            let prev = i.checked_sub(channel_count).map_or(0, |j| values[j]);
+            values[i] = prev.wrapping_add(u64::from_le_bytes(buf));
         }
         Ok(Timeline {
             interval: SimDuration::from_nanos(interval_ns),
@@ -732,9 +749,6 @@ mod tests {
 
     #[test]
     fn corrupt_containers_fail_to_decode() {
-        // Bad magic.
-        assert!(Timeline::decode(&mut Cursor::new(b"NOTMAGIC".to_vec())).is_err());
-
         let s = schema(&[("x", ChannelKind::Counter)]);
         let mut w = TimelineWriter::new(Cursor::new(Vec::new()), &s, SimDuration::from_nanos(5))
             .expect("header");
@@ -742,19 +756,34 @@ mod tests {
         let (_, sink) = w.finish().expect("finish");
         let good = sink.into_inner();
 
-        // Bad version.
-        let mut bad = good.clone();
-        bad[8] = 99;
-        assert!(Timeline::decode(&mut Cursor::new(bad)).is_err());
-
-        // Unknown channel kind code.
-        let mut bad = good.clone();
-        bad[HEADER_BYTES as usize] = 7;
-        assert!(Timeline::decode(&mut Cursor::new(bad)).is_err());
-
-        // Truncated rows.
-        let bad = good[..good.len() - 4].to_vec();
-        assert!(Timeline::decode(&mut Cursor::new(bad)).is_err());
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        let cases = [
+            ("bad magic", b"NOTMAGIC".to_vec()),
+            ("bad version", patched(8, &[99])),
+            (
+                "unknown channel kind code",
+                patched(HEADER_BYTES as usize, &[7]),
+            ),
+            ("truncated rows", good[..good.len() - 4].to_vec()),
+            // Counts no allocation may trust: 2^40 rows of one channel
+            // would be 8 TiB, and 2^32 − 1 table entries 137 GB.
+            (
+                "row count 2^40",
+                patched(ROWS_OFFSET as usize, &(1u64 << 40).to_le_bytes()),
+            ),
+            (
+                "channel count 2^32 - 1",
+                patched(12, &u32::MAX.to_le_bytes()),
+            ),
+        ];
+        for (what, bad) in cases {
+            let err = Timeline::decode(&mut Cursor::new(bad)).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
 
         // The untouched container still decodes.
         let tl = Timeline::decode(&mut Cursor::new(good)).expect("decode");

@@ -24,7 +24,9 @@
 //! the file system and virtual memory system above address pages, and the
 //! manager decides where they physically live.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the CRC dispatcher (`crc::crc32`) allows the one
+// `unsafe` call into its carry-less kernel.
+#![deny(unsafe_code)]
 
 pub mod buffer;
 pub mod config;

@@ -113,9 +113,9 @@ cargo run --release --offline -p ssmc-bench --bin timeline-dump -- \
 # Crash-torture smoke: power-cut injection at every flash program/erase
 # boundary of a 2k-op BSD window, both torn-write modes, recovery
 # differentially checked against the durability model. Exhaustive by
-# design (~20k cut+recover cycles, about 55 s at 4 threads on a 2-core
-# x86-64 host); any violation exits non-zero with the offending cut
-# index printed.
+# design (~20k cut+recover cycles, about 46 s at 4 threads on a 2-core
+# x86-64 host with the carry-less CRC kernel); any violation exits
+# non-zero with the offending cut index printed.
 cargo run --release --offline -p ssmc-bench --bin experiments -- \
     crash-torture --ops 2000 --tear both --threads 4
 # Sharding determinism: the same sweep, restricted to a small window,
