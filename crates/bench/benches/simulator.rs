@@ -113,8 +113,7 @@ impl Group {
             }
             let took = start.elapsed();
             if took >= calibrate_window() {
-                let scale =
-                    measure_window().as_secs_f64() / took.as_secs_f64().max(1e-9);
+                let scale = measure_window().as_secs_f64() / took.as_secs_f64().max(1e-9);
                 n = ((n as f64) * scale).max(1.0) as u64;
                 break;
             }
@@ -329,7 +328,12 @@ fn bench_filesystems(filter: Option<String>) {
     );
     g.bench(
         "diskfs_create_write_delete",
-        || (DiskFs::new(BaselineConfig::default(), Clock::shared()), 0u64),
+        || {
+            (
+                DiskFs::new(BaselineConfig::default(), Clock::shared()),
+                0u64,
+            )
+        },
         |(fs, i)| {
             fs.create(*i).expect("create");
             fs.write(*i, 0, 2048).expect("write");
@@ -749,7 +753,10 @@ fn check_throughput(path: &std::path::Path) {
         }
     }
     if !failures.is_empty() {
-        panic!("throughput regression gate FAILED:\n  {}", failures.join("\n  "));
+        panic!(
+            "throughput regression gate FAILED:\n  {}",
+            failures.join("\n  ")
+        );
     }
     println!(
         "check: OK — all workloads within {:.0}% of host-normalized floors",
@@ -917,7 +924,9 @@ fn alloc_guard() {
     let after = ALLOC.counts();
     // The zero-alloc claim only counts if the sampler actually ran
     // inside the window (a write error silently retires the sink).
-    let rows_after = m.timeline_rows().expect("guard timeline alive after window");
+    let rows_after = m
+        .timeline_rows()
+        .expect("guard timeline alive after window");
     assert!(
         rows_after > rows_before,
         "sampler must take rows inside the guard window ({rows_before} -> {rows_after})"
@@ -937,7 +946,10 @@ fn alloc_guard() {
             println!("alloc-guard:   op {i} ({kind}): {delta} event(s)");
         }
         if offender_count > 8 {
-            println!("alloc-guard:   … and {} more ops allocated", offender_count - 8);
+            println!(
+                "alloc-guard:   … and {} more ops allocated",
+                offender_count - 8
+            );
         }
         panic!("alloc-guard FAILED: steady-state hot path allocated");
     }
@@ -972,7 +984,8 @@ fn alloc_guard_stream() {
         // slot writes, all long before the measured window opens.
         for f in 0..GUARD_FILES {
             at = at + pace;
-            w.push(at, &FileOp::Create { file: base + f }).expect("push create");
+            w.push(at, &FileOp::Create { file: base + f })
+                .expect("push create");
             for slot in 0..GUARD_SLOTS {
                 at = at + pace;
                 w.push(
@@ -1059,9 +1072,7 @@ fn main() {
     let filter = args
         .iter()
         .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--") && (*i == 0 || args[i - 1] != "--json")
-        })
+        .find(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--json"))
         .map(|(_, a)| a.clone());
     if args.iter().any(|a| a == "--smoke") {
         SMOKE.store(true, Ordering::Relaxed);

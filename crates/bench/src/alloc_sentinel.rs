@@ -94,7 +94,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             self.allocs.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            self.bytes
+                .fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         p
     }
@@ -113,7 +114,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             self.allocs.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            self.bytes
+                .fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         p
     }

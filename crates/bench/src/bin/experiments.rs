@@ -51,18 +51,15 @@ fn main() {
         ssmc_bench::baseline_policy::set_cache_policy(policy);
     }
 
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| {
-                    eprintln!("--trace-out needs a path");
-                    std::process::exit(2);
-                })
-        });
+    let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
+        args.get(i + 1)
+            .filter(|v| !v.starts_with("--"))
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(|| {
+                eprintln!("--trace-out needs a path");
+                std::process::exit(2);
+            })
+    });
     let trace_ops = args
         .iter()
         .position(|a| a == "--trace-ops")
@@ -87,18 +84,15 @@ fn main() {
         eprintln!("    wrote {}", path.display());
     }
 
-    let timeline_out = args
-        .iter()
-        .position(|a| a == "--timeline-out")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| {
-                    eprintln!("--timeline-out needs a path");
-                    std::process::exit(2);
-                })
-        });
+    let timeline_out = args.iter().position(|a| a == "--timeline-out").map(|i| {
+        args.get(i + 1)
+            .filter(|v| !v.starts_with("--"))
+            .map(std::path::PathBuf::from)
+            .unwrap_or_else(|| {
+                eprintln!("--timeline-out needs a path");
+                std::process::exit(2);
+            })
+    });
     let sample_interval = args
         .iter()
         .position(|a| a == "--sample-interval")
@@ -120,14 +114,13 @@ fn main() {
             sample_interval.as_millis_f64()
         );
         let start = std::time::Instant::now();
-        let summary =
-            ssmc_bench::obs_trace::timeline_replay(
-                ssmc_trace::Workload::Bsd,
-                trace_ops,
-                sample_interval,
-                path,
-            )
-            .expect("timeline replay");
+        let summary = ssmc_bench::obs_trace::timeline_replay(
+            ssmc_trace::Workload::Bsd,
+            trace_ops,
+            sample_interval,
+            path,
+        )
+        .expect("timeline replay");
         eprintln!("    ({:.1} s)", start.elapsed().as_secs_f64());
         let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         eprintln!(
@@ -226,14 +219,12 @@ fn trace_compile(args: &[String]) {
     use ssmc_trace::{GeneratorConfig, Workload};
 
     let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                })
+        args.iter().position(|a| a == name).map(|i| {
+            args.get(i + 1).cloned().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                std::process::exit(2);
             })
+        })
     };
     let workload = match flag("--workload") {
         None => Workload::Bsd,
@@ -252,18 +243,22 @@ fn trace_compile(args: &[String]) {
             std::process::exit(2);
         }),
     };
-    let out = flag("--out").map(std::path::PathBuf::from).unwrap_or_else(|| {
-        eprintln!("trace-compile needs --out PATH");
-        std::process::exit(2);
-    });
+    let out = flag("--out")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| {
+            eprintln!("trace-compile needs --out PATH");
+            std::process::exit(2);
+        });
 
-    eprintln!(">>> trace-compile: {workload}, {ops} ops -> {}", out.display());
+    eprintln!(
+        ">>> trace-compile: {workload}, {ops} ops -> {}",
+        out.display()
+    );
     let start = std::time::Instant::now();
     let cfg = GeneratorConfig::new(workload)
         .with_ops(ops)
         .with_max_live_bytes(4 << 20);
-    let mut w = OpStreamWriter::create(&out, &workload.to_string())
-        .expect("create op stream");
+    let mut w = OpStreamWriter::create(&out, &workload.to_string()).expect("create op stream");
     let written = cfg.generate_into(&mut w).expect("compile op stream");
     w.finish().expect("finish op stream");
     let secs = start.elapsed().as_secs_f64();
@@ -306,14 +301,12 @@ fn crash_torture(args: &[String]) {
     use ssmc_trace::{project, GeneratorConfig, OracleConfig, PageOpKind, Workload};
 
     let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("{name} needs a value");
-                    std::process::exit(2);
-                })
+        args.iter().position(|a| a == name).map(|i| {
+            args.get(i + 1).cloned().unwrap_or_else(|| {
+                eprintln!("{name} needs a value");
+                std::process::exit(2);
             })
+        })
     };
     let workload = match flag("--workload") {
         None => Workload::Bsd,
@@ -404,8 +397,9 @@ fn crash_torture(args: &[String]) {
         .flat_map(|&t| (1..=boundaries).map(move |c| (t, c)))
         .collect();
     let start = std::time::Instant::now();
-    let reports =
-        ssmc_sim::parallel_sweep(&items, |_, &(tear, cut)| torture::run_cut(&cfg, &ops, seed, cut, tear));
+    let reports = ssmc_sim::parallel_sweep(&items, |_, &(tear, cut)| {
+        torture::run_cut(&cfg, &ops, seed, cut, tear)
+    });
     eprintln!("    ({:.1} s)", start.elapsed().as_secs_f64());
 
     let mut total = TortureSummary::default();
@@ -457,7 +451,10 @@ fn crash_torture(args: &[String]) {
 
     let mut reg = MetricsRegistry::new();
     total.publish(&mut reg);
-    debug_assert_eq!(reg.counter_value("torture.cuts_total"), Some(total.cuts_total));
+    debug_assert_eq!(
+        reg.counter_value("torture.cuts_total"),
+        Some(total.cuts_total)
+    );
 
     if let Some(path) = &json_out {
         let report = Value::object(vec![

@@ -60,7 +60,11 @@ fn deltas(tl: &Timeline, ch: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(tl.rows());
     let mut prev = 0u64;
     for (row, v) in tl.series(ch).enumerate() {
-        out.push(if row == 0 { 0.0 } else { v.saturating_sub(prev) as f64 });
+        out.push(if row == 0 {
+            0.0
+        } else {
+            v.saturating_sub(prev) as f64
+        });
         prev = v;
     }
     out
@@ -113,8 +117,7 @@ fn main() {
     let tick = tl.channel_index("timeline.tick");
     let span_s = match (tick, tl.rows()) {
         (Some(t), r) if r > 0 => {
-            (tl.value(r - 1, t).saturating_sub(tl.value(0, t)) + 1) as f64
-                * interval.as_secs_f64()
+            (tl.value(r - 1, t).saturating_sub(tl.value(0, t)) + 1) as f64 * interval.as_secs_f64()
         }
         _ => 0.0,
     };
@@ -131,7 +134,10 @@ fn main() {
     // channels are compressed to one line each; wear channels render
     // below as the heatmap instead.
     let mut constant: Vec<&str> = Vec::new();
-    println!("sparklines ({} cells max; counters shown as per-row deltas):", WIDTH);
+    println!(
+        "sparklines ({} cells max; counters shown as per-row deltas):",
+        WIDTH
+    );
     for (i, c) in tl.channels().iter().enumerate() {
         if c.name.starts_with("storage.segment_wear.") || c.name == "timeline.tick" {
             continue;

@@ -345,8 +345,20 @@ fn diff_maps(
                     sum: sb,
                 },
             ) => {
-                scalar_drift(&mut report, opts, format!("{name}.count"), *ca as f64, *cb as f64);
-                scalar_drift(&mut report, opts, format!("{name}.sum"), *sa as f64, *sb as f64);
+                scalar_drift(
+                    &mut report,
+                    opts,
+                    format!("{name}.count"),
+                    *ca as f64,
+                    *cb as f64,
+                );
+                scalar_drift(
+                    &mut report,
+                    opts,
+                    format!("{name}.sum"),
+                    *sa as f64,
+                    *sb as f64,
+                );
                 // Structural: bucket-by-bucket against the shared bounds,
                 // so a shifted distribution with identical quantile
                 // summaries still shows.

@@ -11,8 +11,8 @@
 use crate::config::MachineConfig;
 use crate::machine::MobileComputer;
 use crate::run::run_trace;
-use ssmc_sim::report::{ToReport, Value};
 use ssmc_sim::parallel_sweep;
+use ssmc_sim::report::{ToReport, Value};
 use ssmc_trace::Trace;
 
 /// Sweep parameters.

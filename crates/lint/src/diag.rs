@@ -195,7 +195,11 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}: {}", self.file, self.line, self.rule, self.message)
+        write!(
+            f,
+            "{}:{}: {}: {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 

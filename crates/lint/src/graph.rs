@@ -33,8 +33,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The fully-qualified names of the energy-accounting primitives. Rule
 /// E1 exempts them: *being* the ledger is not double-charging it.
-const CHARGE_PRIMITIVES: [&str; 2] =
-    ["ssmc_sim::energy::EnergyLedger::charge", "ssmc_sim::energy::EnergyLedger::charge_power"];
+const CHARGE_PRIMITIVES: [&str; 2] = [
+    "ssmc_sim::energy::EnergyLedger::charge",
+    "ssmc_sim::energy::EnergyLedger::charge_power",
+];
 
 /// One function node in the workspace call graph.
 #[derive(Debug, Clone)]
@@ -165,7 +167,10 @@ impl CallGraph {
             by_qual.entry(&n.qual).or_default().push(i);
             if let Some(o) = &n.owner {
                 by_method.entry(&n.name).or_default().push(i);
-                by_owner_method.entry((o.clone(), n.name.clone())).or_default().push(i);
+                by_owner_method
+                    .entry((o.clone(), n.name.clone()))
+                    .or_default()
+                    .push(i);
             }
         }
 
@@ -176,7 +181,10 @@ impl CallGraph {
                 }
                 let q = &qual_segs[i];
                 if q.len() >= segs.len()
-                    && q[q.len() - segs.len()..].iter().zip(segs).all(|(a, b)| *a == b)
+                    && q[q.len() - segs.len()..]
+                        .iter()
+                        .zip(segs)
+                        .all(|(a, b)| *a == b)
                 {
                     out.push(i);
                 }
@@ -285,7 +293,11 @@ impl CallGraph {
                     self.nodes[e.to].qual,
                     n.file,
                     e.line,
-                    if e.in_debug_assert { " (debug_assert)" } else { "" }
+                    if e.in_debug_assert {
+                        " (debug_assert)"
+                    } else {
+                        ""
+                    }
                 ));
             }
         }
@@ -484,7 +496,9 @@ fn chain_to(
     let mut names = vec![graph.nodes[node].short()];
     let mut cur = node;
     while cur != root {
-        let Some(&(p, _)) = parent.get(&cur) else { break };
+        let Some(&(p, _)) = parent.get(&cur) else {
+            break;
+        };
         names.push(graph.nodes[p].short());
         cur = p;
     }
@@ -553,7 +567,11 @@ fn attribution_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Di
             if allows.try_suppress(&nf.file, e.line, Rule::E1) {
                 continue;
             }
-            if nf.charge_sites.iter().any(|s| allows.try_suppress(&nf.file, s.line, Rule::E1)) {
+            if nf
+                .charge_sites
+                .iter()
+                .any(|s| allows.try_suppress(&nf.file, s.line, Rule::E1))
+            {
                 continue;
             }
             let callee = &graph.nodes[e.to];
@@ -583,7 +601,9 @@ fn charge_chain(
     let mut names = vec![graph.nodes[node].short()];
     let mut cur = node;
     while !direct.contains(&cur) {
-        let Some(&(next, _)) = reaches.get(&cur) else { break };
+        let Some(&(next, _)) = reaches.get(&cur) else {
+            break;
+        };
         names.push(graph.nodes[next].short());
         cur = next;
     }
@@ -602,7 +622,9 @@ mod tests {
     }
 
     fn no_allows() -> Allows<'static> {
-        Allows { by_file: BTreeMap::new() }
+        Allows {
+            by_file: BTreeMap::new(),
+        }
     }
 
     #[test]
@@ -658,7 +680,10 @@ mod tests {
         );
         let mut direct = BTreeMap::new();
         direct.insert("ssmc-storage".to_owned(), BTreeSet::new());
-        direct.insert("ssmc-bench".to_owned(), BTreeSet::from(["ssmc-storage".to_owned()]));
+        direct.insert(
+            "ssmc-bench".to_owned(),
+            BTreeSet::from(["ssmc-storage".to_owned()]),
+        );
         let g = CallGraph::build(&[a.clone(), b.clone()], &CrateDeps::from_direct(&direct));
         assert!(run_passes(&g, &mut no_allows()).is_empty());
         // Sanity: permissive deps do produce the edge.
@@ -686,7 +711,12 @@ mod tests {
             "// lint: hot-path\nfn hot() {\n    // lint: allow(H2): helper's vec is amortized by the pool.\n    helper();\n}\nfn helper() { let v = vec![1]; }\n",
         );
         let g = CallGraph::build(&[a], &CrateDeps::permissive());
-        let mut entries = vec![AllowEntry { line: 3, target_line: 4, rule: Rule::H2, used: false }];
+        let mut entries = vec![AllowEntry {
+            line: 3,
+            target_line: 4,
+            rule: Rule::H2,
+            used: false,
+        }];
         let mut by_file = BTreeMap::new();
         by_file.insert("crates/storage/src/manager.rs", entries.as_mut_slice());
         let mut allows = Allows { by_file };
@@ -770,6 +800,9 @@ mod tests {
         let alpha = dump.find("fn ssmc_storage::alpha").unwrap();
         let zeta = dump.find("fn ssmc_storage::zeta").unwrap();
         assert!(alpha < zeta, "{dump}");
-        assert!(dump.starts_with("# ssmc-lint call graph: 2 functions, 1 edges"), "{dump}");
+        assert!(
+            dump.starts_with("# ssmc-lint call graph: 2 functions, 1 edges"),
+            "{dump}"
+        );
     }
 }

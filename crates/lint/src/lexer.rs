@@ -78,7 +78,13 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
-        Lexer { bytes: src.as_bytes(), pos: 0, line: 1, depth: 0, out: Vec::new() }
+        Lexer {
+            bytes: src.as_bytes(),
+            pos: 0,
+            line: 1,
+            depth: 0,
+            out: Vec::new(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -131,7 +137,11 @@ impl<'a> Lexer<'a> {
                             }
                             _ => self.depth,
                         };
-                        self.out.push(Tok { kind: TokKind::Punct(c), line, depth });
+                        self.out.push(Tok {
+                            kind: TokKind::Punct(c),
+                            line,
+                            depth,
+                        });
                     }
                 }
             }
@@ -151,7 +161,11 @@ impl<'a> Lexer<'a> {
             self.bump();
         }
         let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.out.push(Tok { kind: TokKind::Comment(text), line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Comment(text),
+            line,
+            depth: self.depth,
+        });
     }
 
     fn block_comment(&mut self) {
@@ -180,7 +194,11 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = String::from_utf8_lossy(&self.bytes[start..end]).into_owned();
-        self.out.push(Tok { kind: TokKind::Comment(text), line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Comment(text),
+            line,
+            depth: self.depth,
+        });
     }
 
     fn string_lit(&mut self) {
@@ -195,7 +213,11 @@ impl<'a> Lexer<'a> {
                 _ => {}
             }
         }
-        self.out.push(Tok { kind: TokKind::Lit, line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Lit,
+            line,
+            depth: self.depth,
+        });
     }
 
     /// Raw string bodies: the caller has consumed the `r`/`br` prefix;
@@ -220,7 +242,11 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        self.out.push(Tok { kind: TokKind::Lit, line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Lit,
+            line,
+            depth: self.depth,
+        });
     }
 
     /// `'` starts either a char literal or a lifetime.
@@ -253,7 +279,11 @@ impl<'a> Lexer<'a> {
                 _ => {}
             }
         }
-        self.out.push(Tok { kind: TokKind::Lit, line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Lit,
+            line,
+            depth: self.depth,
+        });
     }
 
     fn number_lit(&mut self) {
@@ -261,16 +291,18 @@ impl<'a> Lexer<'a> {
         while let Some(b) = self.peek() {
             if b == b'_' || b.is_ascii_alphanumeric() {
                 self.bump();
-            } else if b == b'.'
-                && self.peek_at(1).is_some_and(|n| n.is_ascii_digit())
-            {
+            } else if b == b'.' && self.peek_at(1).is_some_and(|n| n.is_ascii_digit()) {
                 // `1.5` continues the literal; `0..n` does not.
                 self.bump();
             } else {
                 break;
             }
         }
-        self.out.push(Tok { kind: TokKind::Lit, line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Lit,
+            line,
+            depth: self.depth,
+        });
     }
 
     fn ident_or_prefixed_lit(&mut self) {
@@ -307,13 +339,21 @@ impl<'a> Lexer<'a> {
                         _ => {}
                     }
                 }
-                self.out.push(Tok { kind: TokKind::Lit, line, depth: self.depth });
+                self.out.push(Tok {
+                    kind: TokKind::Lit,
+                    line,
+                    depth: self.depth,
+                });
                 return;
             }
             _ => {}
         }
         let text = String::from_utf8_lossy(text).into_owned();
-        self.out.push(Tok { kind: TokKind::Ident(text), line, depth: self.depth });
+        self.out.push(Tok {
+            kind: TokKind::Ident(text),
+            line,
+            depth: self.depth,
+        });
     }
 }
 
@@ -359,17 +399,24 @@ mod tests {
 
     #[test]
     fn escaped_quotes_do_not_end_strings() {
-        assert_eq!(idents(r#"let s = "a\"HashMap\"b"; let t = 1;"#), vec!["let", "s", "let", "t"]);
+        assert_eq!(
+            idents(r#"let s = "a\"HashMap\"b"; let t = 1;"#),
+            vec!["let", "s", "let", "t"]
+        );
     }
 
     #[test]
     fn char_literals_vs_lifetimes() {
         // 'a' is a literal; 'a in a generic position is a lifetime.
-        assert_eq!(idents("let c = 'x'; fn f<'a>(v: &'a str) {}"), vec![
-            "let", "c", "fn", "f", "v", "str"
-        ]);
+        assert_eq!(
+            idents("let c = 'x'; fn f<'a>(v: &'a str) {}"),
+            vec!["let", "c", "fn", "f", "v", "str"]
+        );
         // Escaped char literal.
-        assert_eq!(idents(r"let c = '\''; let d = 2;"), vec!["let", "c", "let", "d"]);
+        assert_eq!(
+            idents(r"let c = '\''; let d = 2;"),
+            vec!["let", "c", "let", "d"]
+        );
     }
 
     #[test]

@@ -204,8 +204,14 @@ mod tests {
 
     #[test]
     fn crate_classification() {
-        assert_eq!(crate_for_path("crates/storage/src/manager.rs"), "ssmc-storage");
-        assert_eq!(crate_for_path("crates/bench/benches/simulator.rs"), "ssmc-bench");
+        assert_eq!(
+            crate_for_path("crates/storage/src/manager.rs"),
+            "ssmc-storage"
+        );
+        assert_eq!(
+            crate_for_path("crates/bench/benches/simulator.rs"),
+            "ssmc-bench"
+        );
         assert_eq!(crate_for_path("src/lib.rs"), "ssmc");
         assert_eq!(crate_for_path("tests/determinism.rs"), "ssmc");
         assert_eq!(crate_for_path("examples/replay.rs"), "ssmc");
@@ -221,6 +227,10 @@ mod tests {
         ]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, Rule::H2);
-        assert!(diags[0].message.contains("hot → helper"), "{}", diags[0].message);
+        assert!(
+            diags[0].message.contains("hot → helper"),
+            "{}",
+            diags[0].message
+        );
     }
 }

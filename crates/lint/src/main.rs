@@ -49,7 +49,10 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(r) => explain = Some(r),
                 None => {
-                    eprintln!("ssmc-lint: --explain requires a rule name (one of: {})", rule_list());
+                    eprintln!(
+                        "ssmc-lint: --explain requires a rule name (one of: {})",
+                        rule_list()
+                    );
                     return ExitCode::from(2);
                 }
             },
@@ -136,7 +139,10 @@ fn explain_rule(name: &str) -> ExitCode {
             ExitCode::SUCCESS
         }
         None => {
-            eprintln!("ssmc-lint: unknown rule `{name}` (one of: {}, or `all`)", rule_list());
+            eprintln!(
+                "ssmc-lint: unknown rule `{name}` (one of: {}, or `all`)",
+                rule_list()
+            );
             ExitCode::from(2)
         }
     }

@@ -26,20 +26,42 @@ use std::collections::BTreeMap;
 /// (pattern, needs-leading-dot, human name). Patterns are matched
 /// against comment-free tokens; `::` appears as two `:` puncts.
 pub(crate) const ALLOC_PATTERNS: &[(&[Pat], bool, &str)] = &[
-    (&[Pat::Id("Box"), Pat::P(':'), Pat::P(':'), Pat::Id("new")], false, "Box::new"),
-    (&[Pat::Id("Vec"), Pat::P(':'), Pat::P(':'), Pat::Id("new")], false, "Vec::new"),
+    (
+        &[Pat::Id("Box"), Pat::P(':'), Pat::P(':'), Pat::Id("new")],
+        false,
+        "Box::new",
+    ),
+    (
+        &[Pat::Id("Vec"), Pat::P(':'), Pat::P(':'), Pat::Id("new")],
+        false,
+        "Vec::new",
+    ),
     // Path form only: a builder's `FlashSpec::with_capacity` or a
     // `.with_capacity(..)` method is not a heap allocation.
     (
-        &[Pat::Id("Vec"), Pat::P(':'), Pat::P(':'), Pat::Id("with_capacity")],
+        &[
+            Pat::Id("Vec"),
+            Pat::P(':'),
+            Pat::P(':'),
+            Pat::Id("with_capacity"),
+        ],
         false,
         "Vec::with_capacity",
     ),
     (&[Pat::Id("vec"), Pat::P('!')], false, "vec! macro"),
     (&[Pat::Id("format"), Pat::P('!')], false, "format! macro"),
-    (&[Pat::Id("String"), Pat::P(':'), Pat::P(':'), Pat::Id("from")], false, "String::from"),
     (
-        &[Pat::Id("String"), Pat::P(':'), Pat::P(':'), Pat::Id("with_capacity")],
+        &[Pat::Id("String"), Pat::P(':'), Pat::P(':'), Pat::Id("from")],
+        false,
+        "String::from",
+    ),
+    (
+        &[
+            Pat::Id("String"),
+            Pat::P(':'),
+            Pat::P(':'),
+            Pat::Id("with_capacity"),
+        ],
         false,
         "String::with_capacity",
     ),
@@ -157,7 +179,11 @@ pub struct ParsedFile {
 
 /// Maps a repo-relative path to the module path of its file root.
 pub fn module_path_for(path: &str, krate: &str) -> Vec<String> {
-    let root = if krate == "ssmc" { "ssmc".to_owned() } else { krate.replace('-', "_") };
+    let root = if krate == "ssmc" {
+        "ssmc".to_owned()
+    } else {
+        krate.replace('-', "_")
+    };
     let rel = path.replace('\\', "/");
     // Strip the crate directory prefix, leaving e.g. `src/a/b.rs`.
     let inner = if let Some(rest) = rel.strip_prefix("crates/") {
@@ -227,7 +253,15 @@ pub fn parse_file(path: &str, krate: &str, toks: &[Tok]) -> ParsedFile {
         }
     }
     let uses = p.uses;
-    ParsedFile { path: path.to_owned(), krate: krate.to_owned(), module, fns, uses, test_like, test_spans }
+    ParsedFile {
+        path: path.to_owned(),
+        krate: krate.to_owned(),
+        module,
+        fns,
+        uses,
+        test_like,
+        test_spans,
+    }
 }
 
 /// Finds the line spans of `#[cfg(test)]`-gated items (attribute through
@@ -334,12 +368,21 @@ impl<'a> Parser<'a> {
     /// Walks `[lo, hi)` recognizing items. `owner` is the enclosing
     /// impl/trait type; `encl` is the index (into `self.fns`) of the
     /// enclosing fn when walking a body.
-    fn walk(&mut self, lo: usize, hi: usize, module: &[String], owner: Option<&str>, encl: Option<usize>) {
+    fn walk(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        module: &[String],
+        owner: Option<&str>,
+        encl: Option<usize>,
+    ) {
         let mut attrs = Attrs::default();
         let mut i = lo;
         while i < hi {
             // Attributes: record test/debug_assertions cfg flags.
-            if self.punct(i, '#') && (self.punct(i + 1, '[') || (self.punct(i + 1, '!') && self.punct(i + 2, '['))) {
+            if self.punct(i, '#')
+                && (self.punct(i + 1, '[') || (self.punct(i + 1, '!') && self.punct(i + 2, '[')))
+            {
                 let open = if self.punct(i + 1, '[') { i + 1 } else { i + 2 };
                 let mut depth = 1usize;
                 let mut j = open + 1;
@@ -361,7 +404,10 @@ impl<'a> Parser<'a> {
                 i = j;
                 continue;
             }
-            let at_stmt_start = i == lo || self.punct(i - 1, ';') || self.punct(i - 1, '{') || self.punct(i - 1, '}');
+            let at_stmt_start = i == lo
+                || self.punct(i - 1, ';')
+                || self.punct(i - 1, '{')
+                || self.punct(i - 1, '}');
             match self.ident(i) {
                 Some("use") => {
                     i = self.parse_use(i + 1, hi);
@@ -398,7 +444,11 @@ impl<'a> Parser<'a> {
                     while j < hi && !self.punct(j, '{') {
                         j += 1;
                     }
-                    i = if j < hi { self.braces[j].unwrap_or(hi).min(hi) + 1 } else { hi };
+                    i = if j < hi {
+                        self.braces[j].unwrap_or(hi).min(hi) + 1
+                    } else {
+                        hi
+                    };
                     attrs = Attrs::default();
                 }
                 Some("struct" | "enum") if encl.is_none() => {
@@ -458,7 +508,13 @@ impl<'a> Parser<'a> {
 
     /// Parses an `impl`/`trait` header at `i`, recursing into the body
     /// with the subject type as owner. Returns the index after the body.
-    fn parse_impl_or_trait(&mut self, i: usize, hi: usize, module: &[String], _attrs: Attrs) -> usize {
+    fn parse_impl_or_trait(
+        &mut self,
+        i: usize,
+        hi: usize,
+        module: &[String],
+        _attrs: Attrs,
+    ) -> usize {
         // Collect header idents until the body `{` at zero paren/bracket/
         // angle depth; the owner is the last path-segment ident after
         // `for` (inherent/trait impls) or the first ident (traits).
@@ -517,7 +573,11 @@ impl<'a> Parser<'a> {
         if j >= hi {
             return hi;
         }
-        let owner = if is_trait { trait_name } else { after_for.or(last_path_ident) };
+        let owner = if is_trait {
+            trait_name
+        } else {
+            after_for.or(last_path_ident)
+        };
         let close = self.braces[j].unwrap_or(hi).min(hi);
         self.walk(j + 1, close, module, owner.as_deref(), None);
         close + 1
@@ -562,7 +622,9 @@ impl<'a> Parser<'a> {
                 }
                 TokKind::Punct('{') => {
                     if paren == 0 && bracket == 0 && angle <= 0 {
-                        let close = self.braces[j].unwrap_or(hi.saturating_sub(1)).min(hi.saturating_sub(1));
+                        let close = self.braces[j]
+                            .unwrap_or(hi.saturating_sub(1))
+                            .min(hi.saturating_sub(1));
                         body = Some((j, close));
                         end_line = self.line(close);
                         break;
@@ -590,7 +652,10 @@ impl<'a> Parser<'a> {
             q.push_str(&name);
             q
         };
-        let in_test_span = self.test_spans.iter().any(|&(s, e)| sig_line >= s && sig_line <= e);
+        let in_test_span = self
+            .test_spans
+            .iter()
+            .any(|&(s, e)| sig_line >= s && sig_line <= e);
         let parent_test = encl.is_some_and(|p| self.fns[p].is_test);
         let parent_debug = encl.is_some_and(|p| self.fns[p].is_debug);
         let item = FnItem {
@@ -633,8 +698,7 @@ impl<'a> Parser<'a> {
         // Token ranges inside debug_assert*! argument lists.
         let mut exempt: Vec<(usize, usize)> = Vec::new();
 
-        let in_nested =
-            |line: u32| nested.iter().any(|&(s, e)| line >= s && line <= e);
+        let in_nested = |line: u32| nested.iter().any(|&(s, e)| line >= s && line <= e);
         let mut i = lo;
         while i < hi {
             let t = self.s[i];
@@ -654,7 +718,10 @@ impl<'a> Parser<'a> {
                     if *needs_dot && !(i > 0 && self.s[i - 1].is_punct('.')) {
                         continue;
                     }
-                    alloc_sites.push(Site { line: t.line, what: name });
+                    alloc_sites.push(Site {
+                        line: t.line,
+                        what: name,
+                    });
                 }
             }
             // Macro invocation: `name!(` / `name![` / `name!{`.
@@ -717,10 +784,7 @@ impl<'a> Parser<'a> {
     /// Classifies a call whose head ident sits at `i`.
     fn classify_call(&self, i: usize, name: &str) -> CallKind {
         if i > 0 && self.punct(i - 1, '.') {
-            if i >= 2
-                && self.ident(i - 2) == Some("self")
-                && !(i >= 3 && self.punct(i - 3, '.'))
-            {
+            if i >= 2 && self.ident(i - 2) == Some("self") && !(i >= 3 && self.punct(i - 3, '.')) {
                 return CallKind::SelfMethod(name.to_owned());
             }
             return CallKind::Method(name.to_owned());
@@ -919,7 +983,10 @@ mod tests {
 
     #[test]
     fn module_paths() {
-        assert_eq!(module_path_for("crates/storage/src/lib.rs", "ssmc-storage"), ["ssmc_storage"]);
+        assert_eq!(
+            module_path_for("crates/storage/src/lib.rs", "ssmc-storage"),
+            ["ssmc_storage"]
+        );
         assert_eq!(
             module_path_for("crates/storage/src/manager.rs", "ssmc-storage"),
             ["ssmc_storage", "manager"]
@@ -933,7 +1000,10 @@ mod tests {
             ["ssmc_bench", "bin", "trace_dump"]
         );
         assert_eq!(module_path_for("src/lib.rs", "ssmc"), ["ssmc"]);
-        assert_eq!(module_path_for("tests/determinism.rs", "ssmc"), ["ssmc", "tests", "determinism"]);
+        assert_eq!(
+            module_path_for("tests/determinism.rs", "ssmc"),
+            ["ssmc", "tests", "determinism"]
+        );
     }
 
     #[test]
@@ -942,13 +1012,17 @@ mod tests {
         let quals: Vec<&str> = p.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(
             quals,
-            ["ssmc_storage::manager::free", "ssmc_storage::manager::Manager::flush"]
+            [
+                "ssmc_storage::manager::free",
+                "ssmc_storage::manager::Manager::flush"
+            ]
         );
     }
 
     #[test]
     fn trait_impl_owner_is_the_implementing_type() {
-        let p = parse("impl Iterator for SlotIter<'_> { fn next(&mut self) -> Option<u32> { None } }");
+        let p =
+            parse("impl Iterator for SlotIter<'_> { fn next(&mut self) -> Option<u32> { None } }");
         assert_eq!(p.fns[0].qual, "ssmc_storage::manager::SlotIter::next");
     }
 
@@ -1010,11 +1084,31 @@ mod tests {
         let src = "use std::collections::BTreeMap;\nuse ssmc_sim::{report::Value, time::SimTime as T};\nuse crate::dense::{self, DenseIndex};\n";
         let p = parse(src);
         let get = |k: &str| p.uses.get(k).cloned().unwrap_or_default();
-        assert_eq!(get("BTreeMap"), [vec!["std".to_owned(), "collections".into(), "BTreeMap".into()]]);
-        assert_eq!(get("Value"), [vec!["ssmc_sim".to_owned(), "report".into(), "Value".into()]]);
-        assert_eq!(get("T"), [vec!["ssmc_sim".to_owned(), "time".into(), "SimTime".into()]]);
+        assert_eq!(
+            get("BTreeMap"),
+            [vec![
+                "std".to_owned(),
+                "collections".into(),
+                "BTreeMap".into()
+            ]]
+        );
+        assert_eq!(
+            get("Value"),
+            [vec!["ssmc_sim".to_owned(), "report".into(), "Value".into()]]
+        );
+        assert_eq!(
+            get("T"),
+            [vec!["ssmc_sim".to_owned(), "time".into(), "SimTime".into()]]
+        );
         assert_eq!(get("dense"), [vec!["crate".to_owned(), "dense".into()]]);
-        assert_eq!(get("DenseIndex"), [vec!["crate".to_owned(), "dense".into(), "DenseIndex".into()]]);
+        assert_eq!(
+            get("DenseIndex"),
+            [vec![
+                "crate".to_owned(),
+                "dense".into(),
+                "DenseIndex".into()
+            ]]
+        );
     }
 
     #[test]
@@ -1027,7 +1121,8 @@ mod tests {
 
     #[test]
     fn charge_sites_recorded() {
-        let src = "fn f(&mut self) { self.energy.charge(\"x\", e); other.charge_power(\"y\", p, d); }\n";
+        let src =
+            "fn f(&mut self) { self.energy.charge(\"x\", e); other.charge_power(\"y\", p, d); }\n";
         let p = parse(src);
         let what: Vec<&str> = p.fns[0].charge_sites.iter().map(|s| s.what).collect();
         assert_eq!(what, [".charge()", ".charge_power()"]);

@@ -43,7 +43,10 @@ const SIM_CRATES: [&str; 8] = [
 /// global allocator (the `GlobalAlloc` contract hands out `&self` from
 /// any thread, so its counters must be atomic even though the bench
 /// itself is single-threaded).
-const D3_EXEMPT_FILES: [&str; 2] = ["crates/sim/src/par.rs", "crates/bench/src/alloc_sentinel.rs"];
+const D3_EXEMPT_FILES: [&str; 2] = [
+    "crates/sim/src/par.rs",
+    "crates/bench/src/alloc_sentinel.rs",
+];
 
 /// `use` roots that do not name an external crate: the language/std
 /// roots plus the workspace's own `ssmc_*` crates. Roots that name a
@@ -148,7 +151,10 @@ pub fn stale_allow_diags(path: &str, allows: &[AllowEntry]) -> Vec<Diagnostic> {
             file: path.to_owned(),
             line: a.line,
             rule: Rule::A1,
-            message: format!("stale allow({}): no matching finding at its target line", a.rule),
+            message: format!(
+                "stale allow({}): no matching finding at its target line",
+                a.rule
+            ),
         })
         .collect()
 }
@@ -202,7 +208,12 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut push = |findings: &mut Vec<Diagnostic>, line: u32, rule: Rule, msg: String| {
         if seen.insert((line, rule.name())) {
-            findings.push(Diagnostic { file: path.to_owned(), line, rule, message: msg });
+            findings.push(Diagnostic {
+                file: path.to_owned(),
+                line,
+                rule,
+                message: msg,
+            });
         }
     };
 
@@ -239,14 +250,38 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
 
         // D3 — threading and std::sync outside parallel_sweep.
         if !d3_exempt && !in_test {
-            let hit = if matches_at(&sig, i, &[Pat::Id("thread"), Pat::P(':'), Pat::P(':'), Pat::Id("spawn")]) {
+            let hit = if matches_at(
+                &sig,
+                i,
+                &[
+                    Pat::Id("thread"),
+                    Pat::P(':'),
+                    Pat::P(':'),
+                    Pat::Id("spawn"),
+                ],
+            ) {
                 Some("thread::spawn")
-            } else if matches_at(&sig, i, &[Pat::Id("thread"), Pat::P(':'), Pat::P(':'), Pat::Id("scope")]) {
+            } else if matches_at(
+                &sig,
+                i,
+                &[
+                    Pat::Id("thread"),
+                    Pat::P(':'),
+                    Pat::P(':'),
+                    Pat::Id("scope"),
+                ],
+            ) {
                 Some("thread::scope")
-            } else if matches_at(&sig, i, &[Pat::Id("std"), Pat::P(':'), Pat::P(':'), Pat::Id("sync")]) {
+            } else if matches_at(
+                &sig,
+                i,
+                &[Pat::Id("std"), Pat::P(':'), Pat::P(':'), Pat::Id("sync")],
+            ) {
                 Some("std::sync")
             } else {
-                t.ident().filter(|id| SYNC_PRIMITIVES.contains(id)).map(|_| "sync primitive")
+                t.ident()
+                    .filter(|id| SYNC_PRIMITIVES.contains(id))
+                    .map(|_| "sync primitive")
             };
             if let Some(what) = hit {
                 let id = t.ident().unwrap_or("?");
@@ -283,14 +318,13 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
                 }
             }
         }
-        if t.ident() == Some("extern")
-            && sig.get(i + 1).and_then(|t| t.ident()) == Some("crate")
-        {
+        if t.ident() == Some("extern") && sig.get(i + 1).and_then(|t| t.ident()) == Some("crate") {
             push(
                 &mut findings,
                 line,
                 Rule::D4,
-                "extern crate declaration; the workspace is hermetic (in-tree code only)".to_owned(),
+                "extern crate declaration; the workspace is hermetic (in-tree code only)"
+                    .to_owned(),
             );
         }
 
@@ -321,7 +355,8 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
                     &mut findings,
                     line,
                     Rule::U1,
-                    "unsafe without a `// SAFETY:` comment within the three preceding lines".to_owned(),
+                    "unsafe without a `// SAFETY:` comment within the three preceding lines"
+                        .to_owned(),
                 );
             }
         }
@@ -335,7 +370,12 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
         }
     }
 
-    FileAnalysis { parsed, findings, allows, diags }
+    FileAnalysis {
+        parsed,
+        findings,
+        allows,
+        diags,
+    }
 }
 
 /// Rule U2: within one statement segment, identifiers carrying two
@@ -399,7 +439,8 @@ fn unit_mixing_findings(sig: &[&Tok], test_spans: &[(u32, u32)]) -> Vec<(u32, St
                 }
                 TokKind::Punct(c) => {
                     let next_gt = seg.get(k + 1).is_some_and(|n| n.is_punct('>'));
-                    let prev_arrowish = k > 0 && (seg[k - 1].is_punct('-') || seg[k - 1].is_punct('='));
+                    let prev_arrowish =
+                        k > 0 && (seg[k - 1].is_punct('-') || seg[k - 1].is_punct('='));
                     match c {
                         '+' | '*' | '/' | '%' | '<' => has_op = true,
                         // `->` and `=>` are not operators.
@@ -435,7 +476,9 @@ fn parse_allow_directives(path: &str, toks: &[Tok]) -> (Vec<AllowEntry>, Vec<Dia
     let mut allows = Vec::new();
     let mut diags = Vec::new();
     for t in toks {
-        let TokKind::Comment(text) = &t.kind else { continue };
+        let TokKind::Comment(text) = &t.kind else {
+            continue;
+        };
         // The directive must open the comment; prose that merely
         // mentions the syntax (like this sentence) is inert.
         let Some(rest) = text.trim_start().strip_prefix("lint: allow(") else {
@@ -473,7 +516,12 @@ fn parse_allow_directives(path: &str, toks: &[Tok]) -> (Vec<AllowEntry>, Vec<Dia
             });
             continue;
         }
-        allows.push(AllowEntry { line: t.line, target_line: t.line, rule, used: false });
+        allows.push(AllowEntry {
+            line: t.line,
+            target_line: t.line,
+            rule,
+            used: false,
+        });
     }
     (allows, diags)
 }
@@ -583,7 +631,8 @@ mod tests {
 
     #[test]
     fn h1_only_applies_inside_marked_fns() {
-        let src = "fn cold() { let v = vec![1]; }\n// lint: hot-path\nfn hot() { let v = vec![1]; }\n";
+        let src =
+            "fn cold() { let v = vec![1]; }\n// lint: hot-path\nfn hot() { let v = vec![1]; }\n";
         let diags = lint_source("x.rs", "ssmc-storage", src);
         assert_eq!(diags.len(), 1);
         assert_eq!((diags[0].rule, diags[0].line), (Rule::H1, 3));
@@ -626,7 +675,10 @@ mod tests {
     fn d3_exempts_par_rs_and_tests() {
         let src = "use std::sync::Mutex;\n";
         assert!(rules_fired("crates/sim/src/par.rs", "ssmc-sim", src).is_empty());
-        assert_eq!(rules_fired("crates/sim/src/other.rs", "ssmc-sim", src), vec!["D3"]);
+        assert_eq!(
+            rules_fired("crates/sim/src/other.rs", "ssmc-sim", src),
+            vec!["D3"]
+        );
     }
 
     #[test]

@@ -26,8 +26,16 @@ const FIXTURE_CRATE: &str = "ssmc-storage";
 
 /// The rules whose fixtures are a single file through [`lint_source`].
 /// H2/E1 are interprocedural (explicit tests below).
-const PER_FILE_RULES: [Rule; 8] =
-    [Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::H1, Rule::U1, Rule::U2, Rule::A1];
+const PER_FILE_RULES: [Rule; 8] = [
+    Rule::D1,
+    Rule::D2,
+    Rule::D3,
+    Rule::D4,
+    Rule::H1,
+    Rule::U1,
+    Rule::U2,
+    Rule::A1,
+];
 
 fn render(diags: &[Diagnostic]) -> Vec<String> {
     diags.iter().map(|d| d.to_string()).collect()
@@ -71,7 +79,8 @@ fn bad_fixture_diagnostics_render_the_contract_format() {
     let diags = lint_source("crates/lint/tests/fixtures/d2_bad.rs", FIXTURE_CRATE, &src);
     let rendered = diags[0].to_string();
     assert!(
-        rendered.starts_with("crates/lint/tests/fixtures/d2_bad.rs:") && rendered.contains(": D2: "),
+        rendered.starts_with("crates/lint/tests/fixtures/d2_bad.rs:")
+            && rendered.contains(": D2: "),
         "unexpected rendering: {rendered}"
     );
 }
@@ -81,7 +90,11 @@ fn h1_fixture_survives_an_inner_block_before_the_allocation() {
     // Regression: a line-oriented span heuristic ended the hot span at
     // the if-block's `}`, hiding the `.to_vec()` after it.
     let src = fixture("h1_depth_bad.rs");
-    let diags = lint_source("crates/lint/tests/fixtures/h1_depth_bad.rs", FIXTURE_CRATE, &src);
+    let diags = lint_source(
+        "crates/lint/tests/fixtures/h1_depth_bad.rs",
+        FIXTURE_CRATE,
+        &src,
+    );
     assert_eq!(diags.len(), 1, "{:?}", render(&diags));
     assert_eq!(diags[0].rule, Rule::H1, "{}", diags[0]);
     assert!(diags[0].message.contains(".to_vec()"), "{}", diags[0]);
@@ -97,8 +110,16 @@ fn h1_capacity_fixtures_match_only_the_path_forms() {
     let rendered = render(&diags);
     assert_eq!(diags.len(), 2, "{rendered:?}");
     assert!(diags.iter().all(|d| d.rule == Rule::H1), "{rendered:?}");
-    assert!(diags[0].message.contains("Vec::with_capacity"), "{}", diags[0]);
-    assert!(diags[1].message.contains("String::with_capacity"), "{}", diags[1]);
+    assert!(
+        diags[0].message.contains("Vec::with_capacity"),
+        "{}",
+        diags[0]
+    );
+    assert!(
+        diags[1].message.contains("String::with_capacity"),
+        "{}",
+        diags[1]
+    );
     let diags = lint("h1_capacity_clean.rs");
     assert!(diags.is_empty(), "{:?}", render(&diags));
 }
@@ -109,7 +130,11 @@ fn h1_capacity_fixtures_match_only_the_path_forms() {
 fn lint_interprocedural(entry: &str, helper: Option<&str>) -> Vec<Diagnostic> {
     let entry_src = fixture(entry);
     let helper_src = helper.map(fixture);
-    let mut files = vec![("crates/storage/src/entry.rs", FIXTURE_CRATE, entry_src.as_str())];
+    let mut files = vec![(
+        "crates/storage/src/entry.rs",
+        FIXTURE_CRATE,
+        entry_src.as_str(),
+    )];
     if let Some(src) = helper_src.as_deref() {
         files.push(("crates/storage/src/help.rs", FIXTURE_CRATE, src));
     }
@@ -122,7 +147,9 @@ fn h2_bad_fixture_reports_the_chain_across_files() {
     assert_eq!(diags.len(), 1, "{:?}", render(&diags));
     assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
     assert!(
-        diags[0].message.contains("replay_op → record_op → Vec::new"),
+        diags[0]
+            .message
+            .contains("replay_op → record_op → Vec::new"),
         "chain missing: {}",
         diags[0]
     );
@@ -140,7 +167,9 @@ fn h2_reports_a_sized_vec_behind_a_hot_root() {
     assert_eq!(diags.len(), 1, "{:?}", render(&diags));
     assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
     assert!(
-        diags[0].message.contains("replay_op → record_op → Vec::with_capacity"),
+        diags[0]
+            .message
+            .contains("replay_op → record_op → Vec::with_capacity"),
         "chain missing: {}",
         diags[0]
     );

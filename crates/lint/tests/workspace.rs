@@ -14,7 +14,11 @@ fn live_workspace_lints_clean() {
     let a = analyze_workspace(&root).expect("walk workspace");
     // The workspace has 9 crates plus the root package; anything under
     // ~50 files means the walker silently missed most of the tree.
-    assert!(a.checked_files > 50, "only {} files checked — walker is broken", a.checked_files);
+    assert!(
+        a.checked_files > 50,
+        "only {} files checked — walker is broken",
+        a.checked_files
+    );
     // The interprocedural passes must actually have a graph to walk: a
     // near-empty graph means the item parser or call resolution silently
     // regressed and H2/E1 are vacuously "clean". The passes themselves

@@ -459,7 +459,10 @@ impl<V: Copy + Default> BTreeIndex<V> {
     fn rotate_into_right(&mut self, x: u32, k: usize) {
         let left = self.nodes[x as usize].kids[k];
         let right = self.nodes[x as usize].kids[k + 1];
-        let sep = (self.nodes[x as usize].keys[k], self.nodes[x as usize].vals[k]);
+        let sep = (
+            self.nodes[x as usize].keys[k],
+            self.nodes[x as usize].vals[k],
+        );
         let lnode = self.nodes[left as usize];
         let llen = lnode.len as usize;
         {
@@ -486,7 +489,10 @@ impl<V: Copy + Default> BTreeIndex<V> {
     fn rotate_into_left(&mut self, x: u32, k: usize) {
         let left = self.nodes[x as usize].kids[k];
         let right = self.nodes[x as usize].kids[k + 1];
-        let sep = (self.nodes[x as usize].keys[k], self.nodes[x as usize].vals[k]);
+        let sep = (
+            self.nodes[x as usize].keys[k],
+            self.nodes[x as usize].vals[k],
+        );
         let rnode = self.nodes[right as usize];
         let rlen = rnode.len as usize;
         {
@@ -516,7 +522,10 @@ impl<V: Copy + Default> BTreeIndex<V> {
     fn merge_children(&mut self, x: u32, k: usize) {
         let left = self.nodes[x as usize].kids[k];
         let right = self.nodes[x as usize].kids[k + 1];
-        let sep = (self.nodes[x as usize].keys[k], self.nodes[x as usize].vals[k]);
+        let sep = (
+            self.nodes[x as usize].keys[k],
+            self.nodes[x as usize].vals[k],
+        );
         let rnode = self.nodes[right as usize];
         let rlen = rnode.len as usize;
         {
@@ -635,7 +644,11 @@ mod tests {
         assert_eq!(idx.insert("dup", 2), Some(1));
         assert_eq!(idx.get("dup"), Some(2));
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.arena_bytes(), arena_after_first, "replace re-interns nothing");
+        assert_eq!(
+            idx.arena_bytes(),
+            arena_after_first,
+            "replace re-interns nothing"
+        );
     }
 
     #[test]

@@ -1436,8 +1436,8 @@ mod tests {
         let mut f = fs();
         f.create("/a").expect("create"); // slot 0
         f.create("/b").expect("create"); // slot 1
-        // Simulate the historical double-free: slot 0 is live but listed
-        // as free.
+                                         // Simulate the historical double-free: slot 0 is live but listed
+                                         // as free.
         f.dirs[ROOT_INO as usize]
             .as_mut()
             .expect("root index")

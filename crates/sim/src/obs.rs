@@ -908,10 +908,7 @@ mod tests {
         assert_eq!(back.to_report().encode(), bytes);
         assert_eq!(back.len(), 4);
         assert_eq!(back.counter_value("storage.gc_runs"), Some(17));
-        assert_eq!(
-            back.gauge_value("storage.write_amplification"),
-            Some(1.25)
-        );
+        assert_eq!(back.gauge_value("storage.write_amplification"), Some(1.25));
         assert!(matches!(
             back.get("machine.op_latency"),
             Some(Instrument::Histogram(_))

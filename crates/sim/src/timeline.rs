@@ -270,8 +270,8 @@ impl<W: Write + Seek> TimelineWriter<W> {
             interval > SimDuration::ZERO,
             "a zero sample interval would sample every maintenance tick"
         );
-        let channels = u32::try_from(schema.channels.len())
-            .map_err(|_| corrupt("too many channels"))?;
+        let channels =
+            u32::try_from(schema.channels.len()).map_err(|_| corrupt("too many channels"))?;
         w.write_all(&TIMELINE_MAGIC)?;
         w.write_all(&TIMELINE_VERSION.to_le_bytes())?;
         w.write_all(&0u16.to_le_bytes())?;
@@ -419,8 +419,7 @@ impl Timeline {
             // `read`.
             let mut name = vec![0u8; usize::from(name_len)];
             r.read_exact(&mut name)?;
-            let name =
-                String::from_utf8(name).map_err(|_| corrupt("channel name is not UTF-8"))?;
+            let name = String::from_utf8(name).map_err(|_| corrupt("channel name is not UTF-8"))?;
             channels.push(Channel { name, kind });
         }
         if rows.checked_mul(channel_count as u64 * 8) != Some(left) {
@@ -583,11 +582,7 @@ impl TimelineSink {
     ///
     /// Write errors from the sink.
     // lint: hot-path
-    pub fn sample(
-        &mut self,
-        now: SimTime,
-        fill: impl FnOnce(&mut SampleBuf),
-    ) -> io::Result<()> {
+    pub fn sample(&mut self, now: SimTime, fill: impl FnOnce(&mut SampleBuf)) -> io::Result<()> {
         let tick = now.as_nanos() / self.interval_ns;
         self.buf.values.clear();
         self.buf.values.push(tick);
@@ -635,8 +630,7 @@ mod tests {
             ("c.count", ChannelKind::Counter),
         ]);
         let interval = SimDuration::from_nanos(1_000);
-        let mut w =
-            TimelineWriter::new(Cursor::new(Vec::new()), &s, interval).expect("header");
+        let mut w = TimelineWriter::new(Cursor::new(Vec::new()), &s, interval).expect("header");
         // Counters that wrap backwards through delta encoding, gauges
         // with negative and extreme levels.
         let rows: Vec<[u64; 3]> = vec![
@@ -690,7 +684,8 @@ mod tests {
         )
         .expect("sink");
         assert!(sink.due(SimTime::ZERO), "row 0 is due immediately");
-        sink.sample(SimTime::ZERO, |buf| fill(buf, 3, 1.5)).expect("sample");
+        sink.sample(SimTime::ZERO, |buf| fill(buf, 3, 1.5))
+            .expect("sample");
         assert!(!sink.due(SimTime::from_nanos(99)));
         assert!(sink.due(SimTime::from_nanos(100)));
         // A large jump lands on its own boundary, not every missed one.
@@ -792,8 +787,8 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let path = std::env::temp_dir()
-            .join(format!("ssmc-timeline-test-{}.tl", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("ssmc-timeline-test-{}.tl", std::process::id()));
         let s = schema(&[("n", ChannelKind::Counter), ("g", ChannelKind::Gauge)]);
         let mut w = TimelineWriter::create(&path, &s, SimDuration::from_micros(1)).expect("create");
         w.push_row(&[1, (0.5f64).to_bits()]).expect("row");

@@ -162,8 +162,12 @@ impl WriteBuffer {
             NIL => self.head = frame,
             t => {
                 debug_assert!(
-                    self.frames[t].map(|m| m.last_write).unwrap_or(SimTime::ZERO)
-                        <= self.frames[frame].map(|m| m.last_write).unwrap_or(SimTime::ZERO),
+                    self.frames[t]
+                        .map(|m| m.last_write)
+                        .unwrap_or(SimTime::ZERO)
+                        <= self.frames[frame]
+                            .map(|m| m.last_write)
+                            .unwrap_or(SimTime::ZERO),
                     "LRW append out of time order — clock went backwards?"
                 );
                 if let Some(m) = self.frames[t].as_mut() {

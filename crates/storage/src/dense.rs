@@ -145,9 +145,9 @@ impl<V: Copy> DenseIndex<V> {
             .iter()
             .enumerate()
             .flat_map(|(w, win)| {
-                win.iter().enumerate().filter_map(move |(s, v)| {
-                    v.map(|v| (((w as u64) << 32) | s as u64, v))
-                })
+                win.iter()
+                    .enumerate()
+                    .filter_map(move |(s, v)| v.map(|v| (((w as u64) << 32) | s as u64, v)))
             })
             .chain(self.overflow.iter().map(|(k, v)| (*k, *v)))
     }

@@ -47,8 +47,8 @@ pub use dense::DenseIndex;
 pub use error::StorageError;
 pub use manager::StorageManager;
 pub use map::{Location, PageId, PageMap};
-pub use pool::PagePool;
 pub use metrics::StorageMetrics;
+pub use pool::PagePool;
 pub use recovery::RecoveryReport;
 
 /// Result alias for storage operations.

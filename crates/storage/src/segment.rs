@@ -764,11 +764,7 @@ mod tests {
         assert_eq!(tb.seg(0).live, 1);
         assert_eq!(tb.seg(0).youngest_write, t(1));
         for i in 1..8u64 {
-            tb.append(
-                0,
-                sm(100 + i, 1 + i),
-                t(2),
-            );
+            tb.append(0, sm(100 + i, 1 + i), t(2));
         }
         assert!(tb.seg(0).is_full());
         assert_eq!(tb.seg(0).slots_free(), 0);

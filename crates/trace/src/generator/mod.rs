@@ -469,8 +469,7 @@ impl<'a, S: OpSink> Engine<'a, S> {
             };
             (offset, chunk.max(1))
         };
-        self.sink
-            .emit(self.now, FileOp::Read { file, offset, len });
+        self.sink.emit(self.now, FileOp::Read { file, offset, len });
         self.touch(file);
     }
 

@@ -67,10 +67,22 @@ fn report_encoder_reproduces_checked_in_f2_results() {
     let text = std::fs::read_to_string(path).expect("read results/f2.json");
     let value = Value::decode(&text).expect("decode results/f2.json");
     let tables = Vec::<Table>::from_report(&value).expect("tables from report");
-    assert_eq!(tables.len(), 2, "f2 emits the F2a sweep and F2b sensitivity");
-    assert!(tables[0].title.starts_with("F2a:"), "title {}", tables[0].title);
+    assert_eq!(
+        tables.len(),
+        2,
+        "f2 emits the F2a sweep and F2b sensitivity"
+    );
+    assert!(
+        tables[0].title.starts_with("F2a:"),
+        "title {}",
+        tables[0].title
+    );
     assert_eq!(tables[0].headers[0], "buffer (KB)");
-    assert!(tables[1].title.starts_with("F2b:"), "title {}", tables[1].title);
+    assert!(
+        tables[1].title.starts_with("F2b:"),
+        "title {}",
+        tables[1].title
+    );
     assert!(!tables[0].rows.is_empty() && !tables[1].rows.is_empty());
 
     let reencoded = tables.to_report().encode_pretty();
@@ -87,8 +99,8 @@ fn report_encoder_reproduces_checked_in_f2_results() {
 /// replay is single-threaded and stamps only simulated time.
 #[test]
 fn traced_replay_journal_is_byte_identical() {
-    use ssmc_bench::obs_trace::traced_replay;
     use ssmc::trace::Workload;
+    use ssmc_bench::obs_trace::traced_replay;
 
     let encode = || {
         let artifact = traced_replay(Workload::Bsd, 25_000);
@@ -100,7 +112,10 @@ fn traced_replay_journal_is_byte_identical() {
     let (journal_a, registry_a) = encode();
     let (journal_b, registry_b) = encode();
     assert_eq!(journal_a, journal_b, "journal bytes diverged across runs");
-    assert_eq!(registry_a, registry_b, "registry bytes diverged across runs");
+    assert_eq!(
+        registry_a, registry_b,
+        "registry bytes diverged across runs"
+    );
 
     set_threads(1);
     let (journal_seq, registry_seq) = encode();
@@ -115,7 +130,10 @@ fn traced_replay_journal_is_byte_identical() {
         registry_seq, registry_par,
         "registry bytes changed with the thread count"
     );
-    assert_eq!(journal_a, journal_seq, "journal bytes drifted between phases");
+    assert_eq!(
+        journal_a, journal_seq,
+        "journal bytes drifted between phases"
+    );
 
     // The artifact is non-trivial: root spans for every op, plus nested
     // spans from at least the fs, storage, and device layers.

@@ -25,8 +25,16 @@ fn random_op(rng: &mut SimRng) -> Op {
     let file = |rng: &mut SimRng| rng.below(6);
     match rng.below(12) {
         0..=1 => Op::Create(file(rng)),
-        2..=5 => Op::Write(file(rng), rng.below(100_000) as u32, 1 + rng.below(39_999) as u32),
-        6..=8 => Op::Read(file(rng), rng.below(120_000) as u32, 1 + rng.below(39_999) as u32),
+        2..=5 => Op::Write(
+            file(rng),
+            rng.below(100_000) as u32,
+            1 + rng.below(39_999) as u32,
+        ),
+        6..=8 => Op::Read(
+            file(rng),
+            rng.below(120_000) as u32,
+            1 + rng.below(39_999) as u32,
+        ),
         9 => Op::Truncate(file(rng), rng.below(100_000) as u32),
         10 => Op::Delete(file(rng)),
         _ => Op::Flush,
@@ -38,7 +46,9 @@ fn diskfs_matches_size_model() {
     for case in 0..32u64 {
         let seed = SEED + case;
         let mut rng = SimRng::seed_from_u64(seed);
-        let ops: Vec<Op> = (0..1 + rng.below(79)).map(|_| random_op(&mut rng)).collect();
+        let ops: Vec<Op> = (0..1 + rng.below(79))
+            .map(|_| random_op(&mut rng))
+            .collect();
 
         let clock = Clock::shared();
         let mut fs = DiskFs::new(
@@ -71,11 +81,7 @@ fn diskfs_matches_size_model() {
                     let real = fs.write(f, off as u64, len as u64);
                     match model.get_mut(&f) {
                         Some(size) => {
-                            assert!(
-                                real.is_ok(),
-                                "seed {seed}: write failed: {:?}",
-                                real.err()
-                            );
+                            assert!(real.is_ok(), "seed {seed}: write failed: {:?}", real.err());
                             *size = (*size).max(off as u64 + len as u64);
                         }
                         None => assert_eq!(

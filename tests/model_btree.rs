@@ -63,7 +63,11 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                 );
             }
             Op::Remove(name) => {
-                assert_eq!(real.remove(name), model.remove(name), "{ctx}: remove {name}");
+                assert_eq!(
+                    real.remove(name),
+                    model.remove(name),
+                    "{ctx}: remove {name}"
+                );
             }
             Op::Get(name) => {
                 assert_eq!(

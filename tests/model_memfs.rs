@@ -42,7 +42,11 @@ fn random_op(rng: &mut SimRng) -> Op {
             1 + rng.below(2999) as u16,
             rng.below(256) as u8,
         ),
-        6..=8 => Op::Read(name(rng), rng.below(8000) as u16, 1 + rng.below(3999) as u16),
+        6..=8 => Op::Read(
+            name(rng),
+            rng.below(8000) as u16,
+            1 + rng.below(3999) as u16,
+        ),
         9 => Op::Truncate(name(rng), rng.below(6000) as u16),
         10 => Op::Delete(name(rng)),
         11 => Op::Rename(name(rng), name(rng)),
@@ -84,7 +88,11 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                 let real = fs.create(&p);
                 match model.entry(p.clone()) {
                     std::collections::hash_map::Entry::Occupied(_) => {
-                        assert_eq!(real.err(), Some(FsError::Exists), "{ctx}: double create {p}");
+                        assert_eq!(
+                            real.err(),
+                            Some(FsError::Exists),
+                            "{ctx}: double create {p}"
+                        );
                     }
                     std::collections::hash_map::Entry::Vacant(v) => {
                         assert!(real.is_ok(), "{ctx}: create {p} failed");
@@ -157,7 +165,11 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                 if model.remove(&p).is_some() {
                     assert!(real.is_ok(), "{ctx}: unlink {p} failed: {:?}", real.err());
                 } else {
-                    assert_eq!(real.err(), Some(FsError::NotFound), "{ctx}: unlink ghost {p}");
+                    assert_eq!(
+                        real.err(),
+                        Some(FsError::NotFound),
+                        "{ctx}: unlink ghost {p}"
+                    );
                 }
             }
             Op::Rename(a, b) => {
@@ -173,7 +185,11 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                         model.insert(pb, v);
                     }
                     (false, _, _) => {
-                        assert_eq!(real.err(), Some(FsError::NotFound), "{ctx}: rename ghost {pa}")
+                        assert_eq!(
+                            real.err(),
+                            Some(FsError::NotFound),
+                            "{ctx}: rename ghost {pa}"
+                        )
                     }
                 }
             }

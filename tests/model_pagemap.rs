@@ -108,7 +108,11 @@ fn page_map_matches_hash_map_model() {
         // Probe ids the sequence may never have touched.
         for _ in 0..32 {
             let p = random_page(&mut rng);
-            assert_eq!(map.get(p), model.get(&p).copied(), "case {case} probe {p:#x}");
+            assert_eq!(
+                map.get(p),
+                model.get(&p).copied(),
+                "case {case} probe {p:#x}"
+            );
         }
     }
 }

@@ -67,7 +67,10 @@ fn million_entry_directory_stays_logarithmic_and_flat() {
         (4..=8).contains(&depth),
         "depth {depth} out of the logarithmic envelope for 1e6 entries"
     );
-    assert!(splits > MILLION as u64 / 16, "suspiciously few splits: {splits}");
+    assert!(
+        splits > MILLION as u64 / 16,
+        "suspiciously few splits: {splits}"
+    );
 
     // Point lookups across the keyspace.
     for i in [0, 1, MILLION / 2, MILLION - 2, MILLION - 1] {

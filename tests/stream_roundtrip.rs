@@ -58,8 +58,7 @@ fn all_five_generators_round_trip_through_the_ops_file() {
             w.name(),
             std::process::id()
         ));
-        let mut writer =
-            OpStreamWriter::create(&path, w.name()).expect("create stream file");
+        let mut writer = OpStreamWriter::create(&path, w.name()).expect("create stream file");
         let written = config(w)
             .generate_into(&mut writer)
             .expect("compile stream");
