@@ -16,7 +16,7 @@ use crate::elevator::cscan_order;
 use crate::power::DiskPowerManager;
 use core::fmt;
 use ssmc_device::{Disk, DiskSpec, DramSpec};
-use ssmc_sim::{EnergyLedger, SharedClock, SimDuration, SimTime};
+use ssmc_sim::{Energy, SharedClock, SimDuration, SimTime};
 use ssmc_trace::{FileOp, TraceTarget};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -219,11 +219,8 @@ impl DiskFs {
     }
 
     /// Combined energy of disk and cache DRAM.
-    pub fn total_energy(&self) -> EnergyLedger {
-        let mut l = EnergyLedger::new();
-        l.merge(self.disk.energy());
-        l.merge(self.cache.dram().energy());
-        l
+    pub fn total_energy(&self) -> Energy {
+        self.disk.energy().total() + self.cache.dram().energy().total()
     }
 
     // ------------------------------------------------------------------

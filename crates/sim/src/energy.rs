@@ -237,13 +237,6 @@ impl EnergyLedger {
     pub fn iter(&self) -> impl Iterator<Item = (&str, Energy)> {
         self.accounts.iter().map(|(k, v)| (k.as_str(), *v))
     }
-
-    /// Folds another ledger's accounts into this one.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        for (k, v) in other.iter() {
-            self.charge(k, v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -281,18 +274,6 @@ mod tests {
         assert!((l.component("flash").as_joules() - 0.75).abs() < 1e-9);
         assert!((l.total().as_joules() - 1.75).abs() < 1e-9);
         assert_eq!(l.component("disk"), Energy::ZERO);
-    }
-
-    #[test]
-    fn ledger_merge_sums_accounts() {
-        let mut a = EnergyLedger::new();
-        let mut b = EnergyLedger::new();
-        a.charge("flash", Energy::from_joules(1.0));
-        b.charge("flash", Energy::from_joules(2.0));
-        b.charge("disk", Energy::from_joules(3.0));
-        a.merge(&b);
-        assert!((a.component("flash").as_joules() - 3.0).abs() < 1e-9);
-        assert!((a.component("disk").as_joules() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! * [`EventQueue`] — a classic discrete-event priority queue.
 //! * [`SimRng`] — a seeded RNG with the distributions the workload
 //!   generators need (exponential, log-normal, Pareto, Zipf).
-//! * [`stats`] — online statistics, histograms, and time-weighted averages.
+//! * [`stats`] — histograms and time-weighted averages.
 //! * [`EnergyLedger`] — named per-component energy accounting.
 //! * [`series`] — result tables and their text rendering, used by the
 //!   experiment harness.
@@ -48,7 +48,7 @@ pub use par::{parallel_sweep, set_threads, threads};
 pub use report::{field, FromReport, ReportError, ToReport, Value};
 pub use rng::SimRng;
 pub use series::{Cell, Table};
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::{Histogram, TimeWeighted};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{
     Channel, ChannelKind, SampleBuf, Schema, SeekWrite, Timeline, TimelineSink, TimelineSummary,

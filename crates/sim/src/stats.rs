@@ -1,138 +1,13 @@
-//! Online statistics used throughout the experiments.
+//! Latency and occupancy statistics for the metrics layer.
 //!
-//! * [`OnlineStats`] — count / mean / variance / min / max in O(1) space
-//!   (Welford's algorithm).
 //! * [`Histogram`] — log₂-bucketed histogram with quantile estimation,
-//!   suitable for latency distributions spanning nanoseconds to seconds.
+//!   suitable for latency distributions spanning nanoseconds to seconds;
+//!   replay percentiles and the metrics registry use it.
 //! * [`TimeWeighted`] — time-weighted average of a level signal (e.g. DRAM
 //!   pages occupied), integrated against the simulation clock.
 
 use crate::report::{field, FromReport, ReportError, ToReport, Value};
 use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/variance/min/max accumulator (Welford).
-///
-/// # Examples
-///
-/// ```
-/// use ssmc_sim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 6.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.max(), 6.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Records a duration in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos() as f64);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 if fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            // lint: allow(H2): end-of-run stats merge; hot roots reach it only
-            // through name-based resolution of `merge`.
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Log₂-bucketed histogram of non-negative integer values.
 ///
@@ -409,50 +284,6 @@ impl FromReport for TimeWeighted {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic_moments() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 37 % 17) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..40] {
-            a.record(x);
-        }
-        for &x in &xs[40..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_zeroed() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
 
     #[test]
     fn histogram_bucketing() {

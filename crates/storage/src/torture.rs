@@ -319,13 +319,29 @@ impl TortureSummary {
     }
 }
 
-/// Replays `ops` against `m`, keeping `model` in lockstep. Stops as soon
-/// as an armed power cut fires (the machine is off). Returns whether the
-/// cut fired.
-fn replay(m: &mut StorageManager, model: &mut DurabilityModel, ops: &[TortureOp]) -> bool {
-    let clock = m.clock().clone();
-    let ps = m.config().page_size as usize;
-    let mut buf = vec![0u8; ps];
+/// The replay set-up both passes share: a fresh manager and durability
+/// model, a power cut armed at `cut` if one is given, `ops` replayed with
+/// the model in lockstep until they end or the cut fires (the machine is
+/// off), then a crash and a recovery. Returns the rebooted manager, the
+/// model, whether the cut fired, and recovery's outcome.
+fn replay_and_recover(
+    cfg: &StorageConfig,
+    ops: &[TortureOp],
+    seed: u64,
+    cut: Option<(u64, TearMode)>,
+) -> (
+    StorageManager,
+    DurabilityModel,
+    bool,
+    Result<RecoveryReport, StorageError>,
+) {
+    let clock = Clock::shared();
+    let mut m = StorageManager::new(cfg.clone(), clock.clone());
+    let mut model = DurabilityModel::new(seed);
+    if let Some((cut_at, tear)) = cut {
+        m.arm_power_cut(cut_at, tear);
+    }
+    let mut buf = vec![0u8; m.config().page_size as usize];
     for op in ops {
         match *op {
             TortureOp::Write { page } => {
@@ -352,10 +368,13 @@ fn replay(m: &mut StorageManager, model: &mut DurabilityModel, ops: &[TortureOp]
             }
         }
         if m.power_cut_fired() {
-            return true;
+            break;
         }
     }
-    m.power_cut_fired()
+    let fired = m.power_cut_fired();
+    m.crash();
+    let recovery = m.recover();
+    (m, model, fired, recovery)
 }
 
 /// Pre-pass: replays `ops` with no cut armed and returns the number of
@@ -365,21 +384,16 @@ fn replay(m: &mut StorageManager, model: &mut DurabilityModel, ops: &[TortureOp]
 /// # Errors
 ///
 /// Propagates a failed clean replay — the stream must run green before
-/// cuts mean anything.
+/// cuts mean anything. A clean replay must also survive a clean (untorn)
+/// crash and recovery; that error surfaces here rather than per cut.
 pub fn count_boundaries(
     cfg: &StorageConfig,
     ops: &[TortureOp],
     seed: u64,
 ) -> Result<u64, StorageError> {
-    let clock = Clock::shared();
-    let mut m = StorageManager::new(cfg.clone(), clock);
-    let mut model = DurabilityModel::new(seed);
-    let fired = replay(&mut m, &mut model, ops);
+    let (m, _, fired, recovery) = replay_and_recover(cfg, ops, seed, None);
     debug_assert!(!fired, "no cut armed, none can fire");
-    // A clean replay must also survive a clean (untorn) crash+recover;
-    // surface any error here rather than per-cut.
-    m.crash();
-    m.recover()?;
+    recovery?;
     Ok(m.boundary_ops())
 }
 
@@ -393,23 +407,18 @@ pub fn run_cut(
     cut_at: u64,
     tear: TearMode,
 ) -> CutReport {
-    let clock = Clock::shared();
-    let mut m = StorageManager::new(cfg.clone(), clock);
-    let mut model = DurabilityModel::new(seed);
-    m.arm_power_cut(cut_at, tear);
-    let fired = replay(&mut m, &mut model, ops);
-    m.crash();
+    let (mut m, model, fired, recovery) = replay_and_recover(cfg, ops, seed, Some((cut_at, tear)));
     let mut violations = Vec::new();
-    let recovery = match m.recover() {
-        Ok(r) => Some(r),
+    let recovery = match recovery {
+        Ok(r) => {
+            model.verify(&mut m, &mut violations);
+            Some(r)
+        }
         Err(_) => {
             violations.push(Violation::RecoveryFailed);
             None
         }
     };
-    if recovery.is_some() {
-        model.verify(&mut m, &mut violations);
-    }
     CutReport {
         cut_at,
         fired,

@@ -11,13 +11,9 @@ pub enum VmError {
         /// Faulting virtual address.
         addr: u64,
     },
-    /// Access violated the mapping's permissions (e.g. write to read-only
-    /// code, execute from a data region).
-    Protection {
-        /// Faulting virtual address.
-        addr: u64,
-    },
-    /// No DRAM frame available and paging is disabled.
+    /// A demand load needed a DRAM frame and the pool was empty. There is
+    /// no pager: §3.2 expects virtual memory on a solid-state machine to
+    /// protect, not to expand capacity.
     OutOfMemory,
     /// Unknown address-space identifier.
     BadAsid(u32),
@@ -29,8 +25,7 @@ impl fmt::Display for VmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             VmError::SegFault { addr } => write!(f, "segmentation fault at {addr:#x}"),
-            VmError::Protection { addr } => write!(f, "protection violation at {addr:#x}"),
-            VmError::OutOfMemory => write!(f, "out of DRAM frames (paging disabled)"),
+            VmError::OutOfMemory => write!(f, "out of DRAM frames"),
             VmError::BadAsid(asid) => write!(f, "unknown address space {asid}"),
             VmError::Storage(e) => write!(f, "storage: {e}"),
         }

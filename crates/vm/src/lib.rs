@@ -10,16 +10,18 @@
 //!   storage pages ([`vm`]);
 //! * **execute-in-place** ([`xip`]): code mapped straight out of flash
 //!   with no load-time copy and no duplicate DRAM footprint — experiment
-//!   F6's subject — versus conventional demand loading;
-//! * copy-on-write for mapped files: reads go to flash in place, the
-//!   first write to a page copies just that page into DRAM;
-//! * an optional LRU pager that swaps anonymous pages to storage, the
-//!   capacity-expansion mode the paper expects to become unnecessary.
+//!   F6's subject — versus conventional demand loading into a fixed pool
+//!   of DRAM frames.
+//!
+//! Mappings are read-execute program text only. There is no anonymous
+//! memory, no copy-on-write and no pager: running out of frames is
+//! [`VmError::OutOfMemory`], not a swap, because capacity expansion is
+//! the mode the paper expects to become unnecessary.
 //!
 //! The VM layer is a *timing and accounting* model: data contents flow
 //! through the file system and storage manager; here we track mappings,
-//! residency, and charge the device costs of every fault, copy, fetch,
-//! and swap.
+//! residency, and charge the device costs of every fault, copy and
+//! fetch.
 
 #![forbid(unsafe_code)]
 
@@ -30,9 +32,9 @@ pub mod vm;
 pub mod xip;
 
 pub use error::VmError;
-pub use page_table::{Backing, PageTable, Pte};
-pub use space::{AddressSpace, Mapping, MappingKind, Perm};
-pub use vm::{AccessKind, Vm, VmConfig, VmMetrics};
+pub use page_table::{Backing, PageTable};
+pub use space::{AddressSpace, Mapping};
+pub use vm::{Vm, VmConfig, VmMetrics};
 pub use xip::{launch, run_code, LaunchStats};
 
 /// Result alias for VM operations.

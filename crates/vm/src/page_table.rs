@@ -1,6 +1,6 @@
 //! A multi-level radix page table over a 64-bit virtual space.
 //!
-//! The table maps virtual page numbers to [`Pte`]s through 9-bit radix
+//! The table maps virtual page numbers to [`Backing`]s through 9-bit radix
 //! levels (512 entries per node), the x86-64 shape. Interior nodes are
 //! allocated lazily, so a sparse 64-bit space costs memory proportional
 //! to what is mapped; the node count is exposed so experiments can report
@@ -8,28 +8,13 @@
 
 use ssmc_storage::PageId;
 
-/// What a present page is backed by.
+/// What a present page is backed by: the table's entry type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backing {
     /// A DRAM frame (index into the VM's frame pool).
     Frame(u64),
-    /// A logical storage page, accessed in place (flash direct mapping or
-    /// swap slot).
+    /// A logical storage page, accessed in place (flash direct mapping).
     Storage(PageId),
-}
-
-/// A page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pte {
-    /// Whether writes are currently allowed without a fault.
-    pub writable: bool,
-    /// Whether the page is copy-on-write: the first write copies it into
-    /// a DRAM frame.
-    pub cow: bool,
-    /// Dirty since the backing was last synchronised.
-    pub dirty: bool,
-    /// Where the page lives.
-    pub backing: Backing,
 }
 
 const RADIX_BITS: u32 = 9;
@@ -37,7 +22,7 @@ const FANOUT: usize = 1 << RADIX_BITS;
 
 enum Node {
     Interior(Box<[Option<Node>; FANOUT]>),
-    Leaf(Box<[Option<Pte>; FANOUT]>),
+    Leaf(Box<[Option<Backing>; FANOUT]>),
 }
 
 impl Node {
@@ -68,16 +53,11 @@ impl core::fmt::Debug for Node {
 /// # Examples
 ///
 /// ```
-/// use ssmc_vm::{Backing, PageTable, Pte};
+/// use ssmc_vm::{Backing, PageTable};
 ///
 /// let mut table = PageTable::new(55);
-/// table.map(42, Pte {
-///     writable: true,
-///     cow: false,
-///     dirty: false,
-///     backing: Backing::Frame(7),
-/// });
-/// assert_eq!(table.get(42).unwrap().backing, Backing::Frame(7));
+/// table.map(42, Backing::Frame(7));
+/// assert_eq!(table.get(42), Some(Backing::Frame(7)));
 /// assert!(table.get(43).is_none());
 /// ```
 #[derive(Debug)]
@@ -121,17 +101,19 @@ impl PageTable {
         self.mapped
     }
 
-    fn index(&self, vpn: u64, level: u32) -> usize {
-        ((vpn >> (RADIX_BITS * (self.levels - 1 - level))) & (FANOUT as u64 - 1)) as usize
+    /// Slot of `vpn` in a node at `level` (0 = root) of a `levels`-deep
+    /// table.
+    fn index(levels: u32, vpn: u64, level: u32) -> usize {
+        ((vpn >> (RADIX_BITS * (levels - 1 - level))) & (FANOUT as u64 - 1)) as usize
     }
 
     /// Installs (or replaces) a mapping. Returns the previous entry.
-    pub fn map(&mut self, vpn: u64, pte: Pte) -> Option<Pte> {
+    pub fn map(&mut self, vpn: u64, backing: Backing) -> Option<Backing> {
         let levels = self.levels;
         let mut created = 0u64;
         let mut node = &mut self.root;
         for level in 0..levels - 1 {
-            let idx = ((vpn >> (RADIX_BITS * (levels - 1 - level))) & (FANOUT as u64 - 1)) as usize;
+            let idx = Self::index(levels, vpn, level);
             let Node::Interior(children) = node else {
                 unreachable!("interior level holds interior nodes");
             };
@@ -150,7 +132,7 @@ impl PageTable {
         let Node::Leaf(entries) = node else {
             unreachable!("last level is a leaf");
         };
-        let old = entries[idx].replace(pte);
+        let old = entries[idx].replace(backing);
         self.nodes += created;
         if old.is_none() {
             self.mapped += 1;
@@ -159,10 +141,10 @@ impl PageTable {
     }
 
     /// Looks up a mapping.
-    pub fn get(&self, vpn: u64) -> Option<Pte> {
+    pub fn get(&self, vpn: u64) -> Option<Backing> {
         let mut node = &self.root;
         for level in 0..self.levels - 1 {
-            let idx = self.index(vpn, level);
+            let idx = Self::index(self.levels, vpn, level);
             let Node::Interior(children) = node else {
                 unreachable!();
             };
@@ -174,73 +156,25 @@ impl PageTable {
         };
         entries[idx]
     }
-
-    /// Mutable access to a present entry.
-    pub fn get_mut(&mut self, vpn: u64) -> Option<&mut Pte> {
-        let levels = self.levels;
-        let mut node = &mut self.root;
-        for level in 0..levels - 1 {
-            let idx = ((vpn >> (RADIX_BITS * (levels - 1 - level))) & (FANOUT as u64 - 1)) as usize;
-            let Node::Interior(children) = node else {
-                unreachable!();
-            };
-            node = children[idx].as_mut()?;
-        }
-        let idx = (vpn & (FANOUT as u64 - 1)) as usize;
-        let Node::Leaf(entries) = node else {
-            unreachable!();
-        };
-        entries[idx].as_mut()
-    }
-
-    /// Removes a mapping, returning it.
-    pub fn unmap(&mut self, vpn: u64) -> Option<Pte> {
-        let levels = self.levels;
-        let mut node = &mut self.root;
-        for level in 0..levels - 1 {
-            let idx = ((vpn >> (RADIX_BITS * (levels - 1 - level))) & (FANOUT as u64 - 1)) as usize;
-            let Node::Interior(children) = node else {
-                unreachable!();
-            };
-            node = children[idx].as_mut()?;
-        }
-        let idx = (vpn & (FANOUT as u64 - 1)) as usize;
-        let Node::Leaf(entries) = node else {
-            unreachable!();
-        };
-        let old = entries[idx].take();
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn pte(frame: u64) -> Pte {
-        Pte {
-            writable: true,
-            cow: false,
-            dirty: false,
-            backing: Backing::Frame(frame),
-        }
+    fn frame(f: u64) -> Backing {
+        Backing::Frame(f)
     }
 
     #[test]
-    fn map_get_unmap_round_trip() {
+    fn map_get_round_trip() {
         let mut t = PageTable::new(55);
         assert_eq!(t.levels(), 7); // ceil(55 / 9)
         assert!(t.get(42).is_none());
-        t.map(42, pte(7));
-        assert_eq!(t.get(42).expect("mapped").backing, Backing::Frame(7));
+        t.map(42, frame(7));
+        assert_eq!(t.get(42), Some(frame(7)));
         assert_eq!(t.mapped_count(), 1);
-        let old = t.unmap(42).expect("was mapped");
-        assert_eq!(old.backing, Backing::Frame(7));
-        assert!(t.get(42).is_none());
-        assert_eq!(t.mapped_count(), 0);
+        assert!(t.get(43).is_none());
     }
 
     #[test]
@@ -249,12 +183,12 @@ mod tests {
         let a = 0u64;
         let b = 1 << 54; // far corner of the space
         let c = (1 << 32) | 5; // a file window address
-        t.map(a, pte(1));
-        t.map(b, pte(2));
-        t.map(c, pte(3));
-        assert_eq!(t.get(a).expect("a").backing, Backing::Frame(1));
-        assert_eq!(t.get(b).expect("b").backing, Backing::Frame(2));
-        assert_eq!(t.get(c).expect("c").backing, Backing::Frame(3));
+        t.map(a, frame(1));
+        t.map(b, frame(2));
+        t.map(c, Backing::Storage(3));
+        assert_eq!(t.get(a), Some(frame(1)));
+        assert_eq!(t.get(b), Some(frame(2)));
+        assert_eq!(t.get(c), Some(Backing::Storage(3)));
     }
 
     #[test]
@@ -263,13 +197,13 @@ mod tests {
         let empty_nodes = t.node_count();
         // 512 consecutive pages share one leaf chain.
         for vpn in 0..512 {
-            t.map(vpn, pte(vpn));
+            t.map(vpn, frame(vpn));
         }
         let dense = t.node_count() - empty_nodes;
         let mut t2 = PageTable::new(55);
         // 8 scattered pages allocate a chain each.
         for i in 0..8u64 {
-            t2.map(i << 45, pte(i));
+            t2.map(i << 45, frame(i));
         }
         let sparse = t2.node_count() - empty_nodes;
         assert!(dense < sparse, "dense {dense} vs sparse {sparse}");
@@ -278,26 +212,17 @@ mod tests {
     #[test]
     fn remap_returns_previous() {
         let mut t = PageTable::new(30);
-        t.map(5, pte(1));
-        let old = t.map(5, pte(2)).expect("previous mapping");
-        assert_eq!(old.backing, Backing::Frame(1));
+        t.map(5, frame(1));
+        let old = t.map(5, frame(2)).expect("previous mapping");
+        assert_eq!(old, frame(1));
         assert_eq!(t.mapped_count(), 1);
-    }
-
-    #[test]
-    fn get_mut_updates_in_place() {
-        let mut t = PageTable::new(30);
-        t.map(9, pte(1));
-        t.get_mut(9).expect("present").dirty = true;
-        assert!(t.get(9).expect("present").dirty);
     }
 
     #[test]
     fn single_level_table_works() {
         let mut t = PageTable::new(9);
         assert_eq!(t.levels(), 1);
-        t.map(3, pte(1));
+        t.map(3, frame(1));
         assert!(t.get(3).is_some());
-        assert!(t.unmap(3).is_some());
     }
 }

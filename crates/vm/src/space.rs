@@ -1,106 +1,38 @@
-//! Address spaces and mappings.
+//! Address spaces and code mappings.
 //!
 //! Each protection domain owns an [`AddressSpace`]: a page table plus the
-//! list of region mappings faults resolve against. Regions are placed by a
+//! list of code regions faults resolve against. Regions are placed by a
 //! simple bump allocator in the 64-bit space — with single-level storage
 //! there is no reason to be clever about layout.
 
 use crate::page_table::PageTable;
 use ssmc_storage::PageId;
 
-/// Region permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Perm {
-    /// Reads allowed.
-    pub read: bool,
-    /// Writes allowed.
-    pub write: bool,
-    /// Instruction fetches allowed.
-    pub exec: bool,
-}
-
-impl Perm {
-    /// Read-only data.
-    pub const RO: Perm = Perm {
-        read: true,
-        write: false,
-        exec: false,
-    };
-    /// Read-write data.
-    pub const RW: Perm = Perm {
-        read: true,
-        write: true,
-        exec: false,
-    };
-    /// Read-execute code.
-    pub const RX: Perm = Perm {
-        read: true,
-        write: false,
-        exec: true,
-    };
-}
-
-/// What a region is backed by and how faults materialise it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MappingKind {
-    /// Zero-filled private memory (data, stack, heap).
-    Anonymous,
-    /// Code executed in place from storage: faults map the storage page
-    /// directly, copying nothing (§3.2).
-    CodeXip {
-        /// The file's logical pages, in order.
-        pages: Vec<PageId>,
-    },
-    /// Code demand-loaded the conventional way: faults copy the page into
-    /// a DRAM frame.
-    CodeLoad {
-        /// The file's logical pages, in order.
-        pages: Vec<PageId>,
-    },
-    /// A memory-mapped file: reads in place, copy-on-write on the first
-    /// store to each page (§3.1).
-    FileCow {
-        /// The file's logical pages, in order.
-        pages: Vec<PageId>,
-    },
-}
-
-/// One mapped region.
+/// One mapped, read-execute code region: a program's text, in file order.
 #[derive(Debug, Clone)]
 pub struct Mapping {
     /// First virtual page number.
     pub base_vpn: u64,
-    /// Length in pages.
-    pub pages: u64,
-    /// Access permissions.
-    pub perm: Perm,
-    /// Backing kind.
-    pub kind: MappingKind,
+    /// The file's logical pages, in order; the region is this many pages
+    /// long.
+    pub pages: Vec<PageId>,
+    /// Execute in place: faults map the storage page directly, copying
+    /// nothing (§3.2). Otherwise the text is demand-loaded the
+    /// conventional way, each fault copying its page into a DRAM frame.
+    pub xip: bool,
 }
 
 impl Mapping {
-    /// Whether the region contains `vpn`.
-    pub fn contains(&self, vpn: u64) -> bool {
-        vpn >= self.base_vpn && vpn < self.base_vpn + self.pages
-    }
-
-    /// The storage page backing `vpn`, for file-backed regions.
+    /// The storage page backing `vpn`, or `None` outside the region.
     pub fn storage_page(&self, vpn: u64) -> Option<PageId> {
         let idx = vpn.checked_sub(self.base_vpn)? as usize;
-        match &self.kind {
-            MappingKind::Anonymous => None,
-            MappingKind::CodeXip { pages }
-            | MappingKind::CodeLoad { pages }
-            | MappingKind::FileCow { pages } => pages.get(idx).copied(),
-        }
+        self.pages.get(idx).copied()
     }
 }
 
 /// A protection domain: page table plus regions.
 #[derive(Debug)]
 pub struct AddressSpace {
-    /// Identifier.
-    pub asid: u32,
     /// The hardware-walked table.
     pub table: PageTable,
     regions: Vec<Mapping>,
@@ -110,9 +42,8 @@ pub struct AddressSpace {
 impl AddressSpace {
     /// Creates an empty space. `vpn_bits` sizes the table (55 bits of VPN
     /// covers the full 64-bit space with 512-byte pages).
-    pub fn new(asid: u32, vpn_bits: u32) -> Self {
+    pub fn new(vpn_bits: u32) -> Self {
         AddressSpace {
-            asid,
             table: PageTable::new(vpn_bits),
             regions: Vec::new(),
             // Leave page 0 unmapped so null dereferences fault.
@@ -120,43 +51,21 @@ impl AddressSpace {
         }
     }
 
-    /// Maps a region of `pages` pages, returning its base VPN.
-    pub fn map_region(&mut self, pages: u64, perm: Perm, kind: MappingKind) -> u64 {
+    /// Maps `pages` as a code region, returning its base VPN.
+    pub fn map_region(&mut self, pages: Vec<PageId>, xip: bool) -> u64 {
         let base = self.bump_vpn;
-        self.bump_vpn += pages.max(1);
+        self.bump_vpn += (pages.len() as u64).max(1);
         self.regions.push(Mapping {
             base_vpn: base,
             pages,
-            perm,
-            kind,
+            xip,
         });
         base
     }
 
     /// Finds the region covering `vpn`.
     pub fn region_of(&self, vpn: u64) -> Option<&Mapping> {
-        self.regions.iter().find(|r| r.contains(vpn))
-    }
-
-    /// Removes the region based at `base_vpn`, returning the VPNs that had
-    /// present page-table entries (the caller releases their frames).
-    pub fn unmap_region(&mut self, base_vpn: u64) -> Vec<u64> {
-        let Some(pos) = self.regions.iter().position(|r| r.base_vpn == base_vpn) else {
-            return Vec::new();
-        };
-        let region = self.regions.remove(pos);
-        let mut present = Vec::new();
-        for vpn in region.base_vpn..region.base_vpn + region.pages {
-            if self.table.unmap(vpn).is_some() {
-                present.push(vpn);
-            }
-        }
-        present
-    }
-
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
+        self.regions.iter().find(|r| r.storage_page(vpn).is_some())
     }
 }
 
@@ -166,56 +75,31 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
-        let mut s = AddressSpace::new(1, 55);
-        let a = s.map_region(10, Perm::RW, MappingKind::Anonymous);
-        let b = s.map_region(5, Perm::RO, MappingKind::Anonymous);
+        let mut s = AddressSpace::new(55);
+        let a = s.map_region((100..110).collect(), true);
+        let b = s.map_region((200..205).collect(), false);
         assert!(a + 10 <= b);
         assert!(s.region_of(a).is_some());
         assert!(s.region_of(a + 9).is_some());
         assert!(s.region_of(b + 4).is_some());
+        assert!(s.region_of(b + 5).is_none());
     }
 
     #[test]
     fn page_zero_stays_unmapped() {
-        let mut s = AddressSpace::new(1, 55);
-        let a = s.map_region(4, Perm::RW, MappingKind::Anonymous);
+        let mut s = AddressSpace::new(55);
+        let a = s.map_region(vec![7; 4], true);
         assert!(a >= 1);
         assert!(s.region_of(0).is_none());
     }
 
     #[test]
-    fn storage_page_lookup_per_kind() {
-        let mut s = AddressSpace::new(1, 55);
-        let base = s.map_region(
-            3,
-            Perm::RX,
-            MappingKind::CodeXip {
-                pages: vec![100, 101, 102],
-            },
-        );
+    fn storage_page_lookup() {
+        let mut s = AddressSpace::new(55);
+        let base = s.map_region(vec![100, 101, 102], true);
         let r = s.region_of(base + 1).expect("mapped");
         assert_eq!(r.storage_page(base + 1), Some(101));
-        let anon = s.map_region(2, Perm::RW, MappingKind::Anonymous);
-        assert_eq!(s.region_of(anon).expect("anon").storage_page(anon), None);
-    }
-
-    #[test]
-    fn unmap_region_returns_present_vpns() {
-        use crate::page_table::{Backing, Pte};
-        let mut s = AddressSpace::new(1, 55);
-        let base = s.map_region(4, Perm::RW, MappingKind::Anonymous);
-        s.table.map(
-            base + 1,
-            Pte {
-                writable: true,
-                cow: false,
-                dirty: false,
-                backing: Backing::Frame(3),
-            },
-        );
-        let present = s.unmap_region(base);
-        assert_eq!(present, vec![base + 1]);
-        assert_eq!(s.region_count(), 0);
-        assert!(s.region_of(base).is_none());
+        assert_eq!(r.storage_page(base + 3), None);
+        assert_eq!(r.storage_page(base - 1), None);
     }
 }

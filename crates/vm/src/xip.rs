@@ -11,8 +11,7 @@
 //! deterministic instruction-fetch sweep.
 
 use crate::error::VmError;
-use crate::space::{MappingKind, Perm};
-use crate::vm::{AccessKind, Vm};
+use crate::vm::Vm;
 use crate::Result;
 use ssmc_memfs::FileMap;
 use ssmc_sim::SimDuration;
@@ -39,7 +38,7 @@ pub struct LaunchStats {
 ///
 /// # Errors
 ///
-/// VM and storage errors (out of frames, protection, device failures).
+/// VM and storage errors (out of frames, device failures).
 pub fn launch(
     vm: &mut Vm,
     asid: u32,
@@ -54,19 +53,14 @@ pub fn launch(
     let start = sm.now();
     let frames_before = vm.frames_in_use();
     let faults_before = vm.metrics().faults;
-    let kind: fn(Vec<ssmc_storage::PageId>) -> MappingKind = if xip {
-        |p| MappingKind::CodeXip { pages: p }
-    } else {
-        |p| MappingKind::CodeLoad { pages: p }
-    };
-    let base = vm.map_pages(asid, program.pages.clone(), Perm::RX, kind)?;
+    let base = vm.map_code(asid, program.pages.clone(), xip)?;
     if xip {
         // Only the entry point is touched; everything else stays in flash.
-        vm.touch(asid, base, AccessKind::Exec, sm)?;
+        vm.fetch(asid, base, sm)?;
     } else {
         // The conventional loader copies the whole text segment up front.
         for i in 0..program.pages.len() as u64 {
-            vm.touch(asid, base + i * page_size, AccessKind::Exec, sm)?;
+            vm.fetch(asid, base + i * page_size, sm)?;
         }
     }
     Ok(LaunchStats {
@@ -96,7 +90,7 @@ pub fn run_code(
     let stride = 68; // co-prime-ish with the page size: spreads touches
     for i in 0..touches {
         let offset = (i * stride) % size_bytes.max(1);
-        vm.touch(asid, base + offset, AccessKind::Exec, sm)?;
+        vm.fetch(asid, base + offset, sm)?;
     }
     Ok(sm.now().since(start))
 }

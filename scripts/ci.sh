@@ -4,6 +4,10 @@
 # crates. Run from the repository root.
 set -eu
 
+# The tree must be rustfmt-clean. perfbench/ is a cargo workspace of its
+# own, so `--all` does not reach it.
+cargo fmt --all -- --check
+
 # One warnings-as-errors build over every package and target (library,
 # binaries, tests, benches, examples): the tree must be warning-clean,
 # not just compile.
