@@ -4,58 +4,11 @@
 //! write-back: dirty blocks linger until the periodic sync (or eviction)
 //! writes them out. Copies in and out of the cache are charged to a DRAM
 //! device — the data-duplication cost the memory-resident design
-//! eliminates. Replacement is plain LRU by default, or LRU-K behind
-//! [`CachePolicy::LruK`] so the comparator isn't a strawman under
-//! scan-heavy traffic.
+//! eliminates. Replacement is least-recently-used.
 
-use crate::lru_k::{LruKReplacer, DEFAULT_K};
 use ssmc_device::{Dram, DramSpec};
 use ssmc_sim::{SharedClock, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Which replacement policy the buffer cache runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Classic least-recently-used (the historical default; keeps the
-    /// checked-in experiment results byte-identical).
-    Lru,
-    /// Backward-K-distance eviction (see [`crate::lru_k`]).
-    LruK {
-        /// History depth (clamped to `1..=4`; `2` is the classic choice).
-        k: u32,
-    },
-}
-
-impl Default for CachePolicy {
-    fn default() -> Self {
-        CachePolicy::Lru
-    }
-}
-
-impl CachePolicy {
-    /// LRU-K at the default depth (K = 2).
-    pub fn lru_k() -> Self {
-        CachePolicy::LruK { k: DEFAULT_K }
-    }
-
-    /// Parses a policy name (`"lru"` or `"lru_k"`/`"lru-k"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "lru" => Some(CachePolicy::Lru),
-            "lru_k" | "lru-k" | "lruk" => Some(CachePolicy::lru_k()),
-            _ => None,
-        }
-    }
-}
-
-impl core::fmt::Display for CachePolicy {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CachePolicy::Lru => write!(f, "lru"),
-            CachePolicy::LruK { k } => write!(f, "lru_k(k={k})"),
-        }
-    }
-}
 
 /// Cache counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -70,40 +23,21 @@ pub struct CacheStats {
     pub write_cancels: u64,
 }
 
-impl CacheStats {
-    /// Hits as a fraction of all lookups (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     dirty: bool,
     last_use: SimTime,
 }
 
-/// The eviction-order state behind the configured policy. The `Lru`
-/// variant is the exact pre-policy structure, so default-config runs
-/// evict identically to the historical implementation.
-#[derive(Debug)]
-enum Replacer {
-    Lru(BTreeSet<(SimTime, u64)>),
-    LruK(LruKReplacer),
-}
-
-/// A fixed-capacity block cache with a configurable replacement policy.
+/// A fixed-capacity LRU block cache.
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
     block_size: u64,
     entries: BTreeMap<u64, Entry>,
-    replacer: Replacer,
+    /// Eviction order, least recent first: `(last use, block)`, so blocks
+    /// last used at the same instant leave in block order.
+    lru: BTreeSet<(SimTime, u64)>,
     dram: Dram,
     clock: SharedClock,
     stats: CacheStats,
@@ -112,37 +46,15 @@ pub struct BufferCache {
 impl BufferCache {
     /// Creates an LRU cache of `capacity` blocks of `block_size` bytes.
     pub fn new(capacity: usize, block_size: u64, dram: DramSpec, clock: SharedClock) -> Self {
-        Self::with_policy(capacity, block_size, dram, clock, CachePolicy::Lru)
-    }
-
-    /// Creates a cache running the given replacement policy.
-    pub fn with_policy(
-        capacity: usize,
-        block_size: u64,
-        dram: DramSpec,
-        clock: SharedClock,
-        policy: CachePolicy,
-    ) -> Self {
         let dram_spec = dram.with_capacity((capacity as u64 * block_size).max(block_size));
         BufferCache {
             capacity: capacity.max(1),
             block_size,
             entries: BTreeMap::new(),
-            replacer: match policy {
-                CachePolicy::Lru => Replacer::Lru(BTreeSet::new()),
-                CachePolicy::LruK { k } => Replacer::LruK(LruKReplacer::new(k)),
-            },
+            lru: BTreeSet::new(),
             dram: Dram::new(dram_spec, clock.clone()),
             clock,
             stats: CacheStats::default(),
-        }
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> CachePolicy {
-        match &self.replacer {
-            Replacer::Lru(_) => CachePolicy::Lru,
-            Replacer::LruK(r) => CachePolicy::LruK { k: r.k() },
         }
     }
 
@@ -173,27 +85,17 @@ impl BufferCache {
 
     fn touch_entry(&mut self, block: u64, now: SimTime) {
         if let Some(e) = self.entries.get_mut(&block) {
-            match &mut self.replacer {
-                Replacer::Lru(lru) => {
-                    lru.remove(&(e.last_use, block));
-                    e.last_use = now;
-                    lru.insert((now, block));
-                }
-                Replacer::LruK(r) => {
-                    e.last_use = now;
-                    r.record_access(block, now);
-                }
-            }
+            self.lru.remove(&(e.last_use, block));
+            e.last_use = now;
+            self.lru.insert((now, block));
         }
     }
 
     /// Charges one block-sized copy out of (or into) cache memory.
     fn charge_copy(&mut self) {
-        // Content is modelled elsewhere; charge the DRAM transfer time.
-        // lint: allow(H2): the 1993 disk-stack comparator is modelled for
-        // contrast, outside the zero-allocation replay contract.
-        let mut scratch = vec![0u8; self.block_size as usize];
-        let _ = self.dram.read(0, &mut scratch);
+        // Contents are not modelled; charge the DRAM transfer time and
+        // energy.
+        let _ = self.dram.read_borrow(0, self.block_size);
     }
 
     /// Looks a block up. On a hit, charges the copy and refreshes LRU.
@@ -223,17 +125,7 @@ impl BufferCache {
         }
         let mut evicted_dirty = None;
         if self.entries.len() >= self.capacity {
-            let victim = match &mut self.replacer {
-                Replacer::Lru(lru) => match lru.iter().next() {
-                    Some(&(t, victim)) => {
-                        lru.remove(&(t, victim));
-                        Some(victim)
-                    }
-                    None => None,
-                },
-                Replacer::LruK(r) => r.evict(),
-            };
-            if let Some(victim) = victim {
+            if let Some((_, victim)) = self.lru.pop_first() {
                 let e = self.entries.remove(&victim).expect("entry exists");
                 if e.dirty {
                     self.stats.write_backs += 1;
@@ -248,12 +140,7 @@ impl BufferCache {
                 last_use: now,
             },
         );
-        match &mut self.replacer {
-            Replacer::Lru(lru) => {
-                lru.insert((now, block));
-            }
-            Replacer::LruK(r) => r.record_access(block, now),
-        }
+        self.lru.insert((now, block));
         evicted_dirty
     }
 
@@ -298,12 +185,7 @@ impl BufferCache {
     /// Discards a block (file deleted); a pending dirty write is cancelled.
     pub fn discard(&mut self, block: u64) {
         if let Some(e) = self.entries.remove(&block) {
-            match &mut self.replacer {
-                Replacer::Lru(lru) => {
-                    lru.remove(&(e.last_use, block));
-                }
-                Replacer::LruK(r) => r.remove(block),
-            }
+            self.lru.remove(&(e.last_use, block));
             if e.dirty {
                 self.stats.write_cancels += 1;
             }
@@ -393,70 +275,6 @@ mod tests {
         assert_eq!(c.stats().write_cancels, 1);
         assert_eq!(c.dirty_count(), 0);
         assert!(!c.lookup(9));
-    }
-
-    #[test]
-    fn lru_k_policy_survives_a_scan_where_lru_does_not() {
-        // Working set {1, 2} is re-referenced; a one-shot scan of blocks
-        // 100..104 passes through. Under LRU-K the scan blocks (one
-        // access each, infinite K-distance) evict each other; the
-        // twice-proven working set survives.
-        let clock = Clock::shared();
-        let mut c = BufferCache::with_policy(
-            4,
-            4096,
-            DramSpec::default(),
-            clock.clone(),
-            CachePolicy::lru_k(),
-        );
-        assert_eq!(c.policy(), CachePolicy::LruK { k: 2 });
-        for b in [1, 2] {
-            c.insert(b, false);
-            clock.advance(SimDuration::from_millis(1));
-            c.lookup(b);
-            clock.advance(SimDuration::from_millis(1));
-        }
-        for b in 100..104 {
-            c.insert(b, false);
-            clock.advance(SimDuration::from_millis(1));
-        }
-        assert!(c.lookup(1), "working set must survive the scan");
-        assert!(c.lookup(2), "working set must survive the scan");
-    }
-
-    #[test]
-    fn lru_k_cache_behaviour_is_deterministic() {
-        let run = || {
-            let clock = Clock::shared();
-            let mut c = BufferCache::with_policy(
-                8,
-                512,
-                DramSpec::default(),
-                clock.clone(),
-                CachePolicy::lru_k(),
-            );
-            let mut journal = Vec::new();
-            for i in 0u64..200 {
-                let b = (i * 7) % 23;
-                if !c.lookup(b) {
-                    journal.push(c.insert(b, i % 3 == 0));
-                }
-                clock.advance(SimDuration::from_micros(100 + i));
-            }
-            (journal, c.stats().hits, c.stats().misses)
-        };
-        assert_eq!(run(), run(), "same sequence, same evictions");
-    }
-
-    #[test]
-    fn hit_rate_reflects_counters() {
-        let (mut c, _) = cache(4);
-        assert_eq!(c.stats().hit_rate(), 0.0);
-        c.insert(1, false);
-        c.lookup(1);
-        c.lookup(2);
-        let r = c.stats().hit_rate();
-        assert!((r - 0.5).abs() < 1e-12, "hit rate {r}");
     }
 
     #[test]

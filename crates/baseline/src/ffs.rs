@@ -7,11 +7,11 @@
 //! through the buffer cache, and a periodic sync pass ordered by the
 //! elevator.
 //!
-//! Data *contents* are modelled by the device (zero-filled); what matters
-//! for the experiments is the timing, seek pattern, energy, and cache
-//! behaviour of every operation.
+//! Data *contents* are not modelled; what matters for the experiments is
+//! the timing, seek pattern, energy, and cache behaviour of every
+//! operation.
 
-use crate::cache::{BufferCache, CachePolicy};
+use crate::cache::BufferCache;
 use crate::elevator::cscan_order;
 use crate::power::DiskPowerManager;
 use core::fmt;
@@ -44,11 +44,6 @@ pub struct BaselineConfig {
     pub spin_down: Option<SimDuration>,
     /// Cylinder groups for allocation clustering.
     pub cylinder_groups: u32,
-    /// Write structural metadata synchronously (classic FFS behaviour).
-    pub sync_metadata: bool,
-    /// Buffer-cache replacement policy (plain LRU by default; LRU-K so
-    /// the comparator isn't a strawman under scan-heavy traffic).
-    pub cache_policy: CachePolicy,
 }
 
 impl Default for BaselineConfig {
@@ -61,8 +56,6 @@ impl Default for BaselineConfig {
             disk: DiskSpec::default(),
             spin_down: Some(SimDuration::from_secs(5)),
             cylinder_groups: 8,
-            sync_metadata: true,
-            cache_policy: CachePolicy::Lru,
         }
     }
 }
@@ -133,7 +126,6 @@ pub struct DiskFs {
     blocks_per_group: u64,
     last_sync: SimTime,
     stats: FfsStats,
-    scratch: Vec<u8>,
 }
 
 impl DiskFs {
@@ -148,12 +140,11 @@ impl DiskFs {
         let blocks_per_group = (data_blocks / cfg.cylinder_groups as u64).max(1);
         let cache_blocks = (cfg.cache_bytes / cfg.block_size).max(1) as usize;
         DiskFs {
-            cache: BufferCache::with_policy(
+            cache: BufferCache::new(
                 cache_blocks,
                 cfg.block_size,
                 cfg.cache_dram.clone(),
                 clock.clone(),
-                cfg.cache_policy,
             ),
             pm: DiskPowerManager::new(cfg.spin_down, clock.now()),
             inodes: BTreeMap::new(),
@@ -166,7 +157,6 @@ impl DiskFs {
             blocks_per_group,
             last_sync: clock.now(),
             stats: FfsStats::default(),
-            scratch: vec![0u8; cfg.block_size as usize],
             cfg,
             clock,
             disk,
@@ -181,31 +171,6 @@ impl DiskFs {
     /// Disk device (counters, energy).
     pub fn disk(&self) -> &Disk {
         &self.disk
-    }
-
-    /// Installs an observability recorder on the disk (seek spans).
-    pub fn set_recorder(&mut self, recorder: ssmc_sim::obs::Recorder) {
-        self.disk.set_recorder(recorder);
-    }
-
-    /// Folds the baseline's counters into the unified registry.
-    pub fn publish_metrics(&self, reg: &mut ssmc_sim::obs::MetricsRegistry) {
-        reg.counter("ffs.meta_sync_writes", self.stats.meta_sync_writes);
-        reg.counter("ffs.sync_passes", self.stats.sync_passes);
-        reg.counter("ffs.sync_blocks", self.stats.sync_blocks);
-        let cs = self.cache.stats();
-        reg.counter("cache.hits", cs.hits);
-        reg.counter("cache.misses", cs.misses);
-        reg.counter("cache.write_backs", cs.write_backs);
-        reg.counter("cache.write_cancels", cs.write_cancels);
-        reg.gauge("cache.hit_rate", cs.hit_rate());
-        self.disk.publish_metrics(reg);
-        for (component, e) in self.cache.dram().energy().iter() {
-            // lint: allow(H2): disk-comparator registry names; only name-based
-            // resolution of `publish_metrics` links the sampler here, and the
-            // machine holds no DiskFs.
-            reg.counter(&format!("energy.cache_{component}_nj"), e.as_nanojoules());
-        }
     }
 
     /// Buffer cache (stats, energy).
@@ -233,14 +198,10 @@ impl DiskFs {
         let addr = block * self.cfg.block_size;
         if write {
             self.disk
-                // lint: allow(H2): the 1993 disk-stack comparator is modelled
-                // for contrast, outside the zero-allocation replay contract.
-                .write(addr, &self.scratch.clone())
+                .write(addr, self.cfg.block_size)
                 .expect("in range");
         } else {
-            let mut buf = core::mem::take(&mut self.scratch);
-            self.disk.read(addr, &mut buf).expect("in range");
-            self.scratch = buf;
+            self.disk.read(addr, self.cfg.block_size).expect("in range");
         }
         self.pm.after_access(self.clock.now());
     }
@@ -267,17 +228,12 @@ impl DiskFs {
         }
     }
 
-    /// Writes a structural metadata block: synchronously when configured
-    /// (classic FFS), otherwise through the cache.
+    /// Writes a structural metadata block synchronously (classic FFS).
     fn meta_write(&mut self, block: u64) {
-        if self.cfg.sync_metadata {
-            self.stats.meta_sync_writes += 1;
-            self.disk_io(block, true);
-            // A cached copy, if any, is now durable.
-            self.cache.clean(block);
-        } else {
-            self.cache_write(block);
-        }
+        self.stats.meta_sync_writes += 1;
+        self.disk_io(block, true);
+        // A cached copy, if any, is now durable.
+        self.cache.clean(block);
     }
 
     /// Periodic sync daemon: flush all dirty blocks in elevator order.
@@ -715,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn metadata_writes_are_synchronous_by_default() {
+    fn metadata_writes_are_synchronous() {
         let (mut f, _) = fs();
         let before = f.disk().counters().writes;
         f.create(1).expect("create");

@@ -13,18 +13,15 @@
 //!   save battery and pay a spin-up on the next access).
 //!
 //! [`ffs::DiskFs`] implements [`ssmc_trace::TraceTarget`], so the same
-//! traces drive it and the memory-resident file system (experiments T2,
-//! F7).
+//! traces drive it and the memory-resident file system (experiment T2).
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod elevator;
 pub mod ffs;
-pub mod lru_k;
 pub mod power;
 
-pub use cache::{BufferCache, CachePolicy};
+pub use cache::BufferCache;
 pub use ffs::{BaselineConfig, DiskFs, FfsError};
-pub use lru_k::LruKReplacer;
 pub use power::DiskPowerManager;

@@ -61,13 +61,12 @@ mod tests {
             let clock = Clock::shared();
             let mut disk = Disk::new(DiskSpec::default().with_capacity(1 << 20), clock.clone());
             let mut pm = DiskPowerManager::new(timeout, clock.now());
-            let mut buf = [0u8; 512];
-            disk.read(0, &mut buf).expect("read");
+            disk.read(0, 512).expect("read");
             pm.after_access(clock.now());
             // An hour of idleness, then another access.
             clock.advance(SimDuration::from_secs(3600));
             pm.before_access(&mut disk, clock.now());
-            disk.read(512, &mut buf).expect("read");
+            disk.read(512, 512).expect("read");
             pm.after_access(clock.now());
             disk.energy().total().as_joules()
         };
@@ -85,12 +84,11 @@ mod tests {
         let clock = Clock::shared();
         let mut disk = Disk::new(DiskSpec::default().with_capacity(1 << 20), clock.clone());
         let mut pm = DiskPowerManager::new(Some(SimDuration::from_secs(5)), clock.now());
-        let mut buf = [0u8; 512];
-        disk.read(0, &mut buf).expect("read");
+        disk.read(0, 512).expect("read");
         pm.after_access(clock.now());
         clock.advance(SimDuration::from_secs(60));
         pm.before_access(&mut disk, clock.now());
-        let lat = disk.read(512, &mut buf).expect("read after idle");
+        let lat = disk.read(512, 512).expect("read after idle");
         assert!(lat >= disk.spec().spin_up, "latency {lat} lacks spin-up");
         assert_eq!(disk.counters().spin_ups, 1);
     }
@@ -100,8 +98,7 @@ mod tests {
         let clock = Clock::shared();
         let mut disk = Disk::new(DiskSpec::default().with_capacity(1 << 20), clock.clone());
         let mut pm = DiskPowerManager::new(Some(SimDuration::from_secs(10)), clock.now());
-        let mut buf = [0u8; 512];
-        disk.read(0, &mut buf).expect("read");
+        disk.read(0, 512).expect("read");
         pm.after_access(clock.now());
         clock.advance(SimDuration::from_secs(2));
         pm.before_access(&mut disk, clock.now());

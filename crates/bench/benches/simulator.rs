@@ -682,7 +682,7 @@ fn check_throughput(path: &std::path::Path) {
         1.0
     } else {
         let mid = ratios.len() / 2;
-        let median = if ratios.len() % 2 == 0 {
+        let median = if ratios.len().is_multiple_of(2) {
             (ratios[mid - 1] + ratios[mid]) / 2.0
         } else {
             ratios[mid]
@@ -983,11 +983,11 @@ fn alloc_guard_stream() {
         // Priming rides at the head of the stream: creates and full-size
         // slot writes, all long before the measured window opens.
         for f in 0..GUARD_FILES {
-            at = at + pace;
+            at += pace;
             w.push(at, &FileOp::Create { file: base + f })
                 .expect("push create");
             for slot in 0..GUARD_SLOTS {
-                at = at + pace;
+                at += pace;
                 w.push(
                     at,
                     &FileOp::Write {
@@ -1000,7 +1000,7 @@ fn alloc_guard_stream() {
             }
         }
         for i in 0..stream_ops {
-            at = at + pace;
+            at += pace;
             w.push(at, &guard_op(i, base)).expect("push guard op");
         }
         w.finish().expect("finish guard stream");

@@ -6,14 +6,15 @@
 //! cargo run --release -p ssmc-bench --bin experiments -- --list
 //! cargo run --release -p ssmc-bench --bin experiments -- all --json results/
 //! cargo run --release -p ssmc-bench --bin experiments -- all --threads 4
-//! cargo run --release -p ssmc-bench --bin experiments -- t2 --cache-policy lru_k
 //! cargo run --release -p ssmc-bench --bin experiments -- --trace-out trace.json
 //! cargo run --release -p ssmc-bench --bin experiments -- --timeline-out run.tl
 //! ```
 
-use ssmc_bench::experiments;
+use ssmc_bench::{experiments, Experiment};
 use ssmc_sim::report::ToReport;
+use ssmc_sim::SimDuration;
 use std::io::Write as _;
+use std::path::PathBuf;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,43 +41,16 @@ fn main() {
         return;
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--cache-policy") {
-        let policy = args
-            .get(i + 1)
-            .and_then(|v| ssmc_baseline::CachePolicy::parse(v))
-            .unwrap_or_else(|| {
-                eprintln!("--cache-policy needs one of: lru, lru_k");
-                std::process::exit(2);
-            });
-        ssmc_bench::baseline_policy::set_cache_policy(policy);
-    }
-
-    let trace_out = args.iter().position(|a| a == "--trace-out").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                eprintln!("--trace-out needs a path");
-                std::process::exit(2);
-            })
+    let cli = parse_cli(&args, &registry).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
     });
-    let trace_ops = args
-        .iter()
-        .position(|a| a == "--trace-ops")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--trace-ops needs a positive integer");
-                    std::process::exit(2);
-                })
-        })
-        .unwrap_or(25_000);
 
-    if let Some(path) = &trace_out {
-        eprintln!(">>> traced replay: bsd, {trace_ops} ops");
+    if let Some(path) = &cli.trace_out {
+        eprintln!(">>> traced replay: bsd, {} ops", cli.trace_ops);
         let start = std::time::Instant::now();
-        let artifact = ssmc_bench::obs_trace::traced_replay(ssmc_trace::Workload::Bsd, trace_ops);
+        let artifact =
+            ssmc_bench::obs_trace::traced_replay(ssmc_trace::Workload::Bsd, cli.trace_ops);
         eprintln!("    ({:.1} s)", start.elapsed().as_secs_f64());
         let mut f = std::fs::File::create(path).expect("create trace-out file");
         f.write_all(artifact.to_report().encode_pretty().as_bytes())
@@ -84,40 +58,17 @@ fn main() {
         eprintln!("    wrote {}", path.display());
     }
 
-    let timeline_out = args.iter().position(|a| a == "--timeline-out").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                eprintln!("--timeline-out needs a path");
-                std::process::exit(2);
-            })
-    });
-    let sample_interval = args
-        .iter()
-        .position(|a| a == "--sample-interval")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(ssmc_sim::SimDuration::from_millis)
-                .unwrap_or_else(|| {
-                    eprintln!("--sample-interval needs a positive integer (simulated ms)");
-                    std::process::exit(2);
-                })
-        })
-        .unwrap_or_else(ssmc_bench::obs_trace::default_sample_interval);
-
-    if let Some(path) = &timeline_out {
+    if let Some(path) = &cli.timeline_out {
         eprintln!(
-            ">>> timeline replay: bsd, {trace_ops} ops @ {} ms samples",
-            sample_interval.as_millis_f64()
+            ">>> timeline replay: bsd, {} ops @ {} ms samples",
+            cli.trace_ops,
+            cli.sample_interval.as_millis_f64()
         );
         let start = std::time::Instant::now();
         let summary = ssmc_bench::obs_trace::timeline_replay(
             ssmc_trace::Workload::Bsd,
-            trace_ops,
-            sample_interval,
+            cli.trace_ops,
+            cli.sample_interval,
             path,
         )
         .expect("timeline replay");
@@ -130,14 +81,12 @@ fn main() {
             summary.channels,
         );
     }
+    let replayed = cli.trace_out.is_some() || cli.timeline_out.is_some();
 
-    if (args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h"))
-        && trace_out.is_none()
-        && timeline_out.is_none()
-    {
+    if (args.is_empty() || cli.help) && !replayed {
         eprintln!(
             "usage: experiments [--list] [--json DIR] [--threads N] \
-             [--cache-policy lru|lru_k] [--trace-out PATH [--trace-ops N]] \
+             [--trace-out PATH [--trace-ops N]] \
              [--timeline-out PATH [--sample-interval MS]] \
              <ids...|all>"
         );
@@ -156,32 +105,20 @@ fn main() {
         }
         return;
     }
-    if args.iter().any(|a| a == "--list") {
+    if cli.list {
         for e in &registry {
             println!("{:4}  {}", e.id, e.title);
         }
         return;
     }
 
-    let json_dir = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    if let Some(dir) = &json_dir {
+    if let Some(dir) = &cli.json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
     }
 
-    let want_all = args.iter().any(|a| a == "all");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-
     let mut ran = 0;
     for e in &registry {
-        if !want_all && !wanted.contains(&e.id) {
+        if !cli.all && !cli.ids.contains(&e.id) {
             continue;
         }
         eprintln!(">>> running {} — {}", e.id, e.title);
@@ -191,7 +128,7 @@ fn main() {
         for t in &tables {
             println!("{}", t.render());
         }
-        if let Some(dir) = &json_dir {
+        if let Some(dir) = &cli.json_dir {
             let path = dir.join(format!("{}.json", e.id));
             let mut f = std::fs::File::create(&path).expect("create json");
             let json = tables.to_report().encode_pretty();
@@ -200,10 +137,89 @@ fn main() {
         }
         ran += 1;
     }
-    if ran == 0 && trace_out.is_none() && timeline_out.is_none() {
+    if ran == 0 && !replayed {
         eprintln!("no matching experiments; try --list");
         std::process::exit(2);
     }
+}
+
+/// The experiment-running mode's command line.
+struct Cli {
+    list: bool,
+    help: bool,
+    json_dir: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    trace_ops: u64,
+    timeline_out: Option<PathBuf>,
+    sample_interval: SimDuration,
+    all: bool,
+    ids: Vec<&'static str>,
+}
+
+/// Parses the experiment-running mode's arguments in one pass: each flag
+/// consumes its value, and every other argument must be `all` or the id
+/// of an experiment in `registry`.
+///
+/// # Errors
+///
+/// The one-line message printed before exiting 2.
+fn parse_cli(args: &[String], registry: &[Experiment]) -> Result<Cli, String> {
+    // A flag's value; one that looks like another flag counts as missing.
+    fn value<'a>(it: &mut impl Iterator<Item = &'a str>, need: &str) -> Result<&'a str, String> {
+        it.next()
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| need.to_owned())
+    }
+    let mut cli = Cli {
+        list: false,
+        help: false,
+        json_dir: None,
+        trace_out: None,
+        trace_ops: 25_000,
+        timeline_out: None,
+        sample_interval: ssmc_bench::obs_trace::default_sample_interval(),
+        all: false,
+        ids: Vec::new(),
+    };
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--list" => cli.list = true,
+            "--help" | "-h" => cli.help = true,
+            // Validated and applied before mode dispatch.
+            "--threads" => {
+                it.next();
+            }
+            "--json" => cli.json_dir = Some(value(&mut it, "--json needs a directory")?.into()),
+            "--trace-out" => {
+                cli.trace_out = Some(value(&mut it, "--trace-out needs a path")?.into());
+            }
+            "--timeline-out" => {
+                cli.timeline_out = Some(value(&mut it, "--timeline-out needs a path")?.into());
+            }
+            "--trace-ops" => {
+                let need = "--trace-ops needs a positive integer";
+                cli.trace_ops = value(&mut it, need)?.parse().map_err(|_| need.to_owned())?;
+            }
+            "--sample-interval" => {
+                let need = "--sample-interval needs a positive integer (simulated ms)";
+                let ms: u64 = value(&mut it, need)?.parse().map_err(|_| need.to_owned())?;
+                if ms == 0 {
+                    return Err(need.to_owned());
+                }
+                cli.sample_interval = SimDuration::from_millis(ms);
+            }
+            "all" => cli.all = true,
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag:?}; try --help"));
+            }
+            id => match registry.iter().find(|e| e.id == id) {
+                Some(e) => cli.ids.push(e.id),
+                None => return Err(format!("unknown experiment id {id:?}; try --list")),
+            },
+        }
+    }
+    Ok(cli)
 }
 
 /// `experiments trace-compile --out PATH [--workload NAME] [--ops N]`

@@ -39,7 +39,7 @@ fn sparkline(values: &[f64]) -> (String, f64, f64) {
     if !lo.is_finite() {
         return ("(no finite samples)".into(), 0.0, 0.0);
     }
-    let cells = values.len().min(WIDTH).max(1);
+    let cells = values.len().clamp(1, WIDTH);
     let mut line = String::with_capacity(cells);
     for c in 0..cells {
         let from = c * values.len() / cells;

@@ -135,7 +135,6 @@ fn main() {
         EventKind::FlashRead,
         EventKind::FlashProgram,
         EventKind::FlashErase,
-        EventKind::DiskSeek,
     ];
     let machine_j = machine_energy.as_joules();
     for kind in device_kinds {

@@ -41,12 +41,8 @@ fn measure_disk(spec: ssmc_device::DiskSpec) -> (f64, f64) {
     let mut d = Disk::new(spec.with_capacity(4 << 20), clock);
     // Measure a random-ish access (seek across half the span).
     let cap = d.capacity();
-    let w = d
-        .write(cap / 2, &vec![0u8; IO])
-        .expect("write")
-        .as_micros_f64();
-    let mut buf = vec![0u8; IO];
-    let r = d.read(1024, &mut buf).expect("read").as_micros_f64();
+    let w = d.write(cap / 2, IO as u64).expect("write").as_micros_f64();
+    let r = d.read(1024, IO as u64).expect("read").as_micros_f64();
     (r, w)
 }
 

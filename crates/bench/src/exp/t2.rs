@@ -83,7 +83,7 @@ fn micro_disk() -> Micro {
     let mut m = DiskComputer::new(
         BaselineConfig {
             spin_down: None,
-            ..crate::baseline_policy::baseline_config()
+            ..BaselineConfig::default()
         },
         BatterySpec::default(),
     );
@@ -191,10 +191,7 @@ pub fn run() -> Vec<Table> {
             solid.total_energy().as_joules().into(),
             r.errors.into(),
         ]);
-        let mut disk = DiskComputer::new(
-            crate::baseline_policy::baseline_config(),
-            BatterySpec::default(),
-        );
+        let mut disk = DiskComputer::new(BaselineConfig::default(), BatterySpec::default());
         let clock = disk.clock().clone();
         let r = replay(&trace, &mut disk, &clock);
         macro_t.row(vec![

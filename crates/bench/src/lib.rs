@@ -14,7 +14,6 @@
 //! ```
 
 pub mod alloc_sentinel;
-pub mod baseline_policy;
 pub mod exp;
 pub mod obs_diff;
 pub mod obs_trace;

@@ -520,24 +520,6 @@ impl DiskComputer {
         &mut self.fs
     }
 
-    /// Installs an observability recorder (disk seek spans).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.fs.set_recorder(recorder);
-    }
-
-    /// Assembles the unified metrics registry for the baseline machine.
-    pub fn metrics_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        self.fs.publish_metrics(&mut reg);
-        reg.counter(
-            "machine.energy_total_nj",
-            self.total_energy().as_nanojoules(),
-        );
-        reg.counter("machine.energy_drained_nj", self.drained.as_nanojoules());
-        reg.gauge("machine.sim_time_s", self.clock.now().as_secs_f64());
-        reg
-    }
-
     /// The battery.
     pub fn battery(&self) -> &Battery {
         &self.battery

@@ -124,11 +124,6 @@ impl Battery {
         self.state()
     }
 
-    /// Draws `power × duration`.
-    pub fn drain_power(&mut self, p: Power, d: SimDuration) -> BatteryState {
-        self.drain(p.energy_over(d))
-    }
-
     /// Replaces the primary pack with a fresh one. Models swapping
     /// batteries while the lithium cells hold the machine up.
     pub fn swap_primary(&mut self) {
@@ -221,14 +216,6 @@ mod tests {
         let t = b.time_to_empty(Power::from_milliwatts(1_000));
         assert!((t.as_secs_f64() - 12.0).abs() < 1e-6);
         assert_eq!(b.time_to_empty(Power::ZERO), SimDuration::MAX);
-    }
-
-    #[test]
-    fn drain_power_integrates() {
-        let mut b = tiny();
-        // 2 W for 3 s = 6 J.
-        b.drain_power(Power::from_milliwatts(2_000), SimDuration::from_secs(3));
-        assert!((b.remaining().as_joules() - 6.0).abs() < 1e-6);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! The model captures what matters for that comparison: mechanical
 //! positioning (seek curve plus rotational latency), streaming transfer,
 //! and a spin-up/spin-down power state machine — mobile disks save power by
-//! spinning down, then pay a long spin-up on the next access.
+//! spinning down, then pay a long spin-up on the next access. The drive
+//! holds no data: every experiment that uses it measures time and energy,
+//! so a request is an address range, not a buffer.
 
 use crate::error::DeviceError;
 use crate::Result;
-use ssmc_sim::obs::{EventKind, MetricsRegistry, Recorder, Span};
 use ssmc_sim::{EnergyLedger, Power, SharedClock, SimDuration};
 
 /// Static characteristics of a disk drive.
@@ -142,32 +143,23 @@ pub struct DiskCounters {
 pub struct Disk {
     spec: DiskSpec,
     clock: SharedClock,
-    data: Vec<u8>,
     head_cylinder: u32,
     spin: SpinState,
     counters: DiskCounters,
     energy: EnergyLedger,
-    recorder: Recorder,
 }
 
 impl Disk {
-    /// Creates a zero-filled drive, spinning.
+    /// Creates a drive, spinning, with its head at cylinder 0.
     pub fn new(spec: DiskSpec, clock: SharedClock) -> Self {
         Disk {
-            data: vec![0; spec.capacity as usize],
             head_cylinder: 0,
             spin: SpinState::Spinning,
             counters: DiskCounters::default(),
             energy: EnergyLedger::new(),
-            recorder: Recorder::disabled(),
             spec,
             clock,
         }
-    }
-
-    /// Installs the observability recorder (disabled by default).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
     }
 
     /// The drive's static characteristics.
@@ -261,7 +253,6 @@ impl Disk {
     fn access(&mut self, addr: u64, len: u64) -> SimDuration {
         // lint: allow(E1): spin_up charges "disk.spin_up" for the spin-up window, access charges "disk.active" for the transfer window — disjoint accounts over disjoint intervals, not double counting
         self.spin_up();
-        let start = self.clock.now();
         let latency = self.service_estimate(addr, len);
         let target = self.spec.cylinder_of(addr);
         self.counters.seek_time += self.spec.seek_time(target.abs_diff(self.head_cylinder));
@@ -270,51 +261,24 @@ impl Disk {
         self.energy
             .charge("disk.active", self.spec.active_power.energy_over(latency));
         self.counters.bytes += len;
-        self.recorder.emit(|| Span {
-            kind: EventKind::DiskSeek,
-            start,
-            end: self.clock.now(),
-            energy: self.spec.active_power.energy_over(latency),
-            pages: 0,
-            bytes: len,
-        });
         latency
     }
 
-    /// Publishes the drive counters and energy accounts into the registry
-    /// under `disk.*` names.
-    pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        let c = self.counters;
-        reg.counter("disk.reads", c.reads);
-        reg.counter("disk.writes", c.writes);
-        reg.counter("disk.bytes", c.bytes);
-        reg.counter("disk.seek_time_ns", c.seek_time.as_nanos());
-        reg.counter("disk.spin_ups", c.spin_ups);
-        for (component, e) in self.energy.iter() {
-            // lint: allow(H2): disk-comparator registry names; only name-based
-            // resolution of `publish_metrics` links the sampler here, and the
-            // machine holds no Disk.
-            reg.counter(&format!("energy.{component}_nj"), e.as_nanojoules());
-        }
-    }
-
-    /// Reads `buf.len()` bytes at `addr`, spinning up first if necessary.
-    pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        self.check(addr, buf.len() as u64)?;
+    /// Reads `len` bytes at `addr`, spinning up first if necessary.
+    pub fn read(&mut self, addr: u64, len: u64) -> Result<SimDuration> {
+        self.check(addr, len)?;
         let start = self.clock.now();
-        self.access(addr, buf.len() as u64);
-        buf.copy_from_slice(&self.data[addr as usize..addr as usize + buf.len()]);
+        self.access(addr, len);
         self.counters.reads += 1;
         Ok(self.clock.now().since(start))
     }
 
-    /// Writes `data` at `addr`, spinning up first if necessary. Disks
+    /// Writes `len` bytes at `addr`, spinning up first if necessary. Disks
     /// rewrite in place: no erase, no endurance limit.
-    pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<SimDuration> {
-        self.check(addr, data.len() as u64)?;
+    pub fn write(&mut self, addr: u64, len: u64) -> Result<SimDuration> {
+        self.check(addr, len)?;
         let start = self.clock.now();
-        self.access(addr, data.len() as u64);
-        self.data[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        self.access(addr, len);
         self.counters.writes += 1;
         Ok(self.clock.now().since(start))
     }
@@ -330,12 +294,12 @@ mod tests {
     }
 
     #[test]
-    fn write_read_round_trip() {
+    fn requests_are_counted() {
         let mut d = disk();
-        d.write(8192, b"spinning rust").expect("write");
-        let mut buf = [0u8; 13];
-        d.read(8192, &mut buf).expect("read");
-        assert_eq!(&buf, b"spinning rust");
+        d.write(8192, 13).expect("write");
+        d.read(8192, 512).expect("read");
+        let c = d.counters();
+        assert_eq!((c.reads, c.writes, c.bytes), (1, 1, 525));
     }
 
     #[test]
@@ -353,7 +317,7 @@ mod tests {
     #[test]
     fn access_latency_is_milliseconds_not_nanoseconds() {
         let mut d = disk();
-        let lat = d.read(0, &mut [0u8; 512]).expect("read");
+        let lat = d.read(0, 512).expect("read");
         // Seek 0, half rotation ≈ 5.6 ms at 5400 rpm, plus overheads.
         assert!(lat >= SimDuration::from_millis(5));
     }
@@ -361,12 +325,12 @@ mod tests {
     #[test]
     fn sequential_access_avoids_long_seeks() {
         let mut d = disk();
-        d.read(0, &mut [0u8; 512]).expect("position at 0");
-        let near = d.read(512, &mut [0u8; 512]).expect("sequential");
+        d.read(0, 512).expect("position at 0");
+        let near = d.read(512, 512).expect("sequential");
         let mut d2 = disk();
-        d2.read(0, &mut [0u8; 512]).expect("position at 0");
+        d2.read(0, 512).expect("position at 0");
         let cap = d2.capacity();
-        let far = d2.read(cap - 512, &mut [0u8; 512]).expect("far");
+        let far = d2.read(cap - 512, 512).expect("far");
         assert!(far > near);
     }
 
@@ -376,7 +340,7 @@ mod tests {
         let mut d = Disk::new(DiskSpec::default().with_capacity(1 << 20), clock.clone());
         d.spin_down();
         assert_eq!(d.spin_state(), SpinState::Standby);
-        let lat = d.read(0, &mut [0u8; 512]).expect("read from standby");
+        let lat = d.read(0, 512).expect("read from standby");
         assert!(lat >= d.spec().spin_up);
         assert_eq!(d.counters().spin_ups, 1);
         assert_eq!(d.spin_state(), SpinState::Spinning);
@@ -398,7 +362,7 @@ mod tests {
         let mut d = disk();
         let cap = d.capacity();
         assert!(matches!(
-            d.write(cap - 10, &[0u8; 64]),
+            d.write(cap - 10, 64),
             Err(DeviceError::OutOfRange { .. })
         ));
     }
@@ -407,7 +371,7 @@ mod tests {
     fn service_estimate_matches_actual_latency() {
         let mut d = disk();
         let est = d.service_estimate(1 << 20, 4096);
-        let act = d.read(1 << 20, &mut [0u8; 4096]).expect("read");
+        let act = d.read(1 << 20, 4096).expect("read");
         assert_eq!(est, act);
     }
 }

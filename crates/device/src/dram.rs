@@ -87,7 +87,6 @@ pub struct Dram {
     valid: bool,
     counters: DramCounters,
     energy: EnergyLedger,
-    content_losses: u32,
 }
 
 impl Dram {
@@ -98,7 +97,6 @@ impl Dram {
             valid: true,
             counters: DramCounters::default(),
             energy: EnergyLedger::new(),
-            content_losses: 0,
             spec,
             clock,
         }
@@ -127,11 +125,6 @@ impl Dram {
     /// Per-component energy consumed so far.
     pub fn energy(&self) -> &EnergyLedger {
         &self.energy
-    }
-
-    /// Times the array has lost its contents.
-    pub fn content_losses(&self) -> u32 {
-        self.content_losses
     }
 
     fn check(&self, addr: u64, len: u64) -> Result<()> {
@@ -265,7 +258,6 @@ impl Dram {
     pub fn lose_contents(&mut self) {
         self.valid = false;
         self.data.fill(0);
-        self.content_losses += 1;
     }
 
     /// Marks the array valid again after recovery re-populates it.
@@ -331,7 +323,6 @@ mod tests {
             d.read(0, &mut buf),
             Err(DeviceError::ContentsLost)
         ));
-        assert_eq!(d.content_losses(), 1);
         d.reinitialise();
         d.read(0, &mut buf).expect("valid again");
         // Contents were genuinely destroyed, not preserved.

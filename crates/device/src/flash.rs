@@ -432,11 +432,6 @@ impl Flash {
         self.blocks[block.0 as usize].erase_count
     }
 
-    /// Whether a block has been retired for wear.
-    pub fn is_bad(&self, block: BlockId) -> bool {
-        self.blocks[block.0 as usize].bad
-    }
-
     /// Whether every write unit overlapping `[addr, addr+len)` is erased.
     pub fn is_erased(&self, addr: u64, len: u64) -> bool {
         if len == 0 {
@@ -1007,7 +1002,7 @@ mod tests {
         }
         let err = f.erase(BlockId(1)).expect_err("beyond endurance");
         assert!(matches!(err, DeviceError::WornOut { .. }));
-        assert!(f.is_bad(BlockId(1)));
+        assert!(f.blocks[1].bad);
         assert!(f.first_wearout().is_some());
         // Programs to the bad block fail too.
         let err = f.program(4096, &vec![0u8; 512]).expect_err("bad block");

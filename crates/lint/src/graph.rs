@@ -229,7 +229,9 @@ impl CallGraph {
                             if let Some(v) = by_qual.get(local.as_str()) {
                                 cands.extend(v.iter().copied());
                             } else {
-                                for exp in expand(&[name.clone()], pf, f.owner.as_deref()) {
+                                for exp in
+                                    expand(std::slice::from_ref(name), pf, f.owner.as_deref())
+                                {
                                     resolve_path(&exp, &by_qual, &suffix_matches, &mut cands);
                                 }
                             }

@@ -535,11 +535,7 @@ impl<'a> Parser<'a> {
                 TokKind::Punct('[') => bracket += 1,
                 TokKind::Punct(']') => bracket -= 1,
                 TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') => {
-                    if !self.punct(j.wrapping_sub(1), '-') {
-                        angle -= 1;
-                    }
-                }
+                TokKind::Punct('>') if !self.punct(j.wrapping_sub(1), '-') => angle -= 1,
                 TokKind::Punct('{') => {
                     if paren == 0 && bracket == 0 && angle <= 0 {
                         break;
@@ -615,11 +611,7 @@ impl<'a> Parser<'a> {
                 TokKind::Punct('[') => bracket += 1,
                 TokKind::Punct(']') => bracket -= 1,
                 TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') => {
-                    if !self.punct(j.wrapping_sub(1), '-') {
-                        angle -= 1;
-                    }
-                }
+                TokKind::Punct('>') if !self.punct(j.wrapping_sub(1), '-') => angle -= 1,
                 TokKind::Punct('{') => {
                     if paren == 0 && bracket == 0 && angle <= 0 {
                         let close = self.braces[j]

@@ -122,7 +122,7 @@ pub fn lint_source(path: &str, crate_name: &str, src: &str) -> Vec<Diagnostic> {
     let mut diags = std::mem::take(&mut a.diags);
     diags.extend(apply_allows(a.findings, &mut a.allows));
     diags.extend(stale_allow_diags(path, &a.allows));
-    diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    diags.sort_by_key(|d| (d.line, d.rule));
     diags
 }
 

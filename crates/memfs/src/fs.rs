@@ -309,11 +309,6 @@ impl MemFs {
         (arena, nodes)
     }
 
-    /// The write policy in force.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.policy
-    }
-
     fn page_size(&self) -> u64 {
         self.sm.page_size()
     }
@@ -920,20 +915,6 @@ impl MemFs {
         Ok(offset)
     }
 
-    /// Reads the open file's entire contents.
-    ///
-    /// # Errors
-    ///
-    /// Descriptor and storage errors.
-    pub fn read_to_vec(&mut self, fd: u64) -> Result<Vec<u8>> {
-        let ino = self.fd_ino(fd, false)?;
-        let size = self.read_inode(ino)?.size as usize;
-        let mut buf = vec![0u8; size];
-        let n = self.read(fd, 0, &mut buf)?;
-        buf.truncate(n);
-        Ok(buf)
-    }
-
     /// Truncates the open file to `len` bytes, freeing whole pages beyond
     /// the new end.
     ///
@@ -990,36 +971,6 @@ impl MemFs {
         }
         self.dir_remove_slot(dir, slot, name)?;
         self.metrics.deletes += 1;
-        Ok(())
-    }
-
-    /// Creates a hard link: `new` becomes another name for the file at
-    /// `existing`. Directories cannot be linked.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::IsDir`] for directories, [`FsError::Exists`] if `new`
-    /// exists, plus path/storage errors.
-    pub fn link(&mut self, existing: &str, new: &str) -> Result<()> {
-        let ino = self.resolve(existing)?;
-        let mut inode = self.read_inode(ino)?;
-        if inode.kind == InodeKind::Dir {
-            return Err(FsError::IsDir);
-        }
-        let (dir, name) = self.resolve_parent(new)?;
-        let dir_size = self.read_inode(dir)?.size;
-        if self.dir_lookup(dir, dir_size, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        inode.nlink += 1;
-        self.write_inode(ino, &inode)?;
-        self.dir_add(
-            dir,
-            &DirEntry {
-                ino,
-                name: name.to_owned(),
-            },
-        )?;
         Ok(())
     }
 
@@ -1692,91 +1643,36 @@ mod link_tests {
     }
 
     #[test]
-    fn hard_link_shares_data_until_last_name_dies() {
+    fn fsck_counts_both_names_a_torn_rename_leaves() {
+        // A crash between rename's `dir_add` and `dir_remove_slot` leaves
+        // two names on one inode whose nlink is still 1.
         let mut f = fs();
-        let fd = f.create("/original").expect("create");
+        let fd = f.create("/old").expect("create");
         f.write(fd, 0, b"shared bytes").expect("write");
-        f.link("/original", "/alias").expect("link");
-        // Both names see the same data; writes through one are visible
-        // through the other.
-        let a = f.open("/alias", OpenMode::Write).expect("open alias");
-        f.write(a, 0, b"SHARED").expect("write via alias");
-        let mut buf = [0u8; 12];
-        let o = f.open("/original", OpenMode::Read).expect("open original");
-        f.read(o, 0, &mut buf).expect("read");
-        assert_eq!(&buf, b"SHARED bytes");
-        // Unlinking one name keeps the data alive.
-        let live_before = f.storage().pages_live();
-        f.unlink("/original").expect("unlink original");
-        assert_eq!(f.storage().pages_live(), live_before, "no pages freed yet");
-        let mut buf2 = [0u8; 6];
-        let a2 = f.open("/alias", OpenMode::Read).expect("alias survives");
-        f.read(a2, 0, &mut buf2).expect("read");
-        assert_eq!(&buf2, b"SHARED");
-        // Unlinking the last name frees the pages.
-        f.unlink("/alias").expect("unlink alias");
-        assert!(f.storage().pages_live() < live_before);
-    }
-
-    #[test]
-    fn linking_directories_is_refused() {
-        let mut f = fs();
-        f.mkdir("/d").expect("mkdir");
-        assert_eq!(f.link("/d", "/d2"), Err(FsError::IsDir));
-    }
-
-    #[test]
-    fn link_to_existing_name_is_refused() {
-        let mut f = fs();
-        f.create("/a").expect("create");
-        f.create("/b").expect("create");
-        assert_eq!(f.link("/a", "/b"), Err(FsError::Exists));
-        assert_eq!(f.link("/missing", "/c"), Err(FsError::NotFound));
-    }
-
-    #[test]
-    fn fsck_repairs_link_counts_after_crash() {
-        let mut f = fs();
-        let fd = f.create("/file").expect("create");
-        f.write(fd, 0, b"x").expect("write");
-        f.link("/file", "/hard1").expect("link");
-        f.link("/file", "/hard2").expect("link");
+        let ino = f.resolve("/old").expect("resolve");
+        let entry = DirEntry {
+            ino,
+            name: "new".to_owned(),
+        };
+        f.dir_add(ROOT_INO, &entry).expect("dir_add");
         f.sync().expect("sync");
-        // One more link that never becomes durable.
-        f.link("/file", "/ghost").expect("link");
         f.crash();
         let (_, fsck) = f.recover().expect("recover");
-        // The ghost entry (or its nlink bump) may have died; fsck must
-        // leave nlink equal to the surviving reference count.
-        let survivors = ["/file", "/hard1", "/hard2", "/ghost"]
-            .iter()
-            .filter(|p| f.exists(p))
-            .count() as u16;
-        assert!(survivors >= 3);
-        let _ = fsck;
-        // Unlink all surviving names; data must be freed exactly at the
-        // last one (no use-after-free, no leak).
-        for p in ["/file", "/hard1", "/hard2", "/ghost"] {
-            if f.exists(p) {
-                f.unlink(p).expect("unlink survivor");
-            }
-        }
-        // After removing every name, fsck finds no orphans.
-        let report = f.fsck().expect("fsck");
-        assert_eq!(report.orphans_freed, 0);
-    }
-
-    #[test]
-    fn rename_preserves_links() {
-        let mut f = fs();
-        let fd = f.create("/a").expect("create");
-        f.write(fd, 0, b"data").expect("write");
-        f.link("/a", "/b").expect("link");
-        f.rename("/a", "/c").expect("rename");
-        assert_eq!(f.stat("/c").expect("stat").size, 4);
-        assert_eq!(f.stat("/b").expect("stat").size, 4);
-        f.unlink("/c").expect("unlink");
-        assert!(f.exists("/b"));
+        assert_eq!(fsck.nlinks_repaired, 1, "nlink must count both names");
+        // Unlinking one name keeps the data alive.
+        let live_before = f.storage().pages_live();
+        f.unlink("/old").expect("unlink old");
+        assert_eq!(f.storage().pages_live(), live_before, "no pages freed yet");
+        let mut buf = [0u8; 12];
+        let fd = f
+            .open("/new", OpenMode::Read)
+            .expect("second name survives");
+        f.read(fd, 0, &mut buf).expect("read");
+        assert_eq!(&buf, b"shared bytes");
+        // Unlinking the last name frees the pages, leaving no orphan.
+        f.unlink("/new").expect("unlink new");
+        assert!(f.storage().pages_live() < live_before);
+        assert_eq!(f.fsck().expect("fsck").orphans_freed, 0);
     }
 }
 
@@ -1808,14 +1704,9 @@ mod convenience_tests {
         let fd = f.create("/log").expect("create");
         assert_eq!(f.append(fd, b"first").expect("append"), 0);
         assert_eq!(f.append(fd, b" second").expect("append"), 5);
-        assert_eq!(f.read_to_vec(fd).expect("read"), b"first second");
-    }
-
-    #[test]
-    fn read_to_vec_of_empty_file_is_empty() {
-        let mut f = fs();
-        let fd = f.create("/empty").expect("create");
-        assert!(f.read_to_vec(fd).expect("read").is_empty());
+        let mut buf = [0u8; 16];
+        assert_eq!(f.read(fd, 0, &mut buf).expect("read"), 12);
+        assert_eq!(&buf[..12], b"first second");
     }
 
     #[test]

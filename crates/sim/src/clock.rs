@@ -64,11 +64,6 @@ impl Clock {
         }
         self.now()
     }
-
-    /// Duration elapsed since `earlier`.
-    pub fn elapsed_since(&self, earlier: SimTime) -> SimDuration {
-        self.now().since(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -102,13 +97,5 @@ mod tests {
         assert_eq!(c2.now().as_nanos(), 1_000_000);
         c2.advance(SimDuration::from_millis(2));
         assert_eq!(c.now().as_nanos(), 3_000_000);
-    }
-
-    #[test]
-    fn elapsed_since_measures_spans() {
-        let c = Clock::new();
-        let t0 = c.now();
-        c.advance(SimDuration::from_secs(2));
-        assert_eq!(c.elapsed_since(t0), SimDuration::from_secs(2));
     }
 }

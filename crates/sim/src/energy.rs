@@ -59,11 +59,6 @@ impl Energy {
         self.0 as f64 / 1e9
     }
 
-    /// Energy as fractional millijoules.
-    pub fn as_millijoules(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating addition.
     pub fn saturating_add(self, rhs: Energy) -> Energy {
         Energy(self.0.saturating_add(rhs.0))
@@ -248,7 +243,6 @@ mod tests {
         // 10 mW for 1 s = 10 mJ.
         let e = Power::from_milliwatts(10).energy_over(SimDuration::from_secs(1));
         assert_eq!(e.as_nanojoules(), 10_000_000);
-        assert!((e.as_millijoules() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`Clock`] — a shareable simulation clock.
 //! * [`EventQueue`] — a classic discrete-event priority queue.
 //! * [`SimRng`] — a seeded RNG with the distributions the workload
-//!   generators need (exponential, log-normal, Pareto, Zipf).
+//!   generators need (exponential, log-normal, Zipf).
 //! * [`stats`] — histograms and time-weighted averages.
 //! * [`EnergyLedger`] — named per-component energy accounting.
 //! * [`series`] — result tables and their text rendering, used by the

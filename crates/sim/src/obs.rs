@@ -127,12 +127,10 @@ pub enum EventKind {
     FlashProgram,
     /// One flash block erase, spanning submit to bank-idle.
     FlashErase,
-    /// One disk access (seek + rotation + transfer; spin-up excluded).
-    DiskSeek,
 }
 
 /// All event kinds, in the fixed order aggregates serialize in.
-pub const EVENT_KINDS: [EventKind; 22] = [
+pub const EVENT_KINDS: [EventKind; 21] = [
     EventKind::TraceCreate,
     EventKind::TraceWrite,
     EventKind::TraceRead,
@@ -154,7 +152,6 @@ pub const EVENT_KINDS: [EventKind; 22] = [
     EventKind::FlashRead,
     EventKind::FlashProgram,
     EventKind::FlashErase,
-    EventKind::DiskSeek,
 ];
 
 impl EventKind {
@@ -182,7 +179,6 @@ impl EventKind {
             EventKind::FlashRead => "flash.read",
             EventKind::FlashProgram => "flash.program",
             EventKind::FlashErase => "flash.erase",
-            EventKind::DiskSeek => "disk.seek",
         }
     }
 
@@ -209,10 +205,7 @@ impl EventKind {
             | EventKind::StorageWearLevel
             | EventKind::StorageStall
             | EventKind::StorageCheckpoint => Layer::Storage,
-            EventKind::FlashRead
-            | EventKind::FlashProgram
-            | EventKind::FlashErase
-            | EventKind::DiskSeek => Layer::Device,
+            EventKind::FlashRead | EventKind::FlashProgram | EventKind::FlashErase => Layer::Device,
         }
     }
 

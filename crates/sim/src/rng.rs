@@ -63,12 +63,6 @@ impl SimRng {
         result
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// workload stream its own deterministic substream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from_u64(self.next_u64())
-    }
-
     /// Uniform in `[0, 1)`, with 53 bits of precision.
     pub fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -143,13 +137,6 @@ impl SimRng {
     /// of the *underlying* normal (i.e. `exp(N(mu, sigma))`).
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Pareto variate with scale `xm > 0` and shape `alpha > 0`; heavy
-    /// tails for small `alpha`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        xm / (1.0 - self.f64()).powf(1.0 / alpha)
     }
 
     /// Picks an index weighted by `weights` (need not be normalised).
@@ -294,14 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::seed_from_u64(9);
-        for _ in 0..1_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
     fn weighted_matches_ratios() {
         let mut rng = SimRng::seed_from_u64(3);
         let mut counts = [0u32; 3];
@@ -430,17 +409,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::seed_from_u64(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..64)
-            .filter(|_| c1.below(1 << 30) == c2.below(1 << 30))
-            .count();
-        assert!(same < 4);
-    }
-
     // ---- golden vectors: the byte stream is a frozen contract --------
     //
     // These pin the exact outputs of the in-tree xoshiro256++/SplitMix64
@@ -529,30 +497,5 @@ mod tests {
         let mut r = SimRng::seed_from_u64(11);
         let got: Vec<usize> = (0..10).map(|_| z.sample(100, &mut r)).collect();
         assert_eq!(got, [48, 36, 82, 12, 1, 22, 0, 0, 33, 3]);
-    }
-
-    #[test]
-    fn golden_fork_vector() {
-        let mut parent = SimRng::seed_from_u64(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let g1: Vec<u64> = (0..3).map(|_| c1.next_u64()).collect();
-        let g2: Vec<u64> = (0..3).map(|_| c2.next_u64()).collect();
-        assert_eq!(
-            g1,
-            [
-                10623351763118241822,
-                7381592430467207457,
-                15619837783059356923,
-            ]
-        );
-        assert_eq!(
-            g2,
-            [
-                12771852734970923968,
-                3065927695534090432,
-                9074153703419135067,
-            ]
-        );
     }
 }

@@ -143,11 +143,6 @@ impl SimDuration {
     pub fn saturating_mul(self, n: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(n))
     }
-
-    /// Scales the span by a non-negative factor, saturating.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -285,12 +280,5 @@ mod tests {
             SimDuration::ZERO
         );
         assert_eq!(near_max.saturating_mul(3), SimDuration::MAX);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
     }
 }

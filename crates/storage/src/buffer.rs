@@ -34,8 +34,6 @@ struct FrameMeta {
     page: PageId,
     /// Instant of the most recent write (LRW ordering key).
     last_write: SimTime,
-    /// Instant the page first became dirty (data-at-risk age).
-    dirty_since: SimTime,
     /// Previous (colder) frame in the LRW list, or [`NIL`].
     prev: usize,
     /// Next (hotter) frame in the LRW list, or [`NIL`].
@@ -112,14 +110,6 @@ impl WriteBuffer {
     /// Frame index of a buffered page.
     pub fn frame_of(&self, page: PageId) -> Option<usize> {
         self.index.get(page)
-    }
-
-    /// Instant `page` first became dirty.
-    pub fn dirty_since(&self, page: PageId) -> Option<SimTime> {
-        self.index
-            .get(page)
-            .and_then(|f| self.frames[f])
-            .map(|m| m.dirty_since)
     }
 
     /// Records the flash address of `frame`'s page's shielded stale copy.
@@ -211,7 +201,6 @@ impl WriteBuffer {
         self.frames[frame] = Some(FrameMeta {
             page,
             last_write: now,
-            dirty_since: now,
             prev: NIL,
             next: NIL,
             shadow: None,
@@ -372,14 +361,6 @@ mod tests {
         out.clear();
         b.colder_than_into(SimTime::ZERO, 10, &mut out);
         assert!(out.len() <= 1);
-    }
-
-    #[test]
-    fn dirty_since_survives_touches() {
-        let mut b = WriteBuffer::new(2);
-        b.insert(5, t(1));
-        b.touch(5, t(9));
-        assert_eq!(b.dirty_since(5), Some(t(1)));
     }
 
     #[test]

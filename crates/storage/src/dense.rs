@@ -92,7 +92,7 @@ impl<V: Copy> DenseIndex<V> {
                 if s >= slots.len() {
                     slots.resize(s + 1, None);
                 }
-                std::mem::replace(&mut slots[s], Some(value))
+                slots[s].replace(value)
             }
             None => self.overflow.insert(id, value),
         };

@@ -69,11 +69,6 @@ impl PagePool {
             self.bufs.push(buf);
         }
     }
-
-    /// Buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.bufs.len()
-    }
 }
 
 #[cfg(test)]
@@ -87,9 +82,9 @@ mod tests {
         assert_eq!(a.len(), 512);
         a[0] = 0xAA;
         p.put(a);
-        assert_eq!(p.idle(), 1);
+        assert_eq!(p.bufs.len(), 1);
         let b = p.take();
-        assert_eq!(p.idle(), 0);
+        assert_eq!(p.bufs.len(), 0);
         // Contents are unspecified for `take`; zeroed for `take_zeroed`.
         p.put(b);
         let c = p.take_zeroed();
@@ -100,6 +95,6 @@ mod tests {
     fn wrong_sized_buffers_are_dropped() {
         let mut p = PagePool::new(512);
         p.put(vec![0u8; 100]);
-        assert_eq!(p.idle(), 0);
+        assert_eq!(p.bufs.len(), 0);
     }
 }

@@ -94,11 +94,6 @@ impl Segment {
         self.next_slot >= self.slots.len()
     }
 
-    /// Slots still available for appends.
-    pub fn slots_free(&self) -> usize {
-        self.slots.len() - self.next_slot
-    }
-
     /// Fraction of slots holding live pages.
     pub fn utilization(&self) -> f64 {
         if self.slots.is_empty() {
@@ -767,7 +762,6 @@ mod tests {
             tb.append(0, sm(100 + i, 1 + i), t(2));
         }
         assert!(tb.seg(0).is_full());
-        assert_eq!(tb.seg(0).slots_free(), 0);
         tb.close(0);
         assert_eq!(tb.segments_in(SegState::Closed).collect::<Vec<_>>(), [0]);
         assert_eq!(tb.live_pages(), 8);

@@ -3,8 +3,7 @@
 //! The table maps virtual page numbers to [`Backing`]s through 9-bit radix
 //! levels (512 entries per node), the x86-64 shape. Interior nodes are
 //! allocated lazily, so a sparse 64-bit space costs memory proportional
-//! to what is mapped; the node count is exposed so experiments can report
-//! the table's own DRAM overhead.
+//! to what is mapped.
 
 use ssmc_storage::PageId;
 
@@ -64,7 +63,6 @@ impl core::fmt::Debug for Node {
 pub struct PageTable {
     root: Node,
     levels: u32,
-    nodes: u64,
     mapped: u64,
 }
 
@@ -81,19 +79,8 @@ impl PageTable {
         PageTable {
             root,
             levels,
-            nodes: 1,
             mapped: 0,
         }
-    }
-
-    /// Number of radix levels.
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
-    /// Allocated table nodes (each one "page-table page" of overhead).
-    pub fn node_count(&self) -> u64 {
-        self.nodes
     }
 
     /// Mapped (present) pages.
@@ -110,7 +97,6 @@ impl PageTable {
     /// Installs (or replaces) a mapping. Returns the previous entry.
     pub fn map(&mut self, vpn: u64, backing: Backing) -> Option<Backing> {
         let levels = self.levels;
-        let mut created = 0u64;
         let mut node = &mut self.root;
         for level in 0..levels - 1 {
             let idx = Self::index(levels, vpn, level);
@@ -124,7 +110,6 @@ impl PageTable {
                     Node::new_interior()
                 };
                 children[idx] = Some(child);
-                created += 1;
             }
             node = children[idx].as_mut().expect("just ensured");
         }
@@ -133,7 +118,6 @@ impl PageTable {
             unreachable!("last level is a leaf");
         };
         let old = entries[idx].replace(backing);
-        self.nodes += created;
         if old.is_none() {
             self.mapped += 1;
         }
@@ -166,10 +150,18 @@ mod tests {
         Backing::Frame(f)
     }
 
+    /// Allocated nodes under `n`, itself included.
+    fn nodes(n: &Node) -> u64 {
+        match n {
+            Node::Interior(children) => 1 + children.iter().flatten().map(nodes).sum::<u64>(),
+            Node::Leaf(_) => 1,
+        }
+    }
+
     #[test]
     fn map_get_round_trip() {
         let mut t = PageTable::new(55);
-        assert_eq!(t.levels(), 7); // ceil(55 / 9)
+        assert_eq!(t.levels, 7); // ceil(55 / 9)
         assert!(t.get(42).is_none());
         t.map(42, frame(7));
         assert_eq!(t.get(42), Some(frame(7)));
@@ -194,18 +186,18 @@ mod tests {
     #[test]
     fn lazy_allocation_scales_with_use() {
         let mut t = PageTable::new(55);
-        let empty_nodes = t.node_count();
+        let empty_nodes = nodes(&t.root);
         // 512 consecutive pages share one leaf chain.
         for vpn in 0..512 {
             t.map(vpn, frame(vpn));
         }
-        let dense = t.node_count() - empty_nodes;
+        let dense = nodes(&t.root) - empty_nodes;
         let mut t2 = PageTable::new(55);
         // 8 scattered pages allocate a chain each.
         for i in 0..8u64 {
             t2.map(i << 45, frame(i));
         }
-        let sparse = t2.node_count() - empty_nodes;
+        let sparse = nodes(&t2.root) - empty_nodes;
         assert!(dense < sparse, "dense {dense} vs sparse {sparse}");
     }
 
@@ -221,7 +213,7 @@ mod tests {
     #[test]
     fn single_level_table_works() {
         let mut t = PageTable::new(9);
-        assert_eq!(t.levels(), 1);
+        assert_eq!(t.levels, 1);
         t.map(3, frame(1));
         assert!(t.get(3).is_some());
     }

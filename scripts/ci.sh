@@ -12,6 +12,9 @@ cargo fmt --all -- --check
 # binaries, tests, benches, examples): the tree must be warning-clean,
 # not just compile.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
+# Clippy's default lints over the same packages and targets, also as
+# errors: a finding is fixed in code, not allowed.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline --workspace
 
 # Rustdoc must be warning-clean too: every intra-doc link resolves and no

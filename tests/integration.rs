@@ -6,6 +6,7 @@ use ssmc::baseline::BaselineConfig;
 use ssmc::core::{run_trace, DiskComputer, MachineConfig, MobileComputer};
 use ssmc::device::BatterySpec;
 use ssmc::memfs::OpenMode;
+use ssmc::sim::report::ToReport;
 use ssmc::sim::SimDuration;
 use ssmc::trace::{replay, GeneratorConfig, OpKind, Workload};
 
@@ -153,16 +154,26 @@ fn experiment_registry_is_complete_and_unique() {
 
 #[test]
 fn fast_experiments_produce_tables() {
-    // T1 and F1 are pure model computations; run them end to end.
-    for e in ssmc_bench::experiments() {
-        if e.id == "t1" || e.id == "f1" {
-            let tables = (e.run)();
-            assert!(!tables.is_empty(), "{} returned no tables", e.id);
-            for t in tables {
-                assert!(!t.rows.is_empty(), "{} has an empty table", e.id);
-                let rendered = t.render();
-                assert!(rendered.contains("=="), "{} renders a title", e.id);
-            }
+    // T1 and F1 are pure model computations and T2 replays both
+    // organisations; each must reproduce its checked-in results byte for
+    // byte, so drift in the device models or the disk comparator fails
+    // here rather than only in the full-regeneration guard.
+    for id in ["t1", "f1", "t2"] {
+        let e = ssmc_bench::experiments()
+            .into_iter()
+            .find(|e| e.id == id)
+            .expect("registered");
+        let tables = (e.run)();
+        assert!(!tables.is_empty(), "{id} returned no tables");
+        for t in &tables {
+            assert!(!t.rows.is_empty(), "{id} has an empty table");
+            assert!(t.render().contains("=="), "{id} renders a title");
         }
+        let path = format!("{}/results/{id}.json", env!("CARGO_MANIFEST_DIR"));
+        let checked_in = std::fs::read_to_string(&path).expect("read checked-in results");
+        assert!(
+            tables.to_report().encode_pretty() == checked_in,
+            "{id} no longer reproduces {path}"
+        );
     }
 }

@@ -1,10 +1,12 @@
-//! Randomized-model test: the conventional disk file system against a
-//! size/existence model, driven by fixed `SimRng` seeds so every run
-//! exercises identical sequences.
+//! Randomized-model tests for the conventional organisation: the disk
+//! file system against a size/existence model, and its buffer cache
+//! against a naive full-scan LRU. Both are driven by fixed `SimRng` seeds
+//! so every run exercises identical sequences.
 
-use ssmc::baseline::{BaselineConfig, DiskFs, FfsError};
-use ssmc::sim::{Clock, SimRng};
-use std::collections::HashMap;
+use ssmc::baseline::{BaselineConfig, BufferCache, DiskFs, FfsError};
+use ssmc::device::DramSpec;
+use ssmc::sim::{Clock, SimDuration, SimRng, SimTime};
+use std::collections::{BTreeMap, HashMap};
 
 /// Base seed for the deterministic case generator.
 const SEED: u64 = 0xBA5E_11FE;
@@ -141,4 +143,152 @@ fn diskfs_matches_size_model() {
         fs.flush_all();
         assert_eq!(fs.cache().dirty_count(), 0, "seed {seed}: dirty blocks");
     }
+}
+
+/// Base seed for the buffer-cache cases.
+const CACHE_SEED: u64 = 0x1A0C_AC4E;
+/// Block-number pool; twice the largest capacity, so evictions are common.
+const CACHE_BLOCKS: u64 = 16;
+
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Lookup(u64),
+    Insert(u64, bool),
+    /// Applied only when the block is cached (the cache panics otherwise).
+    MarkDirty(u64),
+    Clean(u64),
+    Discard(u64),
+    TakeDirty,
+}
+
+/// Weights: Lookup 4, Insert 4, MarkDirty 2, Clean/Discard/TakeDirty 1
+/// each (total 13).
+fn random_cache_op(rng: &mut SimRng) -> CacheOp {
+    let block = |rng: &mut SimRng| rng.below(CACHE_BLOCKS);
+    match rng.below(13) {
+        0..=3 => CacheOp::Lookup(block(rng)),
+        4..=7 => CacheOp::Insert(block(rng), rng.below(2) == 0),
+        8..=9 => CacheOp::MarkDirty(block(rng)),
+        10 => CacheOp::Clean(block(rng)),
+        11 => CacheOp::Discard(block(rng)),
+        _ => CacheOp::TakeDirty,
+    }
+}
+
+/// The reference: each cached block with its last use and dirty bit. The
+/// victim is found by scanning every entry for the smallest
+/// `(last_use, block)`.
+struct NaiveLru {
+    capacity: usize,
+    blocks: BTreeMap<u64, (SimTime, bool)>,
+    /// Evictions whose victim shared its last use with another block.
+    tied_evictions: u64,
+}
+
+impl NaiveLru {
+    fn lookup(&mut self, block: u64, now: SimTime) -> bool {
+        match self.blocks.get_mut(&block) {
+            Some(entry) => {
+                entry.0 = now;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert(&mut self, block: u64, dirty: bool, now: SimTime) -> Option<u64> {
+        if let Some(entry) = self.blocks.get_mut(&block) {
+            *entry = (now, entry.1 || dirty);
+            return None;
+        }
+        let mut evicted = None;
+        if self.blocks.len() >= self.capacity {
+            let (last_use, victim) = self
+                .blocks
+                .iter()
+                .map(|(&b, &(t, _))| (t, b))
+                .min()
+                .expect("a full cache holds blocks");
+            if self.blocks.values().filter(|e| e.0 == last_use).count() > 1 {
+                self.tied_evictions += 1;
+            }
+            let (_, was_dirty) = self.blocks.remove(&victim).expect("victim cached");
+            if was_dirty {
+                evicted = Some(victim);
+            }
+        }
+        self.blocks.insert(block, (now, dirty));
+        evicted
+    }
+
+    fn take_dirty(&mut self) -> Vec<u64> {
+        let mut dirty = Vec::new();
+        for (&b, entry) in self.blocks.iter_mut() {
+            if entry.1 {
+                entry.1 = false;
+                dirty.push(b);
+            }
+        }
+        dirty
+    }
+}
+
+#[test]
+fn buffer_cache_evicts_like_a_full_scan_lru() {
+    let mut tied_evictions = 0;
+    for case in 0..32u64 {
+        let seed = CACHE_SEED + case;
+        let mut rng = SimRng::seed_from_u64(seed);
+        let capacity = 2 + (case % 7) as usize;
+        let clock = Clock::shared();
+        let mut real = BufferCache::new(capacity, 512, DramSpec::default(), clock.clone());
+        let mut model = NaiveLru {
+            capacity,
+            blocks: BTreeMap::new(),
+            tied_evictions: 0,
+        };
+        for step in 0..300 {
+            // 0–2 ticks between ops, so blocks share last-use instants.
+            clock.advance(SimDuration::from_micros(rng.below(3)));
+            let now = clock.now();
+            let op = random_cache_op(&mut rng);
+            let ctx = format!("seed {seed} step {step} {op:?}");
+            match op {
+                CacheOp::Lookup(b) => {
+                    assert_eq!(real.lookup(b), model.lookup(b, now), "{ctx}: hit/miss");
+                }
+                CacheOp::Insert(b, dirty) => {
+                    assert_eq!(
+                        real.insert(b, dirty),
+                        model.insert(b, dirty, now),
+                        "{ctx}: dirty victim"
+                    );
+                }
+                CacheOp::MarkDirty(b) => {
+                    if let Some(entry) = model.blocks.get_mut(&b) {
+                        *entry = (now, true);
+                        real.mark_dirty(b);
+                    }
+                }
+                CacheOp::Clean(b) => {
+                    if let Some(entry) = model.blocks.get_mut(&b) {
+                        entry.1 = false;
+                    }
+                    real.clean(b);
+                }
+                CacheOp::Discard(b) => {
+                    model.blocks.remove(&b);
+                    real.discard(b);
+                }
+                CacheOp::TakeDirty => {
+                    assert_eq!(real.take_dirty(), model.take_dirty(), "{ctx}: dirty set");
+                }
+            }
+            assert_eq!(real.len(), model.blocks.len(), "{ctx}: population");
+            let dirty = model.blocks.values().filter(|e| e.1).count();
+            assert_eq!(real.dirty_count(), dirty, "{ctx}: dirty count");
+        }
+        tied_evictions += model.tied_evictions;
+    }
+    assert!(tied_evictions > 0, "no eviction broke a same-instant tie");
 }
