@@ -45,8 +45,12 @@ pub struct BufferCache {
 
 impl BufferCache {
     /// Creates an LRU cache of `capacity` blocks of `block_size` bytes.
+    ///
+    /// Block contents are not modelled, and a DRAM copy costs the same
+    /// time and energy wherever it lands, so the cache's DRAM array is one
+    /// block long: every copy is charged against it.
     pub fn new(capacity: usize, block_size: u64, dram: DramSpec, clock: SharedClock) -> Self {
-        let dram_spec = dram.with_capacity((capacity as u64 * block_size).max(block_size));
+        let dram_spec = dram.with_capacity(block_size);
         BufferCache {
             capacity: capacity.max(1),
             block_size,

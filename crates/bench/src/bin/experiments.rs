@@ -11,8 +11,10 @@
 //! ```
 
 use ssmc_bench::{experiments, Experiment};
+use ssmc_device::TearMode;
 use ssmc_sim::report::ToReport;
 use ssmc_sim::SimDuration;
+use ssmc_trace::Workload;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -23,34 +25,27 @@ fn main() {
     // Parsed before any mode dispatch, so experiments and crash-torture
     // read the flag the same way.
     if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n =
-            ssmc_bench::parse_threads(args.get(i + 1).map(String::as_str)).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
+        let n = ssmc_bench::parse_threads(args.get(i + 1).map(String::as_str))
+            .unwrap_or_else(|e| exit_2(&e));
         ssmc_sim::set_threads(n);
     }
 
     if args.first().map(String::as_str) == Some("trace-compile") {
-        trace_compile(&args[1..]);
+        trace_compile(parse_trace_compile(&args[1..]).unwrap_or_else(|e| exit_2(&e)));
         return;
     }
 
     if args.first().map(String::as_str) == Some("crash-torture") {
-        crash_torture(&args[1..]);
+        crash_torture(parse_crash_torture(&args[1..]).unwrap_or_else(|e| exit_2(&e)));
         return;
     }
 
-    let cli = parse_cli(&args, &registry).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let cli = parse_cli(&args, &registry).unwrap_or_else(|e| exit_2(&e));
 
     if let Some(path) = &cli.trace_out {
         eprintln!(">>> traced replay: bsd, {} ops", cli.trace_ops);
         let start = std::time::Instant::now();
-        let artifact =
-            ssmc_bench::obs_trace::traced_replay(ssmc_trace::Workload::Bsd, cli.trace_ops);
+        let artifact = ssmc_bench::obs_trace::traced_replay(Workload::Bsd, cli.trace_ops);
         eprintln!("    ({:.1} s)", start.elapsed().as_secs_f64());
         let mut f = std::fs::File::create(path).expect("create trace-out file");
         f.write_all(artifact.to_report().encode_pretty().as_bytes())
@@ -66,7 +61,7 @@ fn main() {
         );
         let start = std::time::Instant::now();
         let summary = ssmc_bench::obs_trace::timeline_replay(
-            ssmc_trace::Workload::Bsd,
+            Workload::Bsd,
             cli.trace_ops,
             cli.sample_interval,
             path,
@@ -143,6 +138,12 @@ fn main() {
     }
 }
 
+/// Prints a command-line error and exits 2, before any work starts.
+fn exit_2(e: &str) -> ! {
+    eprintln!("{e}");
+    std::process::exit(2);
+}
+
 /// The experiment-running mode's command line.
 struct Cli {
     list: bool,
@@ -164,12 +165,6 @@ struct Cli {
 ///
 /// The one-line message printed before exiting 2.
 fn parse_cli(args: &[String], registry: &[Experiment]) -> Result<Cli, String> {
-    // A flag's value; one that looks like another flag counts as missing.
-    fn value<'a>(it: &mut impl Iterator<Item = &'a str>, need: &str) -> Result<&'a str, String> {
-        it.next()
-            .filter(|v| !v.starts_with("--"))
-            .ok_or_else(|| need.to_owned())
-    }
     let mut cli = Cli {
         list: false,
         help: false,
@@ -222,6 +217,125 @@ fn parse_cli(args: &[String], registry: &[Experiment]) -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// A flag's value; one that looks like another flag counts as missing.
+fn value<'a>(it: &mut impl Iterator<Item = &'a str>, need: &str) -> Result<&'a str, String> {
+    it.next()
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| need.to_owned())
+}
+
+/// A flag's value parsed as a number.
+fn number<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a str>,
+    need: &str,
+) -> Result<T, String> {
+    value(it, need)?.parse().map_err(|_| need.to_owned())
+}
+
+/// The error for an argument a subcommand does not take; the main
+/// usage text lists every subcommand's flags.
+fn unexpected(arg: &str, mode: &str) -> String {
+    if arg.starts_with("--") {
+        format!("unknown {mode} flag {arg:?}; see experiments --help")
+    } else {
+        format!("unexpected {mode} argument {arg:?}; see experiments --help")
+    }
+}
+
+fn parse_workload(v: &str) -> Result<Workload, String> {
+    Workload::parse(v).ok_or_else(|| {
+        format!(
+            "unknown workload {v:?}; one of: {}",
+            Workload::ALL.map(|w| w.name()).join(", ")
+        )
+    })
+}
+
+/// `trace-compile`'s command line.
+struct CompileCli {
+    workload: Workload,
+    ops: usize,
+    out: PathBuf,
+}
+
+/// Parses `trace-compile`'s arguments in one pass, like [`parse_cli`].
+///
+/// # Errors
+///
+/// The one-line message printed before exiting 2.
+fn parse_trace_compile(args: &[String]) -> Result<CompileCli, String> {
+    let mut workload = Workload::Bsd;
+    let mut ops = 25_000;
+    let mut out = None;
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--workload" => workload = parse_workload(value(&mut it, "--workload needs a name")?)?,
+            "--ops" => ops = number(&mut it, "--ops needs a positive integer")?,
+            "--out" => out = Some(value(&mut it, "--out needs a path")?.into()),
+            other => return Err(unexpected(other, "trace-compile")),
+        }
+    }
+    let out = out.ok_or("trace-compile needs --out PATH")?;
+    Ok(CompileCli { workload, ops, out })
+}
+
+/// `crash-torture`'s command line.
+struct TortureCli {
+    workload: Workload,
+    ops: usize,
+    seed: u64,
+    tears: Vec<TearMode>,
+    json: Option<PathBuf>,
+}
+
+/// Parses `crash-torture`'s arguments in one pass, like [`parse_cli`].
+///
+/// # Errors
+///
+/// The one-line message printed before exiting 2.
+fn parse_crash_torture(args: &[String]) -> Result<TortureCli, String> {
+    let mut cli = TortureCli {
+        workload: Workload::Bsd,
+        ops: 2_000,
+        seed: 0x0C0F_FEE5,
+        tears: vec![TearMode::Prefix, TearMode::Stripe],
+        json: None,
+    };
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--workload" => {
+                cli.workload = parse_workload(value(&mut it, "--workload needs a name")?)?;
+            }
+            "--ops" => cli.ops = number(&mut it, "--ops needs a positive integer")?,
+            "--seed" => cli.seed = number(&mut it, "--seed needs an unsigned integer")?,
+            "--tear" => {
+                cli.tears = match value(&mut it, "--tear needs a mode")? {
+                    // "both" = both torn-write modes; "all" adds the untorn cut.
+                    "both" => vec![TearMode::Prefix, TearMode::Stripe],
+                    "all" => vec![TearMode::Clean, TearMode::Prefix, TearMode::Stripe],
+                    "clean" => vec![TearMode::Clean],
+                    "prefix" => vec![TearMode::Prefix],
+                    "stripe" => vec![TearMode::Stripe],
+                    v => {
+                        return Err(format!(
+                            "unknown tear mode {v:?}; one of: clean, prefix, stripe, both, all"
+                        ))
+                    }
+                };
+            }
+            "--json" => cli.json = Some(value(&mut it, "--json needs a path")?.into()),
+            // Validated and applied before mode dispatch.
+            "--threads" => {
+                it.next();
+            }
+            other => return Err(unexpected(other, "crash-torture")),
+        }
+    }
+    Ok(cli)
+}
+
 /// `experiments trace-compile --out PATH [--workload NAME] [--ops N]`
 ///
 /// Compiles a generated workload straight to a fixed-width `.ops` stream
@@ -230,42 +344,11 @@ fn parse_cli(args: &[String], registry: &[Experiment]) -> Result<Cli, String> {
 /// (the generator's default, 21932) and the 4 MB live cap are the replay
 /// benchmark's, so `--workload bsd --ops 50000` times the generation of
 /// its bsd-long sub-trace 0.
-fn trace_compile(args: &[String]) {
+fn trace_compile(cli: CompileCli) {
     use ssmc_trace::io::{OpStreamFileReader, OpStreamWriter};
-    use ssmc_trace::{GeneratorConfig, Workload};
+    use ssmc_trace::GeneratorConfig;
 
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workload = match flag("--workload") {
-        None => Workload::Bsd,
-        Some(v) => Workload::parse(&v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown workload {v:?}; one of: {}",
-                Workload::ALL.map(|w| w.name()).join(", ")
-            );
-            std::process::exit(2);
-        }),
-    };
-    let ops = match flag("--ops") {
-        None => 25_000usize,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--ops needs a positive integer");
-            std::process::exit(2);
-        }),
-    };
-    let out = flag("--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            eprintln!("trace-compile needs --out PATH");
-            std::process::exit(2);
-        });
-
+    let CompileCli { workload, ops, out } = cli;
     eprintln!(
         ">>> trace-compile: {workload}, {ops} ops -> {}",
         out.display()
@@ -307,95 +390,19 @@ fn trace_compile(args: &[String]) {
 /// sharded across threads with `parallel_sweep`, which returns results
 /// in input order — stdout and `--json` output are bit-identical at any
 /// `--threads` value. Exits non-zero if any cut produced a violation.
-fn crash_torture(args: &[String]) {
-    use ssmc_device::{FlashSpec, TearMode};
+fn crash_torture(cli: TortureCli) {
     use ssmc_sim::obs::MetricsRegistry;
     use ssmc_sim::report::Value;
-    use ssmc_sim::SimDuration;
-    use ssmc_storage::torture::{self, TortureOp, TortureSummary};
-    use ssmc_storage::StorageConfig;
-    use ssmc_trace::{project, GeneratorConfig, OracleConfig, PageOpKind, Workload};
+    use ssmc_storage::torture::{self, TortureSummary};
 
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        })
-    };
-    let workload = match flag("--workload") {
-        None => Workload::Bsd,
-        Some(v) => Workload::parse(&v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown workload {v:?}; one of: {}",
-                Workload::ALL.map(|w| w.name()).join(", ")
-            );
-            std::process::exit(2);
-        }),
-    };
-    let ops_n: usize = match flag("--ops") {
-        None => 2_000,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--ops needs a positive integer");
-            std::process::exit(2);
-        }),
-    };
-    let seed: u64 = match flag("--seed") {
-        None => 0x0C0F_FEE5,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--seed needs an unsigned integer");
-            std::process::exit(2);
-        }),
-    };
-    let tears: Vec<TearMode> = match flag("--tear").as_deref() {
-        // "both" = both torn-write modes; "all" adds the untorn cut.
-        None | Some("both") => vec![TearMode::Prefix, TearMode::Stripe],
-        Some("all") => vec![TearMode::Clean, TearMode::Prefix, TearMode::Stripe],
-        Some("clean") => vec![TearMode::Clean],
-        Some("prefix") => vec![TearMode::Prefix],
-        Some("stripe") => vec![TearMode::Stripe],
-        Some(v) => {
-            eprintln!("unknown tear mode {v:?}; one of: clean, prefix, stripe, both, all");
-            std::process::exit(2);
-        }
-    };
-    let json_out = flag("--json").map(std::path::PathBuf::from);
-
-    // Fixed page-op stream: generate, project through the oracle.
-    let trace = GeneratorConfig::new(workload)
-        .with_ops(ops_n)
-        .with_seed(seed)
-        .with_max_live_bytes(128 << 10)
-        .generate();
-    let page_ops = project(&trace, &OracleConfig::default());
-    let ops: Vec<TortureOp> = page_ops
-        .iter()
-        .map(|o| match o.kind {
-            PageOpKind::Write => TortureOp::Write { page: o.page },
-            PageOpKind::Free => TortureOp::Free { page: o.page },
-            PageOpKind::Sync => TortureOp::Sync,
-            PageOpKind::Tick => TortureOp::Tick,
-        })
-        .collect();
-
-    // Small flash so the window still exercises GC and checkpointing:
-    // 4 banks x 16 blocks x 8 KiB = 1024 pages against <= 256 live.
-    let cfg = StorageConfig {
-        page_size: 512,
-        dram_buffer_bytes: 16 << 10,
-        flash: FlashSpec {
-            banks: 4,
-            blocks_per_bank: 16,
-            block_bytes: 8 << 10,
-            write_unit: 512,
-            ..FlashSpec::default()
-        },
-        gc_trigger_segments: 4,
-        gc_target_segments: 6,
-        checkpoint_interval: SimDuration::from_secs(1),
-        ..StorageConfig::default()
-    };
+    let TortureCli {
+        workload,
+        ops: ops_n,
+        seed,
+        tears,
+        json: json_out,
+    } = cli;
+    let (cfg, ops) = ssmc_bench::torture_sweep(workload, ops_n, seed);
 
     let boundaries = torture::count_boundaries(&cfg, &ops, seed).unwrap_or_else(|e| {
         eprintln!("clean pre-pass failed: {e:?}");

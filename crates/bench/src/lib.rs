@@ -18,7 +18,11 @@ pub mod exp;
 pub mod obs_diff;
 pub mod obs_trace;
 
-use ssmc_sim::Table;
+use ssmc_device::FlashSpec;
+use ssmc_sim::{SimDuration, Table};
+use ssmc_storage::torture::TortureOp;
+use ssmc_storage::StorageConfig;
+use ssmc_trace::{project, GeneratorConfig, OracleConfig, PageOpKind, Workload};
 
 /// An experiment: id, one-line description, and the function that runs it.
 pub struct Experiment {
@@ -117,6 +121,51 @@ pub fn parse_threads(value: Option<&str>) -> Result<usize, String> {
     value
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| "--threads needs a non-negative integer (0 = all host cores)".to_owned())
+}
+
+/// The crash-torture sweep's set-up (`experiments crash-torture`): the
+/// storage configuration it cuts and the page-op stream it replays.
+///
+/// The stream is `trace_ops` generated ops of `workload` at `seed` under
+/// a 128 KB live cap, projected to page ops through the trace oracle.
+/// The flash is small so that a 2k-op window still exercises GC and
+/// checkpointing: 4 banks × 16 blocks × 8 KiB = 1024 pages against
+/// ≤ 256 live.
+pub fn torture_sweep(
+    workload: Workload,
+    trace_ops: usize,
+    seed: u64,
+) -> (StorageConfig, Vec<TortureOp>) {
+    let cfg = StorageConfig {
+        page_size: 512,
+        dram_buffer_bytes: 16 << 10,
+        flash: FlashSpec {
+            banks: 4,
+            blocks_per_bank: 16,
+            block_bytes: 8 << 10,
+            write_unit: 512,
+            ..FlashSpec::default()
+        },
+        gc_trigger_segments: 4,
+        gc_target_segments: 6,
+        checkpoint_interval: SimDuration::from_secs(1),
+        ..StorageConfig::default()
+    };
+    let trace = GeneratorConfig::new(workload)
+        .with_ops(trace_ops)
+        .with_seed(seed)
+        .with_max_live_bytes(128 << 10)
+        .generate();
+    let ops = project(&trace, &OracleConfig::default())
+        .iter()
+        .map(|o| match o.kind {
+            PageOpKind::Write => TortureOp::Write { page: o.page },
+            PageOpKind::Free => TortureOp::Free { page: o.page },
+            PageOpKind::Sync => TortureOp::Sync,
+            PageOpKind::Tick => TortureOp::Tick,
+        })
+        .collect();
+    (cfg, ops)
 }
 
 #[cfg(test)]

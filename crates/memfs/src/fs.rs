@@ -1,6 +1,5 @@
 //! The memory-resident file system proper.
 
-use crate::btree::BTreeIndex;
 use crate::error::FsError;
 use crate::layout::{
     check_path, file_page, window, DirEntry, Ino, Inode, InodeKind, Superblock, DIRENT_BYTES,
@@ -12,20 +11,19 @@ use ssmc_sim::Energy;
 use ssmc_storage::{PageId, RecoveryReport, StorageManager};
 // lint: allow(D2): the fsck maps/sets below are keyed-access or
 // membership-only; the per-site directives argue each use.
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// DRAM-resident index of one directory: a deterministic B-tree mapping
-/// name → (slot, ino) with names interned in its arena, plus the freed
-/// dirent slots available for reuse (LIFO, matching the slot-scan order
-/// the pre-index implementation produced).
+/// DRAM-resident index of one directory: an ordered map name →
+/// (slot, ino), plus the freed dirent slots available for reuse (LIFO,
+/// matching the slot-scan order the pre-index implementation produced).
 #[derive(Debug, Default)]
 struct DirIndex {
-    names: BTreeIndex<(u64, Ino)>,
+    names: BTreeMap<Box<str>, (u64, Ino)>,
     free_slots: Vec<u64>,
     /// How many index entries claim each slot. Normally 0 or 1, but a
     /// stale entry (e.g. left behind when an error path gave a live slot
     /// back to `free_slots`) can alias a reused slot. Zeroing a slot must
-    /// then drop *every* claimant — the pre-B-tree `HashMap::retain` by
+    /// then drop *every* claimant — the original `HashMap::retain` by
     /// slot did exactly that, and replayed results depend on it — so this
     /// counter tells `remove_slot_entries` when the rare healing scan is
     /// needed without an O(n) walk per delete.
@@ -50,9 +48,11 @@ impl DirIndex {
     }
 
     /// Records `name → (slot, ino)`, keeping the claim counts exact when
-    /// the insert overwrites an entry pointing at another slot.
-    fn insert(&mut self, name: &str, slot: u64, ino: Ino) {
-        if let Some((old_slot, _)) = self.names.insert(name, (slot, ino)) {
+    /// the insert overwrites an entry pointing at another slot. The name
+    /// becomes the key as it is: a `String` sized to its text converts
+    /// without a copy.
+    fn insert(&mut self, name: String, slot: u64, ino: Ino) {
+        if let Some((old_slot, _)) = self.names.insert(name.into_boxed_str(), (slot, ino)) {
             self.drop_slot(old_slot);
         }
         self.bump_slot(slot);
@@ -65,27 +65,13 @@ impl DirIndex {
     /// entry name) covers the common single-claimant case in O(log n);
     /// only genuine aliases pay the full scan.
     fn remove_slot_entries(&mut self, slot: u64, name_hint: &str) {
-        if let Some((s, _)) = self.names.get(name_hint) {
-            if s == slot {
-                self.names.remove(name_hint);
-                self.drop_slot(slot);
-            }
+        if self.names.get(name_hint).is_some_and(|&(s, _)| s == slot) {
+            self.names.remove(name_hint);
+            self.drop_slot(slot);
         }
         if self.slot_claims(slot) > 0 {
-            // lint: allow(H2): rename/unlink of a slot other names still claim:
-            // namespace mutation, not read/write replay (alloc-guard pinned).
-            let mut stale = Vec::new();
-            self.names.for_each(|n, (s, _)| {
-                if s == slot {
-                    // lint: allow(H2): the stale-name list above; namespace
-                    // mutation only.
-                    stale.push(n.to_owned());
-                }
-            });
-            for n in &stale {
-                self.names.remove(n);
-                self.drop_slot(slot);
-            }
+            self.names.retain(|_, &mut (s, _)| s != slot);
+            self.slot_rc[slot as usize] = 0;
         }
     }
 }
@@ -206,9 +192,8 @@ pub struct MemFs {
     /// directories memory-resident; this is the in-memory structure a real
     /// implementation would use instead of a buffer cache, maintained
     /// incrementally and rebuilt at mount and by fsck from the durable
-    /// slot layout. Each directory's index is a [`BTreeIndex`] probing
-    /// arena-interned keys by `&str`, so path resolution allocates
-    /// nothing and stays O(log n) at million-entry populations.
+    /// slot layout. Each directory's index is a `BTreeMap` probed by
+    /// `&str`, so path resolution allocates nothing and stays O(log n).
     dirs: Vec<Option<DirIndex>>,
     /// Recycled page-sized scratch buffer for sub-page reads and RMW.
     scratch: Vec<u8>,
@@ -277,36 +262,7 @@ impl MemFs {
         sink.counter("fs.bytes_read", self.metrics.bytes_read);
         sink.counter("fs.bytes_written", self.metrics.bytes_written);
         sink.counter("fs.copy_on_open_bytes", self.metrics.copy_on_open_bytes);
-        let (depth, splits) = self.dindex_stats();
-        sink.counter("fs.dindex_splits", splits);
-        sink.gauge("fs.dindex_depth", f64::from(depth));
         self.sm.publish_metrics(sink);
-    }
-
-    /// Directory-index shape: (max B-tree depth across directories, total
-    /// node splits). Depth bounds every lookup's node count, so the scale
-    /// tests assert O(log n) directly from this.
-    pub fn dindex_stats(&self) -> (u32, u64) {
-        let mut depth = 0u32;
-        let mut splits = 0u64;
-        for d in self.dirs.iter().flatten() {
-            depth = depth.max(d.names.depth());
-            splits += d.names.splits();
-        }
-        (depth, splits)
-    }
-
-    /// Directory-index memory footprint: (name-arena bytes, slab nodes)
-    /// summed across directories. Steady-state churn must keep both flat
-    /// — freed spans and nodes are reused, never leaked.
-    pub fn dindex_footprint(&self) -> (u64, u64) {
-        let mut arena = 0u64;
-        let mut nodes = 0u64;
-        for d in self.dirs.iter().flatten() {
-            arena += d.names.arena_bytes() as u64;
-            nodes += d.names.node_slab_len() as u64;
-        }
-        (arena, nodes)
     }
 
     fn page_size(&self) -> u64 {
@@ -498,7 +454,7 @@ impl MemFs {
             .dirs
             .get(dir as usize)
             .and_then(|d| d.as_ref())
-            .and_then(|d| d.names.get(name)))
+            .and_then(|d| d.names.get(name).copied()))
     }
 
     /// Rebuilds the DRAM directory index and free-slot lists by scanning
@@ -522,7 +478,7 @@ impl MemFs {
                         if target.kind == InodeKind::Dir && seen.insert(e.ino) {
                             queue.push_back(e.ino);
                         }
-                        self.dir_index_mut(dir).insert(&e.name, slot, e.ino);
+                        self.dir_index_mut(dir).insert(e.name, slot, e.ino);
                     }
                     None => {
                         self.dir_index_mut(dir).free_slots.push(slot);
@@ -534,7 +490,7 @@ impl MemFs {
     }
 
     // lint: hot-path
-    fn dir_add(&mut self, dir: Ino, entry: &DirEntry) -> Result<()> {
+    fn dir_add(&mut self, dir: Ino, entry: DirEntry) -> Result<()> {
         // Reuse a freed slot if one exists, else append.
         let reused = self.dir_index_mut(dir).free_slots.pop();
         let slot = match reused {
@@ -552,7 +508,7 @@ impl MemFs {
                 slot
             }
         };
-        self.dir_index_mut(dir).insert(&entry.name, slot, entry.ino);
+        self.dir_index_mut(dir).insert(entry.name, slot, entry.ino);
         Ok(())
     }
 
@@ -634,7 +590,7 @@ impl MemFs {
         self.write_inode(ino, &inode)?;
         self.dir_add(
             dir,
-            &DirEntry {
+            DirEntry {
                 ino,
                 // lint: allow(H2): a new directory entry owns its name;
                 // namespace growth by design.
@@ -661,7 +617,7 @@ impl MemFs {
         self.write_inode(ino, &inode)?;
         self.dir_add(
             dir,
-            &DirEntry {
+            DirEntry {
                 ino,
                 name: name.to_owned(),
             },
@@ -1038,7 +994,7 @@ impl MemFs {
         }
         self.dir_add(
             new_dir,
-            &DirEntry {
+            DirEntry {
                 ino,
                 // lint: allow(H2): a renamed entry owns its new name; namespace
                 // mutation by design.
@@ -1245,7 +1201,6 @@ impl MemFs {
 mod tests {
     use super::*;
     use ssmc_device::FlashSpec;
-    use ssmc_sim::obs::MetricsRegistry;
     use ssmc_sim::{Clock, SimDuration};
     use ssmc_storage::StorageConfig;
 
@@ -1380,15 +1335,16 @@ mod tests {
     fn zeroing_a_slot_drops_every_aliased_index_entry() {
         // A stale index entry can alias a reused slot (historically: an
         // error path handed a live slot back to `free_slots`). The
-        // pre-B-tree HashMap removed entries by slot (`retain`), so
-        // zeroing the slot healed every claimant at once — and long
-        // replays pin that behaviour. Reproduce the alias directly and
-        // check the B-tree path heals the same way.
+        // original per-directory HashMap removed entries by slot
+        // (`retain`), so zeroing the slot healed every claimant at once —
+        // and long replays pin that behaviour. Reproduce the alias
+        // directly and check the claim counter heals the same way.
         let mut f = fs();
         f.create("/a").expect("create"); // slot 0
         f.create("/b").expect("create"); // slot 1
-                                         // Simulate the historical double-free: slot 0 is live but listed
-                                         // as free.
+
+        // Simulate the historical double-free: slot 0 is live but listed
+        // as free.
         f.dirs[ROOT_INO as usize]
             .as_mut()
             .expect("root index")
@@ -1403,21 +1359,6 @@ mod tests {
         assert_eq!(f.stat("/a").unwrap_err(), FsError::NotFound);
         assert_eq!(f.stat("/c").unwrap_err(), FsError::NotFound);
         assert!(f.stat("/b").is_ok(), "unrelated entry survives");
-    }
-
-    #[test]
-    fn dindex_depth_grows_logarithmically_and_publishes() {
-        let mut f = fs();
-        for i in 0..120 {
-            f.create(&format!("/f{i:03}")).expect("create");
-        }
-        let (depth, splits) = f.dindex_stats();
-        assert!(depth >= 2, "120 entries must split the root");
-        assert!(splits > 0);
-        let mut reg = MetricsRegistry::new();
-        f.publish_metrics(&mut reg);
-        assert_eq!(reg.counter_value("fs.dindex_splits"), Some(splits));
-        assert_eq!(reg.gauge_value("fs.dindex_depth"), Some(f64::from(depth)));
     }
 
     #[test]
@@ -1654,7 +1595,7 @@ mod link_tests {
             ino,
             name: "new".to_owned(),
         };
-        f.dir_add(ROOT_INO, &entry).expect("dir_add");
+        f.dir_add(ROOT_INO, entry).expect("dir_add");
         f.sync().expect("sync");
         f.crash();
         let (_, fsck) = f.recover().expect("recover");

@@ -24,7 +24,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod btree;
 pub mod error;
 pub mod fs;
 pub mod layout;

@@ -4,8 +4,9 @@
 //! provide protection across multiple address spaces, rather than to
 //! expand capacity". This crate models exactly that:
 //!
-//! * a 64-bit single-level address space per protection domain, backed by
-//!   a multi-level radix page table ([`page_table`]);
+//! * a 64-bit single-level address space per protection domain whose
+//!   page table is an ordered map from virtual page number to
+//!   [`Backing`] ([`space`]);
 //! * page faults that resolve against either DRAM frames or logical
 //!   storage pages ([`vm`]);
 //! * **execute-in-place** ([`xip`]): code mapped straight out of flash
@@ -26,14 +27,12 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod page_table;
 pub mod space;
 pub mod vm;
 pub mod xip;
 
 pub use error::VmError;
-pub use page_table::{Backing, PageTable};
-pub use space::{AddressSpace, Mapping};
+pub use space::{AddressSpace, Backing, Mapping};
 pub use vm::{Vm, VmConfig, VmMetrics};
 pub use xip::{launch, run_code, LaunchStats};
 

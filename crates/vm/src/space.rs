@@ -5,8 +5,17 @@
 //! simple bump allocator in the 64-bit space — with single-level storage
 //! there is no reason to be clever about layout.
 
-use crate::page_table::PageTable;
 use ssmc_storage::PageId;
+use std::collections::BTreeMap;
+
+/// What a present page is backed by: the page table's entry type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backing {
+    /// A DRAM frame (index into the VM's frame pool).
+    Frame(u64),
+    /// A logical storage page, accessed in place (flash direct mapping).
+    Storage(PageId),
+}
 
 /// One mapped, read-execute code region: a program's text, in file order.
 #[derive(Debug, Clone)]
@@ -33,18 +42,19 @@ impl Mapping {
 /// A protection domain: page table plus regions.
 #[derive(Debug)]
 pub struct AddressSpace {
-    /// The hardware-walked table.
-    pub table: PageTable,
+    /// The page table: virtual page number → backing of each present
+    /// page. The fault path charges a constant walk for it, whatever its
+    /// shape.
+    pub(crate) table: BTreeMap<u64, Backing>,
     regions: Vec<Mapping>,
     bump_vpn: u64,
 }
 
 impl AddressSpace {
-    /// Creates an empty space. `vpn_bits` sizes the table (55 bits of VPN
-    /// covers the full 64-bit space with 512-byte pages).
-    pub fn new(vpn_bits: u32) -> Self {
+    /// Creates an empty space.
+    pub(crate) fn new() -> Self {
         AddressSpace {
-            table: PageTable::new(vpn_bits),
+            table: BTreeMap::new(),
             regions: Vec::new(),
             // Leave page 0 unmapped so null dereferences fault.
             bump_vpn: 1,
@@ -75,7 +85,7 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
-        let mut s = AddressSpace::new(55);
+        let mut s = AddressSpace::new();
         let a = s.map_region((100..110).collect(), true);
         let b = s.map_region((200..205).collect(), false);
         assert!(a + 10 <= b);
@@ -87,7 +97,7 @@ mod tests {
 
     #[test]
     fn page_zero_stays_unmapped() {
-        let mut s = AddressSpace::new(55);
+        let mut s = AddressSpace::new();
         let a = s.map_region(vec![7; 4], true);
         assert!(a >= 1);
         assert!(s.region_of(0).is_none());
@@ -95,7 +105,7 @@ mod tests {
 
     #[test]
     fn storage_page_lookup() {
-        let mut s = AddressSpace::new(55);
+        let mut s = AddressSpace::new();
         let base = s.map_region(vec![100, 101, 102], true);
         let r = s.region_of(base + 1).expect("mapped");
         assert_eq!(r.storage_page(base + 1), Some(101));

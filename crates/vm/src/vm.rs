@@ -1,8 +1,7 @@
 //! The VM engine: frame pool and fault handling for code mappings.
 
 use crate::error::VmError;
-use crate::page_table::Backing;
-use crate::space::AddressSpace;
+use crate::space::{AddressSpace, Backing};
 use crate::Result;
 use ssmc_device::{Dram, DramSpec};
 use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
@@ -33,13 +32,6 @@ impl Default for VmConfig {
             fetch_bytes: 64,
             table_walk: SimDuration::from_nanos(400),
         }
-    }
-}
-
-impl VmConfig {
-    /// Bits of virtual page number for this page size (64 − offset bits).
-    pub fn vpn_bits(&self) -> u32 {
-        64 - self.page_size.trailing_zeros()
     }
 }
 
@@ -159,7 +151,7 @@ impl Vm {
 
     /// Creates a new protection domain and returns its asid.
     pub fn create_space(&mut self) -> u32 {
-        self.spaces.push(AddressSpace::new(self.cfg.vpn_bits()));
+        self.spaces.push(AddressSpace::new());
         self.spaces.len() as u32
     }
 
@@ -216,7 +208,7 @@ impl Vm {
             self.metrics.major_faults += 1;
             Backing::Frame(frame)
         };
-        self.space_mut(asid)?.table.map(vpn, backing);
+        self.space_mut(asid)?.table.insert(vpn, backing);
         let copied = u64::from(!xip);
         self.recorder.emit(|| Span {
             kind: EventKind::VmFault,
@@ -246,8 +238,8 @@ impl Vm {
         let start = self.clock.now();
         let vpn = addr / self.cfg.page_size;
         let offset = addr % self.cfg.page_size;
-        let backing = match self.space(asid)?.table.get(vpn) {
-            Some(backing) => backing,
+        let backing = match self.space(asid)?.table.get(&vpn) {
+            Some(&backing) => backing,
             None => self.fault(asid, vpn, sm)?,
         };
         let len = self.cfg.fetch_bytes.min(self.cfg.page_size - offset).max(1) as usize;

@@ -12,6 +12,13 @@ cargo fmt --all -- --check
 # binaries, tests, benches, examples): the tree must be warning-clean,
 # not just compile.
 RUSTFLAGS="-D warnings" cargo build --release --offline --workspace --all-targets
+# The examples drive memfs, the VM and the machine through the public
+# API; the build above only compiles them, so run them. Together they
+# take ~0.5 s on a 2-core x86-64 host (sizing_advisor, ~6 s, stays
+# build-only). The same RUSTFLAGS reuse the build above.
+for example in quickstart pda_organizer notebook_build battery_failure; do
+    RUSTFLAGS="-D warnings" cargo run --release --offline --quiet --example "$example" >/dev/null
+done
 # Clippy's default lints over the same packages and targets, also as
 # errors: a finding is fixed in code, not allowed.
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -80,10 +87,10 @@ cargo bench -p ssmc-bench --bench simulator --offline -- --alloc-guard
 # root.
 cargo bench -p ssmc-bench --bench simulator --offline -- --check "$PWD/BENCH_throughput.json"
 
-# Namespace scale proof: million-entry directory with O(log n) depth
-# asserted structurally, flat memory under churn, and a 10-level-deep
-# tree. Ignored by default (release-only by design — a debug million-file
-# loop is pointlessly slow).
+# Namespace scale proof: a million-entry directory survives create,
+# stat, unlink and re-create churn, and a 10-level-deep tree resolves,
+# lists and unlinks. Ignored by default (release-only by design — a
+# debug million-file loop is pointlessly slow).
 cargo test --release --offline --test scale_namespace -- --ignored
 
 # Observability smoke: a traced replay must produce a decodable artifact

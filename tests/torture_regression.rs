@@ -12,55 +12,16 @@
 //! fail on the pre-fix (eager-kill) code and pass with the shadow-slot
 //! shield in `StorageManager`.
 
-use ssmc::device::{FlashSpec, TearMode};
-use ssmc::sim::SimDuration;
-use ssmc::storage::torture::{self, TortureOp};
-use ssmc::storage::StorageConfig;
-use ssmc::trace::{project, GeneratorConfig, OracleConfig, PageOpKind, Workload};
+use ssmc::device::TearMode;
+use ssmc::storage::torture;
+use ssmc::trace::Workload;
 
 const SEED: u64 = 0x0C0F_FEE5;
 
-/// The exact configuration the bench subcommand sweeps (see
-/// `crash_torture` in `crates/bench/src/bin/experiments.rs`): small
-/// enough that a 2 k-op window exercises GC and checkpointing.
-fn sweep_cfg() -> StorageConfig {
-    StorageConfig {
-        page_size: 512,
-        dram_buffer_bytes: 16 << 10,
-        flash: FlashSpec {
-            banks: 4,
-            blocks_per_bank: 16,
-            block_bytes: 8 << 10,
-            write_unit: 512,
-            ..FlashSpec::default()
-        },
-        gc_trigger_segments: 4,
-        gc_target_segments: 6,
-        checkpoint_interval: SimDuration::from_secs(1),
-        ..StorageConfig::default()
-    }
-}
-
-/// The exact op stream the bench subcommand sweeps.
-fn sweep_ops() -> Vec<TortureOp> {
-    let trace = GeneratorConfig::new(Workload::Bsd)
-        .with_ops(2_000)
-        .with_seed(SEED)
-        .with_max_live_bytes(128 << 10)
-        .generate();
-    project(&trace, &OracleConfig::default())
-        .iter()
-        .map(|o| match o.kind {
-            PageOpKind::Write => TortureOp::Write { page: o.page },
-            PageOpKind::Free => TortureOp::Free { page: o.page },
-            PageOpKind::Sync => TortureOp::Sync,
-            PageOpKind::Tick => TortureOp::Tick,
-        })
-        .collect()
-}
-
 fn assert_cut_passes(cut: u64, tear: TearMode) {
-    let r = torture::run_cut(&sweep_cfg(), &sweep_ops(), SEED, cut, tear);
+    // The sweep `experiments crash-torture` runs at its defaults.
+    let (cfg, ops) = ssmc_bench::torture_sweep(Workload::Bsd, 2_000, SEED);
+    let r = torture::run_cut(&cfg, &ops, SEED, cut, tear);
     assert!(
         r.passed(),
         "{tear:?} cut {cut} regressed: {:?}",
