@@ -196,16 +196,7 @@ impl Dram {
     /// has no endurance limit.
     // lint: hot-path
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<SimDuration> {
-        let len = data.len() as u64;
-        self.check(addr, len)?;
-        let latency = self.spec.access_latency(len);
-        self.clock.advance(latency);
-        self.data[addr as usize..(addr + len) as usize].copy_from_slice(data);
-        self.counters.writes += 1;
-        self.counters.bytes_written += len;
-        self.energy
-            .charge("dram.active", self.spec.active_power.energy_over(latency));
-        Ok(latency)
+        self.write_within(addr, data.len() as u64, 0, data)
     }
 
     /// Charges a write of `charged_len` bytes at `addr` (clock, counters,

@@ -536,19 +536,6 @@ impl Flash {
         Ok(&self.data[addr as usize..(addr + len) as usize])
     }
 
-    /// Latency a read of `len` bytes at `addr` *would* experience right now,
-    /// without performing it (used by placement policies).
-    pub fn read_cost(&self, addr: u64, len: u64) -> SimDuration {
-        let now = self.clock.now();
-        let busy = self.bank_busy_until[self.bank_of(addr).0 as usize];
-        let stall = if busy > now {
-            busy.since(now)
-        } else {
-            SimDuration::ZERO
-        };
-        stall + self.spec.read_latency(len)
-    }
-
     fn program_checks(&self, addr: u64, data: &[u8]) -> Result<BlockId> {
         let len = data.len() as u64;
         self.check_range(addr, len)?;
@@ -783,8 +770,8 @@ impl Flash {
     /// persist — flash is non-volatile. Absent an injected cut, state
     /// changes commit at issue time, so an interrupted operation's effect
     /// is treated as complete; the storage layer above treats mid-erase
-    /// blocks as erased (and, after this PR, scrubs any block an injected
-    /// torn erase left half-done).
+    /// blocks as erased (and scrubs any block an injected torn erase left
+    /// half-done).
     pub fn power_cycle(&mut self) {
         let now = self.clock.now();
         for b in &mut self.bank_busy_until {
@@ -1157,16 +1144,6 @@ mod tests {
         };
         assert_eq!(run(), 3);
         assert_eq!(run(), 3);
-    }
-
-    #[test]
-    fn read_cost_reflects_pending_busy() {
-        let clock = Clock::shared();
-        let mut f = Flash::new(small_spec(), clock.clone());
-        let quiet = f.read_cost(0, 512);
-        f.erase_async(BlockId(0)).expect("erase");
-        let busy = f.read_cost(0, 512);
-        assert!(busy > quiet);
     }
 }
 

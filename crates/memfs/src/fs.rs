@@ -449,7 +449,7 @@ impl MemFs {
     }
 
     // lint: hot-path
-    fn dir_lookup(&mut self, dir: Ino, _dir_size: u64, name: &str) -> Result<Option<(u64, Ino)>> {
+    fn dir_lookup(&mut self, dir: Ino, name: &str) -> Result<Option<(u64, Ino)>> {
         Ok(self
             .dirs
             .get(dir as usize)
@@ -557,7 +557,7 @@ impl MemFs {
             if inode.kind != InodeKind::Dir {
                 return Err(FsError::NotDir);
             }
-            let Some((_, next)) = self.dir_lookup(cur, inode.size, part)? else {
+            let Some((_, next)) = self.dir_lookup(cur, part)? else {
                 return Err(FsError::NotFound);
             };
             cur = next;
@@ -581,8 +581,8 @@ impl MemFs {
     /// [`FsError::Exists`] if the path exists, plus path/storage errors.
     pub fn create(&mut self, path: &str) -> Result<u64> {
         let (dir, name) = self.resolve_parent(path)?;
-        let dir_size = self.read_inode(dir)?.size;
-        if self.dir_lookup(dir, dir_size, name)?.is_some() {
+        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
+        if self.dir_lookup(dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_ino()?;
@@ -608,8 +608,8 @@ impl MemFs {
     /// [`FsError::Exists`] if the path exists, plus path/storage errors.
     pub fn mkdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        let dir_size = self.read_inode(dir)?.size;
-        if self.dir_lookup(dir, dir_size, name)?.is_some() {
+        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
+        if self.dir_lookup(dir, name)?.is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_ino()?;
@@ -910,8 +910,8 @@ impl MemFs {
     /// [`FsError::IsDir`] for directories, plus path/storage errors.
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        let dir_size = self.read_inode(dir)?.size;
-        let Some((slot, ino)) = self.dir_lookup(dir, dir_size, name)? else {
+        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
+        let Some((slot, ino)) = self.dir_lookup(dir, name)? else {
             return Err(FsError::NotFound);
         };
         let mut inode = self.read_inode(ino)?;
@@ -958,8 +958,8 @@ impl MemFs {
     /// errors.
     pub fn rmdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        let dir_size = self.read_inode(dir)?.size;
-        let Some((slot, ino)) = self.dir_lookup(dir, dir_size, name)? else {
+        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
+        let Some((slot, ino)) = self.dir_lookup(dir, name)? else {
             return Err(FsError::NotFound);
         };
         let inode = self.read_inode(ino)?;
@@ -983,13 +983,13 @@ impl MemFs {
     /// errors.
     pub fn rename(&mut self, old: &str, new: &str) -> Result<()> {
         let (old_dir, old_name) = self.resolve_parent(old)?;
-        let old_size = self.read_inode(old_dir)?.size;
-        let Some((old_slot, ino)) = self.dir_lookup(old_dir, old_size, old_name)? else {
+        self.read_inode(old_dir)?; // unused, but dropping the charged read moves simulated time
+        let Some((old_slot, ino)) = self.dir_lookup(old_dir, old_name)? else {
             return Err(FsError::NotFound);
         };
         let (new_dir, new_name) = self.resolve_parent(new)?;
-        let new_size = self.read_inode(new_dir)?.size;
-        if self.dir_lookup(new_dir, new_size, new_name)?.is_some() {
+        self.read_inode(new_dir)?; // unused, but dropping the charged read moves simulated time
+        if self.dir_lookup(new_dir, new_name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.dir_add(

@@ -6,9 +6,9 @@
 //! low half. [`DenseIndex`] exploits that shape: the high 32 bits select
 //! a lazily-grown window, the low bits index a flat `Vec<Option<V>>` of
 //! slots, so a lookup is two array indexes — no hashing, no allocation,
-//! no pointer chasing. Ids past the per-window slot bound, or in very
-//! high windows (the VM swap area), fall back to a sorted overflow map,
-//! which also keeps iteration deterministic.
+//! no pointer chasing. Ids past the per-window slot bound, or in windows
+//! past `DENSE_WINDOWS`, fall back to a sorted overflow map, which also
+//! keeps iteration deterministic.
 //!
 //! This is the storage crate's shared building block for the hot-path
 //! tables: the page map, the write buffer's page→frame index, and the
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// Windows (distinct high-32-bit prefixes) eligible for dense tables.
 /// Inode numbers are small sequential integers, so this covers every
-/// file window; the VM swap window (`0xFFFF_FFFF…`) overflows.
+/// file window; only an id with a larger high half overflows.
 const DENSE_WINDOWS: u64 = 1 << 16;
 
 /// A dense windowed index from `u64` ids to copyable values.

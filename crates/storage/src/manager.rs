@@ -29,13 +29,35 @@ use ssmc_device::{DeviceError, Dram, Flash, TearMode};
 use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, SharedClock, SimDuration, SimTime};
 
-/// Which write head a segment is opened for.
+/// Which write head a segment is opened for; the discriminant indexes
+/// the manager's head table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SegClass {
     /// Fresh user data (hot).
     Write,
     /// GC survivors and wear-leveling migrations (cold, read-mostly).
     Cold,
+}
+
+/// Where a data slot's payload comes from.
+#[derive(Debug, Clone, Copy)]
+enum Payload<'a> {
+    /// A write-buffer frame at this DRAM address, programmed straight
+    /// from the array (its read was charged by the caller).
+    Frame(u64),
+    /// Bytes already in hand: a write-through page or a GC copy.
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Payload<'a> {
+    /// The payload's bytes. Takes the DRAM device rather than the manager
+    /// so the borrow leaves the flash free to program them.
+    fn bytes(self, dram: &'a Dram, page_size: u64) -> &'a [u8] {
+        match self {
+            Payload::Frame(addr) => dram.peek(addr, page_size),
+            Payload::Bytes(data) => data,
+        }
+    }
 }
 
 /// Checkpoint-area state (two ping-pong erase blocks ahead of the log).
@@ -123,8 +145,9 @@ pub struct StorageManager {
     map: PageMap,
     buffer: WriteBuffer,
     table: SegmentTable,
-    open_write: Option<usize>,
-    open_cold: Option<usize>,
+    /// The open write head of each [`SegClass`], indexed by its
+    /// discriminant; assigned only through [`StorageManager::set_head`].
+    heads: [Option<usize>; 2],
     pending_tombstones: Vec<(PageId, u64)>,
     /// Recycled scratch for tombstones carried across a segment erase;
     /// see [`StorageManager::retire_or_erase`].
@@ -206,8 +229,7 @@ impl StorageManager {
             wear_spread: None,
             metrics: StorageMetrics::new(now),
             recorder: Recorder::disabled(),
-            open_write: None,
-            open_cold: None,
+            heads: [None; 2],
             pending_tombstones: Vec::with_capacity(4 * slots.max(64)),
             carry_scratch: Vec::with_capacity(slots.max(16)),
             zero_crc,
@@ -319,6 +341,22 @@ impl StorageManager {
         }
     }
 
+    /// Emits a storage span from `start` to now over `pages` pages, whose
+    /// energy is the flash energy drawn since `e0` (a
+    /// [`Self::span_energy_mark`] reading).
+    fn emit_span(&self, kind: EventKind, start: SimTime, e0: Energy, pages: u64) {
+        self.recorder.emit(|| Span {
+            kind,
+            start,
+            end: self.clock.now(),
+            energy: Energy::from_nanojoules(
+                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
+            ),
+            pages,
+            bytes: pages * self.cfg.page_size,
+        });
+    }
+
     /// Pages the manager can hold (live data), after utilisation and
     /// wear-retirement limits.
     pub fn page_capacity(&self) -> u64 {
@@ -428,7 +466,7 @@ impl StorageManager {
             if self.map.get(page).is_none() && !self.has_capacity_for(1) {
                 return Err(StorageError::NoSpace);
             }
-            self.flush_data_to_flash(page, data)?;
+            self.flush_data_to_flash(page, Payload::Bytes(data))?;
             self.metrics.user_flash_pages += 1;
             return Ok(());
         }
@@ -541,30 +579,20 @@ impl StorageManager {
             self.cfg.page_size,
             "read_page takes exactly one page"
         );
-        self.check_alive()?;
-        match self.map.get(page) {
-            Some(Location::Dram(frame)) => {
-                self.dram.read(self.frame_addr(frame), buf)?;
-                self.metrics.reads_from_dram += 1;
-            }
-            Some(Location::Flash(addr)) => {
-                self.flash.read(addr, buf)?;
-                self.metrics.reads_from_flash += 1;
-            }
-            None => {
-                buf.fill(0);
-                self.metrics.hole_reads += 1;
-            }
+        match self.read_page_ref(page)? {
+            Some(data) => buf.copy_from_slice(data),
+            None => buf.fill(0),
         }
         Ok(())
     }
 
-    /// Reads one page without a staging copy: charges exactly what
-    /// [`Self::read_page`] charges (device latency, energy, counters) but
-    /// returns a borrow of the backing array instead of filling a caller
-    /// buffer. `None` means the page is a hole (all zeros); the hole read
-    /// is still counted. Metadata paths that decode a few bytes of a page
-    /// use this to skip the page-sized memcpy.
+    /// Reads one page without a staging copy: the whole-page read that
+    /// [`Self::read_page`] and [`Self::read_pages_discard`] charge through
+    /// (device latency, energy, counters). Returns a borrow of the backing
+    /// array instead of filling a caller buffer. `None` means the page is
+    /// a hole (all zeros); the hole read is still counted. Metadata paths
+    /// that decode a few bytes of a page use this to skip the page-sized
+    /// memcpy.
     ///
     /// # Errors
     ///
@@ -593,10 +621,10 @@ impl StorageManager {
     }
 
     /// Batch entry point for replay-style reads whose data nobody
-    /// inspects: charges `count` consecutive pages exactly as
-    /// [`Self::read_page_ref`] of each would — device clock, counters,
-    /// energy, and hit metrics, in the same order — with one call and one
-    /// liveness check per batch, and no borrow or copy formed at all.
+    /// inspects: charges `count` consecutive pages through
+    /// [`Self::read_page_ref`] — device clock, counters, energy, and hit
+    /// metrics, in page order — and discards the borrows. A crashed
+    /// manager fails even an empty batch.
     ///
     /// # Errors
     ///
@@ -605,19 +633,8 @@ impl StorageManager {
     // lint: hot-path
     pub fn read_pages_discard(&mut self, first: PageId, count: u64) -> Result<()> {
         self.check_alive()?;
-        let ps = self.cfg.page_size;
         for page in first..first + count {
-            match self.map.get(page) {
-                Some(Location::Dram(frame)) => {
-                    self.dram.read_borrow(self.frame_addr(frame), ps)?;
-                    self.metrics.reads_from_dram += 1;
-                }
-                Some(Location::Flash(addr)) => {
-                    self.flash.read_borrow(addr, ps)?;
-                    self.metrics.reads_from_flash += 1;
-                }
-                None => self.metrics.hole_reads += 1,
-            }
+            self.read_page_ref(page)?;
         }
         Ok(())
     }
@@ -818,90 +835,81 @@ impl StorageManager {
                 continue; // already flushed or freed
             };
             let frame_addr = self.frame_addr(frame);
-            match self.cfg.placement {
-                Placement::LogStructured => {
-                    // Charge the DRAM read up front (borrow discarded), run
-                    // the allocation — which may garbage-collect — and only
-                    // then hand the frame's bytes straight to the flash
-                    // program. Same charge sequence as read-into-scratch
-                    // followed by `flush_data_to_flash`, minus the copy.
-                    self.dram.read_borrow(frame_addr, ps)?;
-                    let seq = self.map.next_seq();
-                    let crc = crc::crc32(self.dram.peek(frame_addr, ps));
-                    let (seg, addr) =
-                        self.append_slot(SegClass::Write, SlotMeta { page, seq, crc })?;
-                    // Dirty the segment *before* the program: a power cut
-                    // mid-program must never leave a slot the
-                    // checkpoint-bounded recovery scan would skip.
-                    self.ckpt.mark_dirtied(seg);
-                    self.flash
-                        .program_async(addr, self.dram.peek(frame_addr, ps))?;
-                    self.map.set(page, Location::Flash(addr));
-                    // The newer version is durable: the shielded stale
-                    // copy (possibly relocated by GC under append_slot)
-                    // can finally die. Taken by frame index — the map no
-                    // longer points at the frame, but it isn't released
-                    // until the `buffer.remove` below.
-                    if let Some(old_addr) = self.buffer.shadow_take(frame) {
-                        self.table.kill_at(old_addr);
-                    }
-                }
-                Placement::InPlace => {
-                    // In-place flush needs read-modify-write staging; keep
-                    // the copying path.
-                    let mut data = self.pool.take();
-                    let r = match self.dram.read(frame_addr, &mut data) {
-                        Ok(_) => self.flush_inplace(page, &data),
-                        Err(e) => Err(e.into()),
-                    };
-                    self.pool.put(data);
-                    r?;
-                }
-            }
+            // Charge the DRAM read up front (borrow discarded); placement
+            // then hands the frame's bytes straight to the flash program.
+            // Same charge sequence as read-into-scratch followed by
+            // placement, minus the copy.
+            self.dram.read_borrow(frame_addr, ps)?;
+            self.flush_data_to_flash(page, Payload::Frame(frame_addr))?;
             self.buffer.remove(page);
             self.metrics.user_flash_pages += 1;
             flushed += 1;
         }
         if flushed > 0 {
-            self.recorder.emit(|| Span {
-                kind: EventKind::StorageFlush,
-                start,
-                end: self.clock.now(),
-                energy: Energy::from_nanojoules(
-                    self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-                ),
-                pages: flushed,
-                bytes: flushed * self.cfg.page_size,
-            });
+            self.emit_span(EventKind::StorageFlush, start, e0, flushed);
         }
         self.update_gauges();
         Ok(())
     }
 
-    /// Places one page's bytes on flash (log append or in-place RMW) and
-    /// updates the map.
+    /// Places one page's bytes on flash (log append at the write head or
+    /// in-place RMW) and updates the map. The buffered flush passes the
+    /// page's frame, the write-through path its bytes.
     // lint: hot-path
-    fn flush_data_to_flash(&mut self, page: PageId, data: &[u8]) -> Result<()> {
+    fn flush_data_to_flash(&mut self, page: PageId, payload: Payload<'_>) -> Result<()> {
+        let ps = self.cfg.page_size;
         match self.cfg.placement {
             Placement::LogStructured => {
                 let seq = self.map.next_seq();
-                let crc = crc::crc32(data);
-                let (seg, addr) = self.append_slot(SegClass::Write, SlotMeta { page, seq, crc })?;
-                self.ckpt.mark_dirtied(seg);
-                self.flash.program_async(addr, data)?;
-                // Kill the previous durable copy only now that its
-                // replacement is on flash, and look its location up only
-                // now: GC under `append_slot` may have relocated the old
-                // slot (and updated the map).
-                let prev = self.map.get(page);
+                let crc = crc::crc32(payload.bytes(&self.dram, ps));
+                // Opening the head may garbage-collect.
+                let seg = self.ensure_open(SegClass::Write, true)?;
+                let addr = self.write_data_slot(seg, SlotMeta { page, seq, crc }, payload)?;
+                // The newer version is durable: the previous copy can
+                // finally die. Look it up only now, since GC under
+                // `ensure_open` may have relocated it. A buffered page's
+                // previous copy is its frame's shielded stale copy, taken
+                // by frame index (the frame is released by the caller).
+                let stale = match self.map.get(page) {
+                    Some(Location::Flash(prev)) => Some(prev),
+                    Some(Location::Dram(frame)) => self.buffer.shadow_take(frame),
+                    None => None,
+                };
                 self.map.set(page, Location::Flash(addr));
-                if let Some(Location::Flash(prev_addr)) = prev {
-                    self.table.kill_at(prev_addr);
+                if let Some(stale) = stale {
+                    self.table.kill_at(stale);
                 }
                 Ok(())
             }
-            Placement::InPlace => self.flush_inplace(page, data),
+            Placement::InPlace => match payload {
+                Payload::Bytes(data) => self.flush_inplace(page, data),
+                Payload::Frame(frame_addr) => {
+                    // The read-modify-write needs the bytes beside
+                    // `&mut self`, so a frame is staged in a pool buffer.
+                    let mut data = self.pool.take();
+                    data.copy_from_slice(self.dram.peek(frame_addr, ps));
+                    let r = self.flush_inplace(page, &data);
+                    self.pool.put(data);
+                    r
+                }
+            },
         }
+    }
+
+    /// The one data-slot writer: appends `meta` to the open segment
+    /// `seg`, marks the segment dirty for the checkpoint-bounded recovery
+    /// scan, and programs the payload. Returns the slot's flash address.
+    // lint: hot-path
+    fn write_data_slot(&mut self, seg: usize, meta: SlotMeta, payload: Payload<'_>) -> Result<u64> {
+        let slot = self.table.append(seg, meta, self.now());
+        let addr = self.table.slot_addr(seg, slot);
+        // Dirty the segment *before* the program: a power cut mid-program
+        // must never leave a slot the checkpoint-bounded recovery scan
+        // would skip.
+        self.ckpt.mark_dirtied(seg);
+        self.flash
+            .program_async(addr, payload.bytes(&self.dram, self.cfg.page_size))?;
+        Ok(addr)
     }
 
     /// In-place placement: each page has a fixed home; rewriting it means
@@ -997,18 +1005,10 @@ impl StorageManager {
             .max_by_key(|&s| self.seg_wear(s))
     }
 
-    fn open_slot_of(&self, class: SegClass) -> Option<usize> {
-        match class {
-            SegClass::Write => self.open_write,
-            SegClass::Cold => self.open_cold,
-        }
-    }
-
-    fn set_open(&mut self, class: SegClass, seg: Option<usize>) {
-        match class {
-            SegClass::Write => self.open_write = seg,
-            SegClass::Cold => self.open_cold = seg,
-        }
+    /// The one head setter: makes `seg` the open head of `class` (or
+    /// leaves `class` without one).
+    fn set_head(&mut self, class: SegClass, seg: Option<usize>) {
+        self.heads[class as usize] = seg;
     }
 
     /// Returns an open segment for `class` with at least one free slot,
@@ -1016,12 +1016,12 @@ impl StorageManager {
     // lint: hot-path
     fn ensure_open(&mut self, class: SegClass, allow_gc: bool) -> Result<usize> {
         for _ in 0..self.table.len() * 2 + 4 {
-            if let Some(seg) = self.open_slot_of(class) {
+            if let Some(seg) = self.heads[class as usize] {
                 if !self.table.seg(seg).is_full() {
                     return Ok(seg);
                 }
                 self.table.close(seg);
-                self.set_open(class, None);
+                self.set_head(class, None);
             }
             let now = self.now();
             self.table.reap_erased(now);
@@ -1033,7 +1033,7 @@ impl StorageManager {
             }
             if let Some(seg) = self.alloc_segment(class) {
                 self.table.open(seg);
-                self.set_open(class, Some(seg));
+                self.set_head(class, Some(seg));
                 continue;
             }
             // No free segment: wait out the erase backlog if there is one.
@@ -1059,14 +1059,6 @@ impl StorageManager {
         Err(StorageError::NoSpace)
     }
 
-    /// Appends a slot for `meta` in an open segment of `class`, returning
-    /// `(segment, flash address)`.
-    fn append_slot(&mut self, class: SegClass, meta: SlotMeta) -> Result<(usize, u64)> {
-        let seg = self.ensure_open(class, true)?;
-        let slot = self.table.append(seg, meta, self.now());
-        Ok((seg, self.table.slot_addr(seg, slot)))
-    }
-
     /// Runs garbage collection until the free-segment target is met or no
     /// further progress is possible. Returns whether anything was
     /// reclaimed.
@@ -1076,7 +1068,6 @@ impl StorageManager {
         let e0 = self.span_energy_mark();
         let moved0 = self.metrics.gc_flash_pages;
         let mut progressed = false;
-        let mut data = self.pool.take();
         for _ in 0..self.table.len() {
             let now = self.now();
             self.table.reap_erased(now);
@@ -1084,60 +1075,63 @@ impl StorageManager {
             if free >= self.cfg.gc_target_segments {
                 break;
             }
+            // Never clean the open heads (they are not Closed, so
+            // pick_victim cannot return them by construction).
             let Some(victim) = pick_victim(&self.table, self.cfg.gc, now) else {
                 break;
             };
-            // Never clean the open heads (they are not Closed, so
-            // pick_victim cannot return them by construction).
-            let mut live = core::mem::take(&mut self.live_scratch);
-            live.clear();
-            self.table.seg(victim).live_slots_into(&mut live);
-            for &(slot, meta) in &live {
-                let old_addr = self.table.slot_addr(victim, slot);
-                self.flash.read(old_addr, &mut data)?;
-                // GC survivors are cold by definition: they go to the cold
-                // head (and, under partitioning, to the read-mostly banks).
-                let seg = self.ensure_open(SegClass::Cold, false)?;
-                // The copy is byte-identical, so the header's CRC carries.
-                let new_slot = self.table.append(seg, meta, self.now());
-                let new_addr = self.table.slot_addr(seg, new_slot);
-                self.ckpt.mark_dirtied(seg);
-                self.flash.program_async(new_addr, &data)?;
-                self.table.kill_at(old_addr);
-                // A shielded stale copy relocates with its slot; only a
-                // current copy re-points the page map (the page may be
-                // dirty in DRAM, and the map must keep saying so).
-                match self.map.get(meta.page) {
-                    Some(Location::Dram(frame))
-                        if self.buffer.shadow_get(frame) == Some(old_addr) =>
-                    {
-                        self.buffer.shadow_set(frame, new_addr);
-                    }
-                    _ => self.map.set(meta.page, Location::Flash(new_addr)),
-                }
-                self.metrics.gc_flash_pages += 1;
-            }
-            live.clear();
-            self.live_scratch = live;
-            self.retire_or_erase(victim)?;
+            self.relocate(victim, None)?;
             self.metrics.gc_runs += 1;
             progressed = true;
         }
-        self.pool.put(data);
         if progressed {
-            self.recorder.emit(|| Span {
-                kind: EventKind::StorageGc,
-                start,
-                end: self.clock.now(),
-                energy: Energy::from_nanojoules(
-                    self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-                ),
-                pages: self.metrics.gc_flash_pages - moved0,
-                bytes: (self.metrics.gc_flash_pages - moved0) * self.cfg.page_size,
-            });
+            let moved = self.metrics.gc_flash_pages - moved0;
+            self.emit_span(EventKind::StorageGc, start, e0, moved);
         }
         self.maybe_flush_tombstones()?;
         Ok(progressed)
+    }
+
+    /// The relocation loop GC and wear leveling share: copies every live
+    /// slot of `victim` forward, then erases or retires it. The copies go
+    /// to `dest` when one is given (wear leveling's pre-opened
+    /// destination, closed once they are in) and otherwise to the cold
+    /// head: GC survivors are cold by definition, so they land there and,
+    /// under partitioning, on the read-mostly banks.
+    // lint: hot-path
+    fn relocate(&mut self, victim: usize, dest: Option<usize>) -> Result<()> {
+        let mut data = self.pool.take();
+        let mut live = core::mem::take(&mut self.live_scratch);
+        live.clear();
+        self.table.seg(victim).live_slots_into(&mut live);
+        for &(slot, meta) in &live {
+            let old_addr = self.table.slot_addr(victim, slot);
+            self.flash.read(old_addr, &mut data)?;
+            let seg = match dest {
+                Some(dest) => dest,
+                None => self.ensure_open(SegClass::Cold, false)?,
+            };
+            // The copy is byte-identical, so the header's CRC carries.
+            let new_addr = self.write_data_slot(seg, meta, Payload::Bytes(&data))?;
+            self.table.kill_at(old_addr);
+            // A shielded stale copy relocates with its slot; only a
+            // current copy re-points the page map (the page may be
+            // dirty in DRAM, and the map must keep saying so).
+            match self.map.get(meta.page) {
+                Some(Location::Dram(frame)) if self.buffer.shadow_get(frame) == Some(old_addr) => {
+                    self.buffer.shadow_set(frame, new_addr);
+                }
+                _ => self.map.set(meta.page, Location::Flash(new_addr)),
+            }
+            self.metrics.gc_flash_pages += 1;
+        }
+        live.clear();
+        self.live_scratch = live;
+        self.pool.put(data);
+        if let Some(dest) = dest {
+            self.table.close(dest);
+        }
+        self.retire_or_erase(victim)
     }
 
     /// Erases a drained victim segment, or retires it if the block has
@@ -1183,32 +1177,27 @@ impl StorageManager {
         }
     }
 
-    /// Durably logs carried tombstone records into the cold head ahead
-    /// of a segment erase. Returns `Ok(true)` when every record was
+    /// Durably logs carried tombstone records at the write head ahead of
+    /// a segment erase. Returns `Ok(true)` when every record was
     /// programmed; `Ok(false)` means no segment could be opened without
-    /// recursing into GC and the records went to the DRAM pending list
-    /// instead (the degraded pre-fix behaviour).
+    /// recursing into GC and the remaining records went to the DRAM
+    /// pending list instead (the degraded pre-fix behaviour).
     // lint: hot-path
     fn log_carried_tombstones(&mut self, records: &[(PageId, u64)]) -> Result<bool> {
         let per_slot = self.tombstones_per_slot();
-        let mut next = 0;
-        while next < records.len() {
-            let Ok(seg) = self.ensure_open(SegClass::Write, false) else {
-                self.pending_tombstones.extend_from_slice(&records[next..]);
-                return Ok(false);
-            };
-            let end = records.len().min(next + per_slot);
-            let batch = self.table.tomb_batch(records[next..end].iter().copied());
-            next = end;
-            let now = self.now();
-            let slot = self.table.append_tomb(seg, batch, now);
-            let addr = self.table.slot_addr(seg, slot);
-            self.ckpt.mark_dirtied(seg);
-            let data = self.pool.take_zeroed();
-            let programmed = self.flash.program_async(addr, &data);
-            self.pool.put(data);
-            programmed?;
-            self.metrics.summary_flash_pages += 1;
+        for (i, chunk) in records.chunks(per_slot).enumerate() {
+            let batch = self.table.tomb_batch(chunk.iter().copied());
+            match self.write_tomb_slot(batch, false) {
+                Ok(()) => {}
+                // With GC off, opening a head fails only with NoSpace;
+                // a failed program is a device error.
+                Err(StorageError::NoSpace) => {
+                    self.pending_tombstones
+                        .extend_from_slice(&records[i * per_slot..]);
+                    return Ok(false);
+                }
+                Err(e) => return Err(e),
+            }
         }
         Ok(true)
     }
@@ -1234,9 +1223,7 @@ impl StorageManager {
             if self.table.seg(seg).state == SegState::Retired {
                 continue;
             }
-            let c = self
-                .flash
-                .erase_count(self.flash.block_of(self.table.block_addr(seg)));
+            let c = self.seg_wear(seg);
             min = min.min(c);
             max = max.max(c);
         }
@@ -1259,18 +1246,12 @@ impl StorageManager {
         }
         // `usize::MAX` is never a valid segment index, so closed heads
         // encode as impossible values instead of a built candidate list.
-        let exclude = [
-            self.open_write.unwrap_or(usize::MAX),
-            self.open_cold.unwrap_or(usize::MAX),
-        ];
+        let exclude = self.heads.map(|head| head.unwrap_or(usize::MAX));
         let Some(victim) = pick_coldest(&self.table, &exclude) else {
             return Ok(());
         };
         // Only worthwhile if the victim actually shields a young block.
-        let victim_wear = self
-            .flash
-            .erase_count(self.flash.block_of(self.table.block_addr(victim)));
-        if victim_wear > min + threshold / 2 {
+        if self.seg_wear(victim) > min + threshold / 2 {
             return Ok(());
         }
         let Some(dest) = self.alloc_most_worn() else {
@@ -1283,43 +1264,10 @@ impl StorageManager {
         let e0 = self.span_energy_mark();
         let moved0 = self.metrics.gc_flash_pages;
         self.table.open(dest);
-        let mut data = self.pool.take();
-        let mut live = core::mem::take(&mut self.live_scratch);
-        live.clear();
-        self.table.seg(victim).live_slots_into(&mut live);
-        for &(slot, meta) in &live {
-            let old_addr = self.table.slot_addr(victim, slot);
-            self.flash.read(old_addr, &mut data)?;
-            let new_slot = self.table.append(dest, meta, self.now());
-            let new_addr = self.table.slot_addr(dest, new_slot);
-            self.ckpt.mark_dirtied(dest);
-            self.flash.program_async(new_addr, &data)?;
-            self.table.kill_at(old_addr);
-            // Same shielded-copy rule as the GC copy loop above.
-            match self.map.get(meta.page) {
-                Some(Location::Dram(frame)) if self.buffer.shadow_get(frame) == Some(old_addr) => {
-                    self.buffer.shadow_set(frame, new_addr);
-                }
-                _ => self.map.set(meta.page, Location::Flash(new_addr)),
-            }
-            self.metrics.gc_flash_pages += 1;
-        }
-        live.clear();
-        self.live_scratch = live;
-        self.table.close(dest);
-        self.pool.put(data);
-        self.retire_or_erase(victim)?;
+        self.relocate(victim, Some(dest))?;
         self.metrics.wear_migrations += 1;
-        self.recorder.emit(|| Span {
-            kind: EventKind::StorageWearLevel,
-            start,
-            end: self.clock.now(),
-            energy: Energy::from_nanojoules(
-                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-            ),
-            pages: self.metrics.gc_flash_pages - moved0,
-            bytes: (self.metrics.gc_flash_pages - moved0) * self.cfg.page_size,
-        });
+        let moved = self.metrics.gc_flash_pages - moved0;
+        self.emit_span(EventKind::StorageWearLevel, start, e0, moved);
         Ok(())
     }
 
@@ -1350,32 +1298,42 @@ impl StorageManager {
         }
         let per_slot = self.tombstones_per_slot();
         while !self.pending_tombstones.is_empty() {
-            // The batch is drained before ensure_open: GC under it can
-            // append carried tombstones to `pending_tombstones`, and
-            // those must go into *later* batches. If no segment can be
-            // opened, the drained batch is lost with the failed flush;
-            // the manager is out of space and the error is terminal for
-            // the operation that triggered the flush.
+            // The batch is drained before the head opens: GC under it can
+            // append carried tombstones to `pending_tombstones`, and those
+            // must go into *later* batches. If no segment can be opened,
+            // the drained batch is lost with the failed flush; the manager
+            // is out of space and the error is terminal for the operation
+            // that triggered the flush.
             let take = per_slot.min(self.pending_tombstones.len());
             let batch = self.table.tomb_batch(self.pending_tombstones.drain(..take));
-            let seg = match self.ensure_open(SegClass::Write, true) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    self.table.recycle_tomb_batch(batch);
-                    return Err(e);
-                }
-            };
-            let now = self.now();
-            let slot = self.table.append_tomb(seg, batch, now);
-            let addr = self.table.slot_addr(seg, slot);
-            self.ckpt.mark_dirtied(seg);
-            // Tombstone slots are real programs: zeroed payload of records.
-            let data = self.pool.take_zeroed();
-            let programmed = self.flash.program_async(addr, &data);
-            self.pool.put(data);
-            programmed?;
-            self.metrics.summary_flash_pages += 1;
+            self.write_tomb_slot(batch, true)?;
         }
+        Ok(())
+    }
+
+    /// The one tombstone-slot writer: appends `batch` as a tombstone slot
+    /// at the write head, marks the segment dirty for the
+    /// checkpoint-bounded recovery scan, and programs the slot. If no
+    /// head can be opened, the batch's store returns to the pool and the
+    /// error is passed on.
+    // lint: hot-path
+    fn write_tomb_slot(&mut self, batch: Vec<(PageId, u64)>, allow_gc: bool) -> Result<()> {
+        let seg = match self.ensure_open(SegClass::Write, allow_gc) {
+            Ok(seg) => seg,
+            Err(e) => {
+                self.table.recycle_tomb_batch(batch);
+                return Err(e);
+            }
+        };
+        let slot = self.table.append_tomb(seg, batch, self.now());
+        let addr = self.table.slot_addr(seg, slot);
+        self.ckpt.mark_dirtied(seg);
+        // Tombstone slots are real programs: zeroed payload of records.
+        let data = self.pool.take_zeroed();
+        let programmed = self.flash.program_async(addr, &data);
+        self.pool.put(data);
+        programmed?;
+        self.metrics.summary_flash_pages += 1;
         Ok(())
     }
 
@@ -1421,16 +1379,7 @@ impl StorageManager {
         self.ckpt.pages = pages;
         self.ckpt.dirtied.fill(false);
         self.ckpt.last = self.now();
-        self.recorder.emit(|| Span {
-            kind: EventKind::StorageCheckpoint,
-            start,
-            end: self.clock.now(),
-            energy: Energy::from_nanojoules(
-                self.flash.total_energy().as_nanojoules() - e0.as_nanojoules(),
-            ),
-            pages,
-            bytes: pages * self.cfg.page_size,
-        });
+        self.emit_span(EventKind::StorageCheckpoint, start, e0, pages);
         Ok(())
     }
 
@@ -1455,8 +1404,7 @@ impl StorageManager {
         self.map.clear();
         self.dram.lose_contents();
         self.flash.power_cycle();
-        self.open_write = None;
-        self.open_cold = None;
+        self.heads = [None; 2];
         self.crashed = true;
     }
 
@@ -1488,7 +1436,6 @@ impl StorageManager {
                 // Charge the scan: with a checkpoint, read it plus the
                 // headers of segments dirtied since; without, read every
                 // programmed slot header in the log.
-                let mut header = [0u8; RECORD_BYTES as usize];
                 if used_checkpoint {
                     let base = self.ckpt.active as u64 * self.cfg.flash.block_bytes;
                     let mut page = self.pool.take();
@@ -1496,34 +1443,28 @@ impl StorageManager {
                         self.flash.read(base + i * self.cfg.page_size, &mut page)?;
                     }
                     self.pool.put(page);
-                    // Ascending scan over the bitmap: the same order the
-                    // old sorted-set iteration charged reads in. Cover
-                    // first: segments past the snapshot-time bitmap are
-                    // conservatively dirty, never silently clean.
+                    // Cover first: segments past the snapshot-time bitmap
+                    // are conservatively dirty, never silently clean.
                     self.ckpt.cover(self.table.len());
-                    for seg in 0..self.table.len() {
-                        if !self.ckpt.is_dirtied(seg) {
-                            continue;
-                        }
-                        let n = self.table.seg(seg).next_slot;
-                        for slot in 0..n {
-                            let addr = self.table.slot_addr(seg, slot);
-                            self.flash.read(addr, &mut header)?;
-                        }
-                    }
-                } else {
-                    for seg in 0..self.table.len() {
-                        if matches!(
+                }
+                // One ascending header scan; the two scans differ only in
+                // which segments they visit.
+                let mut header = [0u8; RECORD_BYTES as usize];
+                for seg in 0..self.table.len() {
+                    let visit = if used_checkpoint {
+                        self.ckpt.is_dirtied(seg)
+                    } else {
+                        !matches!(
                             self.table.seg(seg).state,
                             SegState::Free | SegState::Retired
-                        ) {
-                            continue;
-                        }
-                        let n = self.table.seg(seg).next_slot;
-                        for slot in 0..n {
-                            let addr = self.table.slot_addr(seg, slot);
-                            self.flash.read(addr, &mut header)?;
-                        }
+                        )
+                    };
+                    if !visit {
+                        continue;
+                    }
+                    for slot in 0..self.table.seg(seg).next_slot {
+                        self.flash
+                            .read(self.table.slot_addr(seg, slot), &mut header)?;
                     }
                 }
                 // A power cut can tear the program that was in flight:
@@ -2054,7 +1995,7 @@ mod tests {
         // The cold head, when present, must sit in the read-mostly bank;
         // under memory pressure the write head may temporarily fall back,
         // but the cold class never should while bank-0 segments are free.
-        if let Some(seg) = m.open_cold {
+        if let Some(seg) = m.heads[SegClass::Cold as usize] {
             assert_eq!(m.bank_of_seg(seg), 0, "cold head outside read bank");
         }
         // Data integrity after partitioned churn.
@@ -2291,7 +2232,7 @@ mod tests {
     /// Asserts the write head's first slots hold `records` in order, one
     /// full slot at a time, then a short last slot.
     fn assert_tomb_slots(m: &StorageManager, records: &[(PageId, u64)]) {
-        let head = m.open_write.expect("a write head holds the slots");
+        let head = m.heads[SegClass::Write as usize].expect("a write head holds the slots");
         let slots = &m.table.seg(head).slots;
         let chunks: Vec<_> = records.chunks(m.tombstones_per_slot()).collect();
         assert_eq!(chunks.len(), 4);
@@ -2368,14 +2309,13 @@ mod tests {
         m.free_page(3).expect("free");
         m.sync().expect("sync tombstone");
         assert!(m.table.has_dead_copies(3));
-        let tomb_seg = m
-            .open_write
+        let tomb_seg = m.heads[SegClass::Write as usize]
             .expect("tombstone flush opened a fresh write segment");
         assert_eq!(m.table.seg(tomb_seg).live, 0, "tomb-only segment");
         // Drain the tombstone segment (no live pages) and erase it, the
         // way GC would after its data died.
         m.table.close(tomb_seg);
-        m.open_write = None;
+        m.set_head(SegClass::Write, None);
         m.retire_or_erase(tomb_seg).expect("erase");
         // Crash before any later tombstone flush could run.
         m.crash();

@@ -73,8 +73,6 @@ pub struct Segment {
     pub live: usize,
     /// Most recent append instant (the "age" input to cost-benefit GC).
     pub youngest_write: SimTime,
-    /// Deletion tombstones durably recorded in this segment.
-    pub tombstones: Vec<(PageId, u64)>,
 }
 
 impl Segment {
@@ -85,7 +83,6 @@ impl Segment {
             next_slot: 0,
             live: 0,
             youngest_write: SimTime::ZERO,
-            tombstones: Vec::new(),
         }
     }
 
@@ -101,6 +98,19 @@ impl Segment {
         } else {
             self.live as f64 / self.slots.len() as f64
         }
+    }
+
+    /// The deletion records of the segment's tombstone slots, in slot
+    /// order. The slots are the only copy of the records.
+    // lint: hot-path
+    fn tomb_records(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
+        self.slots
+            .iter()
+            .flat_map(|slot| match slot {
+                Slot::Tomb(records) => records.as_slice(),
+                _ => &[],
+            })
+            .copied()
     }
 
     /// Appends the live slot metas (with their slot indices) to `out`.
@@ -300,7 +310,6 @@ impl SegmentTable {
         s.state = SegState::Open;
         s.next_slot = 0;
         s.live = 0;
-        s.tombstones.clear();
         for slot in &mut s.slots {
             *slot = Slot::Empty;
         }
@@ -360,7 +369,6 @@ impl SegmentTable {
         assert_eq!(s.state, SegState::Open, "append to non-open segment");
         assert!(!s.is_full(), "append to full segment");
         let slot = s.next_slot;
-        s.tombstones.extend(entries.iter().copied());
         s.slots[slot] = Slot::Tomb(entries);
         s.next_slot += 1;
         s.youngest_write = now;
@@ -372,22 +380,14 @@ impl SegmentTable {
     /// Recovery-only — liveness and dead-copy accounting are left to the
     /// [`SegmentTable::recover_liveness`] rebuild that follows, which
     /// recomputes both from scratch and skips `Empty` slots. A discarded
-    /// tombstone slot also drops its records from the segment's carried
-    /// set (they were never durable).
+    /// tombstone slot's records leave the segment's carried set with it
+    /// (they were never durable).
     pub fn invalidate_slot(&mut self, seg: usize, slot: usize) {
-        let s = &mut self.segments[seg];
-        if let Slot::Tomb(v) = core::mem::replace(&mut s.slots[slot], Slot::Empty) {
-            let mut v = v;
-            v.clear();
-            self.tomb_pool.push(v);
-            let s = &mut self.segments[seg];
-            s.tombstones.clear();
-            // Rebuild the aggregate from the tombstone slots that survive.
-            for sl in 0..s.slots.len() {
-                if let Slot::Tomb(entries) = &s.slots[sl] {
-                    s.tombstones.extend(entries.iter().copied());
-                }
-            }
+        if let Slot::Tomb(mut records) =
+            core::mem::replace(&mut self.segments[seg].slots[slot], Slot::Empty)
+        {
+            records.clear();
+            self.tomb_pool.push(records);
         }
     }
 
@@ -467,8 +467,9 @@ impl SegmentTable {
     /// Common bookkeeping for removing a closed, fully dead segment from
     /// circulation: forgets its stale copies and appends to `carried` the
     /// tombstones that must be re-logged because stale copies of their
-    /// pages still exist elsewhere. With `carried` `None` (the caller
-    /// already re-logged them) the tombstones are dropped unfiltered.
+    /// pages still exist on flash ([`SegmentTable::peek_carried_into`]
+    /// after the segment's own stale copies are forgotten). With `carried`
+    /// `None` (the caller already re-logged them) nothing is appended.
     // lint: hot-path
     fn release_metadata_into(&mut self, seg: usize, carried: Option<&mut Vec<(PageId, u64)>>) {
         assert_eq!(
@@ -496,19 +497,9 @@ impl SegmentTable {
                 }
             }
         }
-        let Some(carried) = carried else {
-            self.segments[seg].tombstones.clear();
-            return;
-        };
-        let mut tombs = core::mem::take(&mut self.segments[seg].tombstones);
-        carried.extend(
-            tombs
-                .drain(..)
-                .filter(|(p, _)| self.dead_copies.get(*p).is_some_and(|n| n > 0)),
-        );
-        // Hand the (drained) vector back so its capacity is reused the
-        // next time this segment accumulates tombstones.
-        self.segments[seg].tombstones = tombs;
+        if let Some(carried) = carried {
+            self.peek_carried_into(seg, carried);
+        }
     }
 
     /// Appends to `out` the tombstones in `seg` whose loss could
@@ -525,12 +516,11 @@ impl SegmentTable {
     /// coming back from the dead.
     // lint: hot-path
     pub fn peek_carried_into(&self, seg: usize, out: &mut Vec<(PageId, u64)>) {
-        let s = &self.segments[seg];
-        for &(page, seq) in &s.tombstones {
-            if self.dead_copies.get(page).is_some_and(|n| n > 0) {
-                out.push((page, seq));
-            }
-        }
+        out.extend(
+            self.segments[seg]
+                .tomb_records()
+                .filter(|&(page, _)| self.has_dead_copies(page)),
+        );
     }
 
     /// Begins erasing a closed segment; it becomes usable again once
@@ -611,7 +601,6 @@ impl SegmentTable {
             s.state = SegState::Free;
             s.next_slot = 0;
             s.live = 0;
-            s.tombstones.clear();
             for slot in &mut s.slots {
                 *slot = Slot::Empty;
             }
@@ -787,7 +776,10 @@ mod tests {
         assert_eq!(slot, 0);
         assert_eq!(tb.seg(0).live, 0);
         assert_eq!(tb.seg(0).next_slot, 1);
-        assert_eq!(tb.seg(0).tombstones, vec![(9, 5), (10, 6)]);
+        assert_eq!(
+            tb.seg(0).tomb_records().collect::<Vec<_>>(),
+            [(9, 5), (10, 6)]
+        );
     }
 
     #[test]
@@ -868,6 +860,31 @@ mod tests {
         carried.clear();
         tb.begin_erase_into(2, t(4), Some(&mut carried));
         assert!(carried.is_empty());
+    }
+
+    /// A torn tombstone slot that recovery invalidates drops its records
+    /// from the segment's carried set; the surviving slot's records are
+    /// still carried, in slot order.
+    #[test]
+    fn invalidated_tomb_slot_is_not_carried() {
+        let mut tb = table();
+        // Pages 1..=4 keep stale copies in segment 1.
+        tb.open(1);
+        for page in 1..=4 {
+            let s = tb.append(1, sm(page, page), t(0));
+            tb.kill_at(tb.slot_addr(1, s));
+        }
+        tb.open(0);
+        tb.append_tomb(0, vec![(1, 10), (2, 11)], t(1));
+        tb.append_tomb(0, vec![(4, 12), (3, 13)], t(1));
+        tb.close(0);
+        tb.invalidate_slot(0, 0);
+        let mut peeked = Vec::new();
+        tb.peek_carried_into(0, &mut peeked);
+        assert_eq!(peeked, [(4, 12), (3, 13)]);
+        let mut carried = Vec::new();
+        tb.begin_erase_into(0, t(2), Some(&mut carried));
+        assert_eq!(carried, [(4, 12), (3, 13)]);
     }
 
     #[test]

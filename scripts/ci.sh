@@ -129,9 +129,15 @@ cargo run --release --offline -p ssmc-bench --bin timeline-dump -- \
 # differentially checked against the durability model. Exhaustive by
 # design (~20k cut+recover cycles, about 46 s at 4 threads on a 2-core
 # x86-64 host with the carry-less CRC kernel); any violation exits
-# non-zero with the offending cut index printed.
+# non-zero with the offending cut index printed. Its JSON (boundary
+# count and per-tear results) must match goldens/torture_2000.json byte
+# for byte: a change to the flash op sequence moves the boundary count,
+# so such a change re-records this golden and states its reason, the
+# same way goldens/f2_timeline.tl is handled. The cleaner fix in ROADMAP
+# item 1 is expected to move it from 9,884 to 9,911 boundaries.
 cargo run --release --offline -p ssmc-bench --bin experiments -- \
-    crash-torture --ops 2000 --tear both --threads 4
+    crash-torture --ops 2000 --tear both --threads 4 --json "$TRACE_TMP/torture_2000.json"
+cmp "$TRACE_TMP/torture_2000.json" goldens/torture_2000.json
 # Sharding determinism: the same sweep, restricted to a small window,
 # must emit byte-identical JSON at 1 and 4 threads.
 cargo run --release --offline -p ssmc-bench --bin experiments -- \
