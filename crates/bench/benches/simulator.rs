@@ -389,12 +389,6 @@ fn bench_traces(filter: Option<String>) {
     );
 }
 
-/// Host ops/sec of the BSD macrobenchmark measured on the hash-map,
-/// allocate-per-operation storage stack immediately before the dense
-/// hot-path rework, in this repo's CI container. The dense-path speedup
-/// reported in `BENCH_throughput.json` is relative to this recording.
-const BASELINE_OPS_PER_SEC: [(&str, f64); 2] = [("bsd", 97_639.0), ("office", 136_506.0)];
-
 /// The macrobenchmark workloads, including the metadata-heavy
 /// mail-spool trace that stresses the directory index rather than the
 /// data path. Database is absent on purpose: at 25k ops on this machine
@@ -548,27 +542,9 @@ fn bench_throughput(filter: Option<String>, json: Option<std::path::PathBuf>) {
     let reps = if smoke() { 1 } else { 3 };
     let mut table = Table::new(
         "BENCH: end-to-end trace replay throughput (host-side, full stack)",
-        &[
-            "workload",
-            "ops",
-            "data bytes",
-            "ops/sec",
-            "MB/sec",
-            "baseline ops/sec",
-            "speedup",
-        ],
+        &["workload", "ops", "data bytes", "ops/sec", "MB/sec"],
     );
     for row in measure_throughput(ops, reps) {
-        let baseline = BASELINE_OPS_PER_SEC
-            .iter()
-            .find(|(n, _)| *n == row.name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
-        let speedup = if baseline > 0.0 && !smoke() {
-            row.ops_per_sec / baseline
-        } else {
-            0.0
-        };
         println!(
             "throughput/{:<37} {:>10} ops  {:>12.0} ops/sec  {:>8.1} MB/s",
             row.name, row.ops, row.ops_per_sec, row.mbps
@@ -579,8 +555,6 @@ fn bench_throughput(filter: Option<String>, json: Option<std::path::PathBuf>) {
             row.data_bytes.into(),
             row.ops_per_sec.into(),
             row.mbps.into(),
-            baseline.into(),
-            speedup.into(),
         ]);
     }
     if let Some(path) = json {

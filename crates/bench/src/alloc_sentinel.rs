@@ -1,9 +1,9 @@
 //! A counting global allocator: the dynamic half of the zero-alloc
 //! hot-path invariant.
 //!
-//! `ssmc-lint`'s H1 rule rejects allocation-prone *calls* in hot-path
-//! functions statically, but a token rule cannot see through helper
-//! functions or container growth. [`CountingAlloc`] closes that gap at
+//! `ssmc-lint`'s H2 rule rejects allocation-prone *calls* in and below
+//! hot-path functions statically, but a token rule cannot see container
+//! growth or calls through traits. [`CountingAlloc`] closes that gap at
 //! run time: the throughput bench installs it as `#[global_allocator]`
 //! and, in `--alloc-guard` mode, asserts that a steady-state replay
 //! window performs **zero** heap allocations (see

@@ -380,11 +380,11 @@ fn trace_compile(cli: CompileCli) {
 /// `experiments crash-torture [--workload NAME] [--ops N] [--seed N]
 /// [--tear clean|prefix|stripe|both|all] [--threads N] [--json PATH]`
 ///
-/// Generates a workload trace, projects it to a page-op stream through
-/// the trace oracle, counts every flash program/erase boundary in a
-/// clean pre-pass, then power-cuts the replay at each boundary with the
-/// requested tear modes, recovering and differentially checking
-/// durability after every cut (see `ssmc_storage::torture`).
+/// Generates a workload trace, projects it to a page-op stream
+/// (`ssmc_bench::torture_sweep`), counts every flash program/erase
+/// boundary in a clean pre-pass, then power-cuts the replay at each
+/// boundary with the requested tear modes, recovering and differentially
+/// checking durability after every cut (see `ssmc_storage::torture`).
 ///
 /// Cut runs are pure functions of `(ops, seed, cut, tear)` and are
 /// sharded across threads with `parallel_sweep`, which returns results

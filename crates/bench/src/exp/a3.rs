@@ -21,7 +21,6 @@ struct Outcome {
 fn drive(page_size: u64, workload: Workload) -> Outcome {
     let mut cfg = MachineConfig::small_notebook();
     cfg.storage.page_size = page_size;
-    cfg.vm.page_size = page_size;
     let mut m = MobileComputer::new(cfg);
     let trace = GeneratorConfig::new(workload)
         .with_ops(10_000)

@@ -25,7 +25,6 @@ pub fn run() -> Vec<Table> {
             budget_dollars: 1_000.0,
             dram_fractions: vec![0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9],
             base: MachineConfig::small_notebook(),
-            ..SizingSpec::default()
         };
         sweep_sizing(&spec, &trace)
     });
@@ -87,7 +86,6 @@ mod tests {
             budget_dollars: 500.0,
             dram_fractions: vec![0.15, 0.5, 0.95],
             base: MachineConfig::small_notebook(),
-            ..SizingSpec::default()
         };
         let points = sweep_sizing(&spec, &trace);
         assert!(points[0].feasible, "flash-heavy point runs");

@@ -6,10 +6,7 @@
 //! We *measure* each catalog device model (512-byte transfers) and print
 //! the data-sheet attributes next to the measurements.
 
-use ssmc_device::{
-    catalog_1993, fujitsu_m2633, hp_kittyhawk, intel_flash, nec_dram, sundisk_flash,
-};
-use ssmc_device::{BlockId, Disk, Dram, Flash};
+use ssmc_device::{catalog_1993, BlockId, Disk, Dram, Flash, Part};
 use ssmc_sim::{Clock, Table};
 
 const IO: usize = 512;
@@ -61,58 +58,31 @@ pub fn run() -> Vec<Table> {
             "active mW/MB",
         ],
     );
-    let (r, w) = measure_dram(nec_dram());
-    let catalog = catalog_1993();
-    let attrs = |name: &str| {
-        catalog
-            .iter()
-            .find(|p| p.name == name)
-            .expect("in catalog")
-            .clone()
-    };
-    let a = attrs("NEC 3.3V self-refresh DRAM");
-    t.row(vec![
-        a.name.into(),
-        a.class.to_string().into(),
-        r.into(),
-        w.into(),
-        "-".into(),
-        a.cost_per_mb.into(),
-        a.density_mb_per_in3.into(),
-        a.active_mw_per_mb.into(),
-    ]);
-    for (spec, name) in [
-        (intel_flash(), "Intel memory-mapped flash"),
-        (sundisk_flash(), "SunDisk SDP drive replacement"),
-    ] {
-        let (r, w, e) = measure_flash(spec);
-        let a = attrs(name);
+    for product in catalog_1993() {
+        let part = &product.part;
+        let (r, w, erase) = match part {
+            Part::Dram(spec) => {
+                let (r, w) = measure_dram(spec.clone());
+                (r, w, "-".into())
+            }
+            Part::Flash(spec) => {
+                let (r, w, e) = measure_flash(spec.clone());
+                (r, w, e.into())
+            }
+            Part::Disk(spec) => {
+                let (r, w) = measure_disk(spec.clone());
+                (r, w, "-".into())
+            }
+        };
         t.row(vec![
-            a.name.into(),
-            a.class.to_string().into(),
+            part.name().into(),
+            part.technology().to_string().into(),
             r.into(),
             w.into(),
-            e.into(),
-            a.cost_per_mb.into(),
-            a.density_mb_per_in3.into(),
-            a.active_mw_per_mb.into(),
-        ]);
-    }
-    for (spec, name) in [
-        (hp_kittyhawk(), "HP KittyHawk 1.3-inch"),
-        (fujitsu_m2633(), "Fujitsu M2633 2.5-inch"),
-    ] {
-        let (r, w) = measure_disk(spec);
-        let a = attrs(name);
-        t.row(vec![
-            a.name.into(),
-            a.class.to_string().into(),
-            r.into(),
-            w.into(),
-            "-".into(),
-            a.cost_per_mb.into(),
-            a.density_mb_per_in3.into(),
-            a.active_mw_per_mb.into(),
+            erase,
+            part.cost_per_mb().into(),
+            part.density_mb_per_in3().into(),
+            product.active_mw_per_mb.into(),
         ]);
     }
     vec![t]
@@ -121,6 +91,7 @@ pub fn run() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssmc_device::{hp_kittyhawk, intel_flash, nec_dram};
 
     #[test]
     fn t1_reproduces_paper_orderings() {

@@ -1,11 +1,13 @@
 //! Machine configuration and presets.
 
-use ssmc_device::{BatterySpec, DramSpec, FlashSpec};
+use ssmc_device::{BatterySpec, FlashSpec};
 use ssmc_memfs::WritePolicy;
 use ssmc_storage::StorageConfig;
-use ssmc_vm::VmConfig;
 
-/// Full configuration of a solid-state mobile computer.
+/// Full configuration of a solid-state mobile computer. Both DRAM pools
+/// (the storage manager's write buffer and the VM's frames) are the
+/// generic `DramSpec::default()` part; the VM pages at
+/// `storage.page_size`.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Machine name for reports.
@@ -21,8 +23,6 @@ pub struct MachineConfig {
     /// Storage-manager configuration (its `dram_buffer_bytes` is derived
     /// from the fields above).
     pub storage: StorageConfig,
-    /// VM configuration (its `dram_frames` is derived likewise).
-    pub vm: VmConfig,
     /// Battery pack.
     pub battery: BatterySpec,
     /// File-system write policy (copy-on-write per §3.1, or the
@@ -50,7 +50,6 @@ impl MachineConfig {
             flash: FlashSpec::default()
                 .with_capacity(flash_bytes)
                 .with_banks(4),
-            dram: DramSpec::default(),
             ..StorageConfig::default()
         };
         MachineConfig {
@@ -58,10 +57,6 @@ impl MachineConfig {
             dram_total: dram_bytes,
             write_buffer_fraction: 0.25,
             write_buffer_bytes: None,
-            vm: VmConfig {
-                page_size: storage.page_size,
-                ..VmConfig::default()
-            },
             storage,
             battery: BatterySpec::default(),
             write_policy: WritePolicy::CopyOnWrite,
@@ -87,12 +82,8 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on mismatched page sizes or an empty DRAM budget.
+    /// Panics on an empty DRAM budget or a buffer fraction out of range.
     pub fn validate(&self) {
-        assert_eq!(
-            self.storage.page_size, self.vm.page_size,
-            "storage and VM must agree on the page size"
-        );
         assert!(
             self.dram_total >= 2 * self.storage.page_size,
             "DRAM budget too small"

@@ -15,7 +15,7 @@ use ssmc_sim::timeline::{SampleBuf, Schema, SeekWrite, TimelineSink, TimelineSum
 use ssmc_sim::{Clock, Energy, SharedClock, SimDuration, SimTime};
 use ssmc_storage::{DenseIndex, RecoveryReport, StorageManager};
 use ssmc_trace::{FileId, FileOp, TraceTarget};
-use ssmc_vm::{launch, LaunchStats, Vm, VmConfig, VmError};
+use ssmc_vm::{launch, LaunchStats, Vm, VmError};
 
 /// The solid-state mobile computer.
 #[derive(Debug)]
@@ -61,13 +61,7 @@ impl MobileComputer {
         storage_cfg.dram_buffer_bytes = cfg.buffer_bytes();
         let sm = StorageManager::new(storage_cfg, clock.clone());
         let fs = MemFs::new(sm, cfg.write_policy).expect("fresh format cannot fail");
-        let vm = Vm::new(
-            VmConfig {
-                dram_frames: cfg.vm_frames(),
-                ..cfg.vm.clone()
-            },
-            clock.clone(),
-        );
+        let vm = Vm::new(cfg.vm_frames(), cfg.storage.page_size, clock.clone());
         let battery = Battery::new(cfg.battery.clone());
         MobileComputer {
             trace_files: DenseIndex::new(1 << 16),
@@ -623,5 +617,30 @@ mod tests {
         assert!(xip.latency < load.latency);
         assert_eq!(xip.dram_pages, 0);
         assert!(load.dram_pages > 0);
+    }
+
+    #[test]
+    fn one_page_size_serves_storage_and_vm() {
+        // The VM pages at the storage page size, so setting it once
+        // builds a machine whose launches and replays both work.
+        let mut cfg = MachineConfig::small_notebook();
+        cfg.storage.page_size = 2048;
+        let mut machine = MobileComputer::new(cfg);
+        let fd = machine.fs_create("/app").expect("create");
+        machine
+            .fs_write(fd, 0, &vec![0xC3u8; 64 * 1024])
+            .expect("write");
+        machine.fs_sync().expect("sync");
+        let xip = machine.launch_app("/app", true).expect("xip");
+        let load = machine.launch_app("/app", false).expect("load");
+        assert_eq!(xip.dram_pages, 0);
+        assert_eq!(load.dram_pages, 64 * 1024 / 2048);
+        let trace = GeneratorConfig::new(Workload::Office)
+            .with_ops(1_000)
+            .with_max_live_bytes(1 << 20)
+            .generate();
+        let clock = machine.clock().clone();
+        let report = replay(&trace, &mut machine, &clock);
+        assert_eq!(report.errors, 0, "office replays cleanly at 2 KB pages");
     }
 }

@@ -11,6 +11,7 @@
 use crate::config::MachineConfig;
 use crate::machine::MobileComputer;
 use crate::run::run_trace;
+use ssmc_device::DramSpec;
 use ssmc_sim::parallel_sweep;
 use ssmc_sim::report::{ToReport, Value};
 use ssmc_trace::Trace;
@@ -20,13 +21,10 @@ use ssmc_trace::Trace;
 pub struct SizingSpec {
     /// Total budget in 1993 dollars.
     pub budget_dollars: f64,
-    /// $/MB of DRAM.
-    pub dram_cost_per_mb: f64,
-    /// $/MB of flash.
-    pub flash_cost_per_mb: f64,
     /// DRAM fractions of the budget to try.
     pub dram_fractions: Vec<f64>,
-    /// Base machine configuration (sizes are overwritten per point).
+    /// Base machine configuration (sizes are overwritten per point). Its
+    /// parts' 1993 prices set how many megabytes each share buys.
     pub base: MachineConfig,
 }
 
@@ -34,8 +32,6 @@ impl Default for SizingSpec {
     fn default() -> Self {
         SizingSpec {
             budget_dollars: 1_000.0,
-            dram_cost_per_mb: 83.0,
-            flash_cost_per_mb: 50.0,
             dram_fractions: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
             base: MachineConfig::small_notebook(),
         }
@@ -93,8 +89,8 @@ pub fn sweep_sizing(spec: &SizingSpec, trace: &Trace) -> Vec<SizingPoint> {
 fn run_point(spec: &SizingSpec, trace: &Trace, fraction: f64) -> SizingPoint {
     let dram_dollars = spec.budget_dollars * fraction;
     let flash_dollars = spec.budget_dollars - dram_dollars;
-    let dram_mb = dram_dollars / spec.dram_cost_per_mb;
-    let flash_mb = flash_dollars / spec.flash_cost_per_mb;
+    let dram_mb = dram_dollars / DramSpec::default().cost_per_mb;
+    let flash_mb = flash_dollars / spec.base.storage.flash.cost_per_mb;
     let dram_bytes = (dram_mb * 1024.0 * 1024.0) as u64;
     let flash_bytes = (flash_mb * 1024.0 * 1024.0) as u64;
 
@@ -141,7 +137,8 @@ mod tests {
             assert!(p.feasible, "office at {}% DRAM", p.dram_fraction * 100.0);
             assert!(p.dram_mb + p.flash_mb > 0.0);
             // Budget respected.
-            let cost = p.dram_mb * spec.dram_cost_per_mb + p.flash_mb * spec.flash_cost_per_mb;
+            let cost = p.dram_mb * DramSpec::default().cost_per_mb
+                + p.flash_mb * spec.base.storage.flash.cost_per_mb;
             assert!((cost - spec.budget_dollars).abs() < 1.0);
         }
     }

@@ -4,57 +4,102 @@
 //! DRAM, Intel memory-mapped flash, the SunDisk solid-state drive
 //! replacement, the HP KittyHawk 1.3-inch disk, and a Fujitsu 2.5-inch
 //! disk. This module encodes those products as presets for the device
-//! models. Figures are taken from the paper where it states them (flash
-//! ≈100 ns/B reads, ≈10 µs/B writes, 100 k cycles, ≈$50/MB, tens of mW/MB;
-//! NEC DRAM 15 MB/in³; KittyHawk 19 MB/in³; the 12 MB DRAM ≈ 20 MB flash ≈
-//! 120 MB disk equal-cost anchor of §4) and otherwise approximated from
-//! data sheets of the era. Absolute values matter less than the ratios the
-//! paper argues from.
+//! models, and the presets are the one place those numbers are written:
+//! T1 prints them, the generic default specs differ from them only where
+//! stated, the trend model (F1) extrapolates from them and the sizing
+//! sweep (F7) prices its machines with them. Figures are taken from the
+//! paper where it states them (flash ≈100 ns/B reads, ≈10 µs/B writes,
+//! 100 k cycles, ≈$50/MB, tens of mW/MB; NEC DRAM 15 MB/in³; KittyHawk
+//! 19 MB/in³; the 12 MB DRAM ≈ 20 MB flash ≈ 120 MB disk equal-cost
+//! anchor of §4) and otherwise approximated from data sheets of the era.
+//! Absolute values matter less than the ratios the paper argues from.
 
 use crate::disk::DiskSpec;
 use crate::dram::DramSpec;
 use crate::flash::FlashSpec;
 use ssmc_sim::{Power, SimDuration};
 
-/// Broad technology class of a product.
+/// Storage technology: the class of a catalog part, and what the
+/// [`crate::trends`] model extrapolates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceClass {
+pub enum Technology {
     /// Volatile semiconductor memory (battery-backed in this design).
     Dram,
     /// Non-volatile flash memory.
     Flash,
-    /// Magnetic disk.
+    /// Small magnetic disk.
     Disk,
 }
 
-impl core::fmt::Display for DeviceClass {
+impl core::fmt::Display for Technology {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            DeviceClass::Dram => write!(f, "DRAM"),
-            DeviceClass::Flash => write!(f, "flash"),
-            DeviceClass::Disk => write!(f, "disk"),
+            Technology::Dram => write!(f, "DRAM"),
+            Technology::Flash => write!(f, "flash"),
+            Technology::Disk => write!(f, "disk"),
         }
     }
 }
 
-/// A catalog entry: identity plus the §2 comparison attributes.
+/// One catalog part: a device-model preset, which carries the part's
+/// name, timing, power, $/MB and MB/in³.
+#[derive(Debug, Clone)]
+pub enum Part {
+    /// A DRAM part.
+    Dram(DramSpec),
+    /// A flash part.
+    Flash(FlashSpec),
+    /// A disk.
+    Disk(DiskSpec),
+}
+
+impl Part {
+    /// Product name.
+    pub fn name(&self) -> &str {
+        match self {
+            Part::Dram(s) => &s.name,
+            Part::Flash(s) => &s.name,
+            Part::Disk(s) => &s.name,
+        }
+    }
+
+    /// Technology class.
+    pub fn technology(&self) -> Technology {
+        match self {
+            Part::Dram(_) => Technology::Dram,
+            Part::Flash(_) => Technology::Flash,
+            Part::Disk(_) => Technology::Disk,
+        }
+    }
+
+    /// 1993 list cost, US dollars per megabyte.
+    pub fn cost_per_mb(&self) -> f64 {
+        match self {
+            Part::Dram(s) => s.cost_per_mb,
+            Part::Flash(s) => s.cost_per_mb,
+            Part::Disk(s) => s.cost_per_mb,
+        }
+    }
+
+    /// Volumetric density, megabytes per cubic inch.
+    pub fn density_mb_per_in3(&self) -> f64 {
+        match self {
+            Part::Dram(s) => s.density_mb_per_in3,
+            Part::Flash(s) => s.density_mb_per_in3,
+            Part::Disk(s) => s.density_mb_per_in3,
+        }
+    }
+}
+
+/// A catalog entry: the part plus the one §2 attribute its device model
+/// does not carry.
 #[derive(Debug, Clone)]
 pub struct ProductSpec {
-    /// Product name.
-    pub name: &'static str,
-    /// Technology class.
-    pub class: DeviceClass,
-    /// Typical shipping capacity, megabytes.
-    pub capacity_mb: u64,
-    /// 1993 list cost, US dollars per megabyte.
-    pub cost_per_mb: f64,
-    /// Volumetric density, megabytes per cubic inch.
-    pub density_mb_per_in3: f64,
+    /// The part.
+    pub part: Part,
     /// Active power per megabyte, milliwatts (coarse; §2 compares orders of
     /// magnitude).
     pub active_mw_per_mb: f64,
-    /// One-line description.
-    pub notes: &'static str,
 }
 
 /// NEC 3.3 V DRAM with low-power self-refresh (\[7\] in the paper).
@@ -169,52 +214,16 @@ pub fn fujitsu_m2633() -> DiskSpec {
 
 /// The full §2 comparison catalog.
 pub fn catalog_1993() -> Vec<ProductSpec> {
+    let product = |part, active_mw_per_mb| ProductSpec {
+        part,
+        active_mw_per_mb,
+    };
     vec![
-        ProductSpec {
-            name: "NEC 3.3V self-refresh DRAM",
-            class: DeviceClass::Dram,
-            capacity_mb: 8,
-            cost_per_mb: 83.0,
-            density_mb_per_in3: 15.0,
-            active_mw_per_mb: 37.0,
-            notes: "fast symmetric access; volatile; battery-backed in this design",
-        },
-        ProductSpec {
-            name: "Intel memory-mapped flash",
-            class: DeviceClass::Flash,
-            capacity_mb: 20,
-            cost_per_mb: 50.0,
-            density_mb_per_in3: 16.0,
-            active_mw_per_mb: 4.5,
-            notes: "DRAM-like reads, 10 us/B writes, 64 KB erase blocks",
-        },
-        ProductSpec {
-            name: "SunDisk SDP drive replacement",
-            class: DeviceClass::Flash,
-            capacity_mb: 20,
-            cost_per_mb: 50.0,
-            density_mb_per_in3: 17.0,
-            active_mw_per_mb: 6.0,
-            notes: "disk-like sector interface, balanced read/write, 512 B sectors",
-        },
-        ProductSpec {
-            name: "HP KittyHawk 1.3-inch",
-            class: DeviceClass::Disk,
-            capacity_mb: 20,
-            cost_per_mb: 8.3,
-            density_mb_per_in3: 19.0,
-            active_mw_per_mb: 75.0,
-            notes: "smallest 1993 disk; ~18 ms average access; spin-down power management",
-        },
-        ProductSpec {
-            name: "Fujitsu M2633 2.5-inch",
-            class: DeviceClass::Disk,
-            capacity_mb: 90,
-            cost_per_mb: 5.0,
-            density_mb_per_in3: 34.0,
-            active_mw_per_mb: 26.0,
-            notes: "notebook drive; densest and cheapest per MB of the five",
-        },
+        product(Part::Dram(nec_dram()), 37.0),
+        product(Part::Flash(intel_flash()), 4.5),
+        product(Part::Flash(sundisk_flash()), 6.0),
+        product(Part::Disk(hp_kittyhawk()), 75.0),
+        product(Part::Disk(fujitsu_m2633()), 26.0),
     ]
 }
 
@@ -226,11 +235,9 @@ mod tests {
     fn catalog_has_all_five_products() {
         let c = catalog_1993();
         assert_eq!(c.len(), 5);
-        assert_eq!(
-            c.iter().filter(|p| p.class == DeviceClass::Flash).count(),
-            2
-        );
-        assert_eq!(c.iter().filter(|p| p.class == DeviceClass::Disk).count(), 2);
+        let count = |t| c.iter().filter(|p| p.part.technology() == t).count();
+        assert_eq!(count(Technology::Flash), 2);
+        assert_eq!(count(Technology::Disk), 2);
     }
 
     #[test]
@@ -251,7 +258,7 @@ mod tests {
         // the same cost." Our per-MB prices honour that within 20 %.
         let dram_total = 12.0 * nec_dram().cost_per_mb;
         let flash_total = 20.0 * intel_flash().cost_per_mb;
-        let disk_total = 120.0 * 8.3;
+        let disk_total = 120.0 * hp_kittyhawk().cost_per_mb;
         let max = dram_total.max(flash_total).max(disk_total);
         let min = dram_total.min(flash_total).min(disk_total);
         assert!(max / min < 1.2, "anchor spread {max}/{min}");

@@ -50,25 +50,11 @@ pub struct DiskSpec {
 }
 
 impl Default for DiskSpec {
+    /// The catalog's HP KittyHawk under a generic name.
     fn default() -> Self {
-        // Loosely the HP KittyHawk class of 1.3-inch personal storage.
         DiskSpec {
             name: "generic-mobile-disk-1993".to_owned(),
-            capacity: 20 << 20,
-            sector_bytes: 512,
-            cylinders: 900,
-            track_to_track: SimDuration::from_millis(3),
-            avg_seek: SimDuration::from_millis(18),
-            rpm: 5400,
-            transfer_bytes_per_sec: 1_000_000,
-            controller_overhead: SimDuration::from_micros(500),
-            spin_up: SimDuration::from_millis(1_000),
-            active_power: Power::from_milliwatts(1_500),
-            idle_power: Power::from_milliwatts(700),
-            standby_power: Power::from_milliwatts(15),
-            spin_up_power: Power::from_milliwatts(2_200),
-            cost_per_mb: 8.3,
-            density_mb_per_in3: 19.0,
+            ..crate::catalog::hp_kittyhawk()
         }
     }
 }

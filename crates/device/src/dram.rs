@@ -37,17 +37,12 @@ pub struct DramSpec {
 }
 
 impl Default for DramSpec {
+    /// The catalog's NEC part under a generic name, refreshing at 10 mW.
     fn default() -> Self {
         DramSpec {
             name: "generic-dram-1993".to_owned(),
-            capacity: 8 << 20,
-            access: SimDuration::from_nanos(100),
-            ns_per_byte: 20,
-            active_power: Power::from_milliwatts(300),
             refresh_power: Power::from_milliwatts(10),
-            self_refresh_power: Power::from_milliwatts(2),
-            cost_per_mb: 83.0,
-            density_mb_per_in3: 15.0,
+            ..crate::catalog::nec_dram()
         }
     }
 }

@@ -79,26 +79,12 @@ pub struct FlashSpec {
 }
 
 impl Default for FlashSpec {
+    /// The catalog's Intel part under a generic name, erasing in 500 ms.
     fn default() -> Self {
         FlashSpec {
             name: "generic-flash-1993".to_owned(),
-            banks: 1,
-            blocks_per_bank: 320,
-            block_bytes: 64 * 1024,
-            write_unit: 512,
-            read_access: SimDuration::from_nanos(150),
-            read_ns_per_byte: 100,
-            program_setup: SimDuration::from_micros(5),
-            program_ns_per_byte: 10_000,
             erase_latency: SimDuration::from_millis(500),
-            endurance: 100_000,
-            suspend_overhead: None,
-            read_power: Power::from_milliwatts(30),
-            program_power: Power::from_milliwatts(90),
-            erase_power: Power::from_milliwatts(90),
-            idle_power: Power::from_milliwatts(1),
-            cost_per_mb: 50.0,
-            density_mb_per_in3: 16.0,
+            ..crate::catalog::intel_flash()
         }
     }
 }

@@ -13,9 +13,11 @@
 //! * [`disk`] — a small mobile hard disk with a seek curve, rotational
 //!   latency, transfer time, and a spin-up/spin-down power state machine.
 //! * [`catalog`] — the 1993 products the paper cites (NEC 3.3 V DRAM, Intel
-//!   and SunDisk flash, HP KittyHawk and Fujitsu disks) as model presets.
+//!   and SunDisk flash, HP KittyHawk and Fujitsu disks) as model presets,
+//!   the one place §2's numbers are written.
 //! * [`trends`] — the Patterson & Hennessy improvement-rate extrapolation
-//!   the paper uses to predict the flash/disk cost crossover.
+//!   the paper uses to predict the flash/disk cost crossover, starting
+//!   from the catalog's presets.
 //!
 //! Every operation charges simulated latency to a shared
 //! [`ssmc_sim::Clock`] and energy to an [`ssmc_sim::EnergyLedger`].
@@ -32,14 +34,14 @@ pub mod trends;
 
 pub use battery::{Battery, BatterySpec, BatteryState};
 pub use catalog::{
-    catalog_1993, fujitsu_m2633, hp_kittyhawk, intel_flash, nec_dram, sundisk_flash, DeviceClass,
-    ProductSpec,
+    catalog_1993, fujitsu_m2633, hp_kittyhawk, intel_flash, nec_dram, sundisk_flash, Part,
+    ProductSpec, Technology,
 };
 pub use disk::{Disk, DiskSpec, SpinState};
 pub use dram::{Dram, DramSpec};
 pub use error::DeviceError;
 pub use flash::{BankId, BlockId, Flash, FlashSpec, TearMode, WearStats};
-pub use trends::{Technology, TrendModel};
+pub use trends::TrendModel;
 
 /// Result alias for device operations.
 pub type Result<T> = core::result::Result<T, DeviceError>;

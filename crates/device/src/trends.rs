@@ -8,26 +8,7 @@
 //! estimate that implies a steeper early flash learning curve than the
 //! baseline 40 %). The model exposes both scenarios.
 
-/// Storage technology being extrapolated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Technology {
-    /// Semiconductor DRAM.
-    Dram,
-    /// Flash memory.
-    Flash,
-    /// Small magnetic disk.
-    Disk,
-}
-
-impl core::fmt::Display for Technology {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Technology::Dram => write!(f, "DRAM"),
-            Technology::Flash => write!(f, "flash"),
-            Technology::Disk => write!(f, "disk"),
-        }
-    }
-}
+use crate::catalog::{hp_kittyhawk, intel_flash, nec_dram, Part, Technology};
 
 /// Improvement-rate scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,7 +22,8 @@ pub enum TrendScenario {
     IntelForecast,
 }
 
-/// Extrapolates cost and density from a 1993 baseline.
+/// Extrapolates cost and density from a 1993 baseline: the $/MB and
+/// MB/in³ of the catalog's NEC DRAM, Intel flash and KittyHawk disk.
 ///
 /// # Examples
 ///
@@ -59,23 +41,11 @@ pub enum TrendScenario {
 pub struct TrendModel {
     /// Baseline year for all base values.
     pub base_year: u32,
-    /// 1993 $/MB for DRAM.
-    pub dram_cost_per_mb: f64,
-    /// 1993 $/MB for flash.
-    pub flash_cost_per_mb: f64,
-    /// 1993 $/MB for small-disk media.
-    pub disk_cost_per_mb: f64,
     /// 1993 fixed cost per disk drive (heads, motor, electronics) that no
     /// amount of density scaling removes.
     pub disk_fixed_cost: f64,
     /// Annual decline of the disk fixed cost (slow: mechanics).
     pub disk_fixed_rate: f64,
-    /// 1993 MB/in³ for DRAM.
-    pub dram_density: f64,
-    /// 1993 MB/in³ for flash.
-    pub flash_density: f64,
-    /// 1993 MB/in³ for small disk.
-    pub disk_density: f64,
     /// Annual improvement for semiconductor memory (0.40 = 40 %/yr).
     pub memory_rate: f64,
     /// Annual improvement for disk.
@@ -88,18 +58,21 @@ impl Default for TrendModel {
     fn default() -> Self {
         TrendModel {
             base_year: 1993,
-            dram_cost_per_mb: 83.0,
-            flash_cost_per_mb: 50.0,
-            disk_cost_per_mb: 8.3,
             disk_fixed_cost: 110.0,
             disk_fixed_rate: 0.10,
-            dram_density: 15.0,
-            flash_density: 16.0,
-            disk_density: 19.0,
             memory_rate: 0.40,
             disk_rate: 0.25,
             flash_forecast_rate: 0.75,
         }
+    }
+}
+
+/// The 1993 part each technology's trend starts from.
+fn base_part(tech: Technology) -> Part {
+    match tech {
+        Technology::Dram => Part::Dram(nec_dram()),
+        Technology::Flash => Part::Flash(intel_flash()),
+        Technology::Disk => Part::Disk(hp_kittyhawk()),
     }
 }
 
@@ -111,27 +84,22 @@ impl TrendModel {
     /// Dollars per megabyte of `tech` in `year` under `scenario`.
     pub fn cost_per_mb(&self, tech: Technology, year: f64, scenario: TrendScenario) -> f64 {
         let t = self.years_since_base(year);
-        match tech {
-            Technology::Dram => self.dram_cost_per_mb / (1.0 + self.memory_rate).powf(t),
-            Technology::Flash => {
-                let rate = match scenario {
-                    TrendScenario::PaperRates => self.memory_rate,
-                    TrendScenario::IntelForecast => self.flash_forecast_rate,
-                };
-                self.flash_cost_per_mb / (1.0 + rate).powf(t)
-            }
-            Technology::Disk => self.disk_cost_per_mb / (1.0 + self.disk_rate).powf(t),
-        }
+        let rate = match (tech, scenario) {
+            (Technology::Flash, TrendScenario::IntelForecast) => self.flash_forecast_rate,
+            (Technology::Disk, _) => self.disk_rate,
+            _ => self.memory_rate,
+        };
+        base_part(tech).cost_per_mb() / (1.0 + rate).powf(t)
     }
 
     /// Megabytes per cubic inch of `tech` in `year`.
     pub fn density(&self, tech: Technology, year: f64) -> f64 {
         let t = self.years_since_base(year);
-        match tech {
-            Technology::Dram => self.dram_density * (1.0 + self.memory_rate).powf(t),
-            Technology::Flash => self.flash_density * (1.0 + self.memory_rate).powf(t),
-            Technology::Disk => self.disk_density * (1.0 + self.disk_rate).powf(t),
-        }
+        let rate = match tech {
+            Technology::Disk => self.disk_rate,
+            _ => self.memory_rate,
+        };
+        base_part(tech).density_mb_per_in3() * (1.0 + rate).powf(t)
     }
 
     /// Total cost of an `mb`-megabyte unit of `tech` in `year`. Disks carry
@@ -198,9 +166,9 @@ mod tests {
     fn costs_decline_at_stated_rates() {
         let m = TrendModel::default();
         let d94 = m.cost_per_mb(Technology::Dram, 1994.0, TrendScenario::PaperRates);
-        assert!((d94 - 83.0 / 1.4).abs() < 1e-9);
+        assert!((d94 - nec_dram().cost_per_mb / 1.4).abs() < 1e-9);
         let k94 = m.cost_per_mb(Technology::Disk, 1994.0, TrendScenario::PaperRates);
-        assert!((k94 - 8.3 / 1.25).abs() < 1e-9);
+        assert!((k94 - hp_kittyhawk().cost_per_mb / 1.25).abs() < 1e-9);
     }
 
     #[test]

@@ -17,10 +17,8 @@ pub enum Rule {
     D3,
     /// External-crate imports (the hermetic-workspace guard).
     D4,
-    /// Allocation-prone calls inside `// lint: hot-path` functions.
-    H1,
-    /// Allocation-prone calls *reachable* from a hot-path function
-    /// through the workspace call graph.
+    /// Allocation-prone calls inside a `// lint: hot-path` function or
+    /// *reachable* from one through the workspace call graph.
     H2,
     /// `unsafe` without an adjacent `// SAFETY:` comment.
     U1,
@@ -37,12 +35,11 @@ pub enum Rule {
 }
 
 impl Rule {
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
         Rule::D4,
-        Rule::H1,
         Rule::H2,
         Rule::U1,
         Rule::U2,
@@ -56,7 +53,6 @@ impl Rule {
             Rule::D2 => "D2",
             Rule::D3 => "D3",
             Rule::D4 => "D4",
-            Rule::H1 => "H1",
             Rule::H2 => "H2",
             Rule::U1 => "U1",
             Rule::U2 => "U2",
@@ -97,7 +93,7 @@ pub struct RuleDoc {
 /// The single source of truth for rule documentation. `--explain` prints
 /// it and DESIGN.md §8 references it; a test pins full coverage of
 /// [`Rule::ALL`].
-pub const RULE_DOCS: [RuleDoc; 10] = [
+pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         rule: Rule::D1,
         summary: "wall-clock reads (`Instant`, `SystemTime`) outside crates/bench",
@@ -128,18 +124,14 @@ pub const RULE_DOCS: [RuleDoc; 10] = [
         allow: "// lint: allow(D4): <why the dependency is unavoidable> (expect pushback)",
     },
     RuleDoc {
-        rule: Rule::H1,
-        summary: "allocation-prone calls written directly inside a `// lint: hot-path` fn",
-        rationale: "Steady-state replay must perform zero heap allocations per op (the \
-                    alloc-guard bench is the dynamic half of this rule).",
-        allow: "// lint: allow(H1): <why the allocation is amortized or off the steady path>",
-    },
-    RuleDoc {
         rule: Rule::H2,
-        summary: "allocation-prone calls reachable from a hot-path fn via the call graph",
-        rationale: "H1 only sees the marked function body; a hot path that calls an \
-                    allocating helper two crates away is just as non-steady-state. The \
-                    diagnostic prints the call chain from the root to the allocation.",
+        summary: "allocation-prone calls in a `// lint: hot-path` fn or reachable from one \
+                  via the call graph",
+        rationale: "Steady-state replay must perform zero heap allocations per op (the \
+                    alloc-guard bench is the dynamic half of this rule). A hot path that \
+                    calls an allocating helper two crates away is just as non-steady-state \
+                    as one that allocates itself. The diagnostic prints the call chain \
+                    from the root to the allocation.",
         allow: "// lint: allow(H2): <argument> on the allocating line (silences that line \
                 only), or on the call edge that breaks the chain",
     },
@@ -274,7 +266,7 @@ mod tests {
         let d = Diagnostic {
             file: "a.rs".into(),
             line: 1,
-            rule: Rule::H1,
+            rule: Rule::H2,
             message: "m".into(),
         };
         let v = run_to_report(3, 120, 340, &[d]);
@@ -284,7 +276,7 @@ mod tests {
         assert_eq!(lint.get("edges").and_then(Value::as_i64), Some(340));
         assert_eq!(lint.get("diags").and_then(Value::as_i64), Some(1));
         let diags = v.get("diagnostics").and_then(Value::as_array).unwrap();
-        assert_eq!(diags[0].get("rule").and_then(Value::as_str), Some("H1"));
+        assert_eq!(diags[0].get("rule").and_then(Value::as_str), Some("H2"));
     }
 
     #[test]

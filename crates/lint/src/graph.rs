@@ -419,8 +419,7 @@ pub fn run_passes(graph: &CallGraph, allows: &mut Allows<'_>) -> Vec<Diagnostic>
 }
 
 /// Rule H2: BFS from every hot-path root, reporting the allocation sites
-/// of every function it reaches. The root's own body is out of scope:
-/// rule H1 already covers its direct sites.
+/// of the root's own body and of every function it reaches.
 fn allocation_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Diagnostic>) {
     let mut roots: Vec<usize> = (0..graph.nodes.len())
         .filter(|&i| graph.nodes[i].is_hot && !graph.nodes[i].is_test && !graph.nodes[i].is_debug)
@@ -439,26 +438,24 @@ fn allocation_pass(graph: &CallGraph, allows: &mut Allows<'_>, out: &mut Vec<Dia
         let mut queue: VecDeque<usize> = VecDeque::new();
         queue.push_back(root);
         while let Some(u) = queue.pop_front() {
-            if u != root {
-                let n = &graph.nodes[u];
-                for s in &n.alloc_sites {
-                    if allows.try_suppress(&n.file, s.line, Rule::H2) {
-                        continue; // argued site allow
-                    }
-                    if !reported.insert((n.file.clone(), s.line, s.what)) {
-                        continue;
-                    }
-                    let chain = chain_to(graph, &parent, root, u, s.what);
-                    out.push(Diagnostic {
-                        file: n.file.clone(),
-                        line: s.line,
-                        rule: Rule::H2,
-                        message: format!(
-                            "allocation-prone call {} reachable from hot-path `{}`: {chain}",
-                            s.what, graph.nodes[root].qual
-                        ),
-                    });
+            let n = &graph.nodes[u];
+            for s in &n.alloc_sites {
+                if allows.try_suppress(&n.file, s.line, Rule::H2) {
+                    continue; // argued site allow
                 }
+                if !reported.insert((n.file.clone(), s.line, s.what)) {
+                    continue;
+                }
+                let chain = chain_to(graph, &parent, root, u, s.what);
+                out.push(Diagnostic {
+                    file: n.file.clone(),
+                    line: s.line,
+                    rule: Rule::H2,
+                    message: format!(
+                        "allocation-prone call {} reachable from hot-path `{}`: {chain}",
+                        s.what, graph.nodes[root].qual
+                    ),
+                });
             }
             let caller = &graph.nodes[u];
             for e in &graph.edges[u] {
@@ -655,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn h2_does_not_duplicate_h1_in_the_root_itself() {
+    fn h2_reports_the_roots_own_site_once() {
         let a = parsed(
             "crates/storage/src/manager.rs",
             "ssmc-storage",
@@ -663,7 +660,13 @@ mod tests {
         );
         let g = CallGraph::build(&[a], &CrateDeps::permissive());
         let findings = run_passes(&g, &mut no_allows());
-        assert!(findings.iter().all(|f| f.rule != Rule::H2), "{findings:?}");
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].rule, findings[0].line), (Rule::H2, 2));
+        assert!(
+            findings[0].message.contains("hot → vec! macro"),
+            "{}",
+            findings[0].message
+        );
     }
 
     #[test]

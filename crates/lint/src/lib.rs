@@ -218,6 +218,33 @@ mod tests {
     }
 
     #[test]
+    fn h2_only_applies_inside_marked_fns() {
+        let src =
+            "fn cold() { let v = vec![1]; }\n// lint: hot-path\nfn hot() { let v = vec![1]; }\n";
+        let diags = lint_files(&[("x.rs", "ssmc-storage", src)]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), (Rule::H2, 3));
+    }
+
+    #[test]
+    fn h2_dot_patterns_require_a_receiver() {
+        // A function *named* clone is not a `.clone()` call.
+        let src = "// lint: hot-path\nfn hot(x: &X) { clone(x); }\n";
+        let diags = lint_files(&[("x.rs", "ssmc-storage", src)]);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn h2_span_survives_const_generic_brace_in_signature() {
+        // Regression: a heuristic scan once took `{ N }` in the return
+        // type for the body and stopped checking before the real one.
+        let src = "// lint: hot-path\nfn hot<const N: usize>() -> ArrayVec<{ N }>\n{\n    let v = vec![1];\n    v\n}\n";
+        let diags = lint_files(&[("x.rs", "ssmc-storage", src)]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), (Rule::H2, 4));
+    }
+
+    #[test]
     fn lint_files_runs_interprocedural_passes() {
         let caller = "// lint: hot-path\npub fn hot() { crate::help::helper(); }\n";
         let helper = "pub fn helper(&self) { let v = vec![1]; }\n";

@@ -10,8 +10,9 @@
 //!    paren/bracket/angle depth through the signature (so a `;` in
 //!    `[u8; 4]`, a const-generic `{ N }` brace, or a multi-line `where`
 //!    clause cannot end the item early) and then brace-matched using the
-//!    lexer's depth field. This replaced the heuristic scan that rule H1
-//!    originally used, which a brace in a return type could truncate.
+//!    lexer's depth field. This replaced the heuristic hot-span scan the
+//!    linter originally used, which a brace in a return type could
+//!    truncate.
 //! 2. **Resolution input is conservative.** Call sites record what was
 //!    written (`foo(`, `self.foo(`, `x.foo(`, `a::b::foo(`); name
 //!    resolution happens later in [`crate::graph`] and deliberately
@@ -20,11 +21,10 @@
 use crate::lexer::{Tok, TokKind};
 use std::collections::BTreeMap;
 
-/// Allocation-prone token patterns (shared by rule H1, which checks them
-/// inside `// lint: hot-path` functions, and rule H2, which checks them
-/// in every function *reachable* from one). Each entry is
-/// (pattern, needs-leading-dot, human name). Patterns are matched
-/// against comment-free tokens; `::` appears as two `:` puncts.
+/// Allocation-prone token patterns, which rule H2 checks inside every
+/// `// lint: hot-path` function and every function *reachable* from one.
+/// Each entry is (pattern, needs-leading-dot, human name). Patterns are
+/// matched against comment-free tokens; `::` appears as two `:` puncts.
 pub(crate) const ALLOC_PATTERNS: &[(&[Pat], bool, &str)] = &[
     (
         &[Pat::Id("Box"), Pat::P(':'), Pat::P(':'), Pat::Id("new")],
@@ -702,7 +702,7 @@ impl<'a> Parser<'a> {
                 i += 1;
                 continue;
             };
-            // Allocation-prone patterns (shared with rule H1). Checked
+            // Allocation-prone patterns (rule H2). Checked
             // before the macro branch: `vec!`/`format!` are both macros
             // and allocation patterns.
             for (pat, needs_dot, name) in ALLOC_PATTERNS {

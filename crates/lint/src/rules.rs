@@ -21,7 +21,7 @@
 
 use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{lex, Tok, TokKind};
-use crate::parse::{self, matches_at, ParsedFile, Pat, ALLOC_PATTERNS};
+use crate::parse::{self, matches_at, ParsedFile, Pat};
 use std::collections::BTreeSet;
 
 /// Crates whose simulation results must be run-to-run deterministic.
@@ -172,15 +172,6 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
 
     let parsed = parse::parse_file(path, crate_name, &toks);
     let test_spans = parsed.test_spans.clone();
-    // Hot-path spans come from the item parser: exact fn boundaries via
-    // brace matching, so nested items and multi-line signatures (or a
-    // const-generic brace in a return type) cannot truncate the span.
-    let hot_spans: Vec<(u32, u32)> = parsed
-        .fns
-        .iter()
-        .filter(|f| f.is_hot)
-        .map(|f| (f.sig_line, f.end_line))
-        .collect();
     let local_roots = collect_local_roots(&sig);
     let (mut allows, diags) = parse_allow_directives(path, &toks);
     for a in &mut allows {
@@ -326,23 +317,6 @@ pub fn analyze_source(path: &str, crate_name: &str, src: &str) -> FileAnalysis {
                 "extern crate declaration; the workspace is hermetic (in-tree code only)"
                     .to_owned(),
             );
-        }
-
-        // H1 — allocation-prone calls inside `// lint: hot-path` fns.
-        if !in_test && in_spans(line, &hot_spans) {
-            for (pat, needs_dot, name) in ALLOC_PATTERNS {
-                if matches_at(&sig, i, pat) {
-                    if *needs_dot && !(i > 0 && sig[i - 1].is_punct('.')) {
-                        continue;
-                    }
-                    push(
-                        &mut findings,
-                        line,
-                        Rule::H1,
-                        format!("allocation-prone call {name} inside a hot-path function"),
-                    );
-                }
-            }
         }
 
         // U1 — unsafe without an adjacent SAFETY comment.
@@ -627,32 +601,6 @@ mod tests {
         let diags = lint_source("x.rs", "ssmc-core", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::A1);
-    }
-
-    #[test]
-    fn h1_only_applies_inside_marked_fns() {
-        let src =
-            "fn cold() { let v = vec![1]; }\n// lint: hot-path\nfn hot() { let v = vec![1]; }\n";
-        let diags = lint_source("x.rs", "ssmc-storage", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!((diags[0].rule, diags[0].line), (Rule::H1, 3));
-    }
-
-    #[test]
-    fn h1_dot_patterns_require_a_receiver() {
-        // A function *named* clone is not a `.clone()` call.
-        let src = "// lint: hot-path\nfn hot(x: &X) { clone(x); }\n";
-        assert!(rules_fired("x.rs", "ssmc-storage", src).is_empty());
-    }
-
-    #[test]
-    fn h1_span_survives_const_generic_brace_in_signature() {
-        // Regression: the old heuristic scan took `{ N }` in the return
-        // type for the body and stopped checking before the real one.
-        let src = "// lint: hot-path\nfn hot<const N: usize>() -> ArrayVec<{ N }>\n{\n    let v = vec![1];\n    v\n}\n";
-        let diags = lint_source("x.rs", "ssmc-storage", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!((diags[0].rule, diags[0].line), (Rule::H1, 4));
     }
 
     #[test]

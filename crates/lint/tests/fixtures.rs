@@ -26,12 +26,11 @@ const FIXTURE_CRATE: &str = "ssmc-storage";
 
 /// The rules whose fixtures are a single file through [`lint_source`].
 /// H2/E1 are interprocedural (explicit tests below).
-const PER_FILE_RULES: [Rule; 8] = [
+const PER_FILE_RULES: [Rule; 7] = [
     Rule::D1,
     Rule::D2,
     Rule::D3,
     Rule::D4,
-    Rule::H1,
     Rule::U1,
     Rule::U2,
     Rule::A1,
@@ -85,45 +84,6 @@ fn bad_fixture_diagnostics_render_the_contract_format() {
     );
 }
 
-#[test]
-fn h1_fixture_survives_an_inner_block_before_the_allocation() {
-    // Regression: a line-oriented span heuristic ended the hot span at
-    // the if-block's `}`, hiding the `.to_vec()` after it.
-    let src = fixture("h1_depth_bad.rs");
-    let diags = lint_source(
-        "crates/lint/tests/fixtures/h1_depth_bad.rs",
-        FIXTURE_CRATE,
-        &src,
-    );
-    assert_eq!(diags.len(), 1, "{:?}", render(&diags));
-    assert_eq!(diags[0].rule, Rule::H1, "{}", diags[0]);
-    assert!(diags[0].message.contains(".to_vec()"), "{}", diags[0]);
-}
-
-#[test]
-fn h1_capacity_fixtures_match_only_the_path_forms() {
-    let lint = |name: &str| {
-        let path = format!("crates/lint/tests/fixtures/{name}");
-        lint_source(&path, FIXTURE_CRATE, &fixture(name))
-    };
-    let diags = lint("h1_capacity_bad.rs");
-    let rendered = render(&diags);
-    assert_eq!(diags.len(), 2, "{rendered:?}");
-    assert!(diags.iter().all(|d| d.rule == Rule::H1), "{rendered:?}");
-    assert!(
-        diags[0].message.contains("Vec::with_capacity"),
-        "{}",
-        diags[0]
-    );
-    assert!(
-        diags[1].message.contains("String::with_capacity"),
-        "{}",
-        diags[1]
-    );
-    let diags = lint("h1_capacity_clean.rs");
-    assert!(diags.is_empty(), "{:?}", render(&diags));
-}
-
 /// Runs an interprocedural fixture pair: `entry` becomes
 /// `crates/storage/src/entry.rs`, `helper` (if any) becomes the `help`
 /// module the entry calls into.
@@ -139,6 +99,45 @@ fn lint_interprocedural(entry: &str, helper: Option<&str>) -> Vec<Diagnostic> {
         files.push(("crates/storage/src/help.rs", FIXTURE_CRATE, src));
     }
     lint_files(&files)
+}
+
+#[test]
+fn h2_root_fixtures_flag_the_hot_body_only() {
+    let diags = lint_interprocedural("h2_root_bad.rs", None);
+    assert_eq!(diags.len(), 1, "{:?}", render(&diags));
+    assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
+    let diags = lint_interprocedural("h2_root_clean.rs", None);
+    assert!(diags.is_empty(), "{:?}", render(&diags));
+}
+
+#[test]
+fn h2_root_fixture_survives_an_inner_block_before_the_allocation() {
+    // Regression: a line-oriented span heuristic ended the hot span at
+    // the if-block's `}`, hiding the `.to_vec()` after it.
+    let diags = lint_interprocedural("h2_root_depth_bad.rs", None);
+    assert_eq!(diags.len(), 1, "{:?}", render(&diags));
+    assert_eq!(diags[0].rule, Rule::H2, "{}", diags[0]);
+    assert!(diags[0].message.contains(".to_vec()"), "{}", diags[0]);
+}
+
+#[test]
+fn h2_root_capacity_fixtures_match_only_the_path_forms() {
+    let diags = lint_interprocedural("h2_root_capacity_bad.rs", None);
+    let rendered = render(&diags);
+    assert_eq!(diags.len(), 2, "{rendered:?}");
+    assert!(diags.iter().all(|d| d.rule == Rule::H2), "{rendered:?}");
+    assert!(
+        diags[0].message.contains("Vec::with_capacity"),
+        "{}",
+        diags[0]
+    );
+    assert!(
+        diags[1].message.contains("String::with_capacity"),
+        "{}",
+        diags[1]
+    );
+    let diags = lint_interprocedural("h2_root_capacity_clean.rs", None);
+    assert!(diags.is_empty(), "{:?}", render(&diags));
 }
 
 #[test]

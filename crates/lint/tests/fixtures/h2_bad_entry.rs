@@ -1,7 +1,6 @@
 //! H2 fixture (entry file): a hot root whose helper — defined in the
 //! sibling fixture file — allocates two edges down the call chain. The
-//! root itself is clean, so H1 stays silent and the finding is purely
-//! interprocedural.
+//! root itself is clean, so the one finding is purely interprocedural.
 
 // lint: hot-path
 pub fn replay_op(&mut self) {

@@ -1,4 +1,4 @@
-// Fixture: H1 must fire twice — a table and a string sized and built
+// Fixture: H2 must fire twice — a table and a string sized and built
 // from scratch on every call of a hot function.
 // lint: hot-path
 fn pick(n: usize) -> usize {

@@ -1,4 +1,4 @@
-// Fixture: H1 must not fire — only the `Vec::`/`String::` path forms
+// Fixture: H2 must not fire — only the `Vec::`/`String::` path forms
 // allocate. A builder named `with_capacity` on another type, and a
 // method of that name, are configuration.
 // lint: hot-path

@@ -1,6 +1,6 @@
-// Fixture: H1 must not fire — the hot function reuses caller-owned
-// scratch, and the identical allocation in the unmarked function below
-// is out of scope.
+// Fixture: H2 must not fire — the hot function reuses caller-owned
+// scratch, and the identical allocation in the unmarked, uncalled
+// function below is out of scope.
 // lint: hot-path
 fn write_page_hot(buf: &mut [u8], scratch: &mut Vec<u8>) {
     scratch.resize(buf.len(), 0);

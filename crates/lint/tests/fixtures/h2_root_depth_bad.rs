@@ -1,4 +1,4 @@
-//! H1 regression fixture: the hot function closes an inner block before
+//! H2 regression fixture: the hot function closes an inner block before
 //! it allocates. A line-oriented span heuristic that ends the hot span
 //! at the first `}` misses the `.to_vec()`; brace-depth tracking from
 //! the lexer must keep the span open to the function's own close brace.

@@ -200,7 +200,7 @@ impl EnergyLedger {
                 self.last = i;
             }
             Err(i) => {
-                // lint: allow(H1): first charge for a component allocates
+                // lint: allow(H2): first charge for a component allocates
                 // its key string once per ledger lifetime; steady-state
                 // charges hit the index hint or the binary search above.
                 self.accounts.insert(i, (component.to_owned(), e));

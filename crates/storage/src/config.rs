@@ -1,6 +1,6 @@
 //! Storage-manager configuration: every policy knob the experiments sweep.
 
-use ssmc_device::{DramSpec, FlashSpec};
+use ssmc_device::FlashSpec;
 use ssmc_sim::SimDuration;
 
 /// How logical pages are placed on flash.
@@ -87,12 +87,11 @@ pub struct StorageConfig {
     /// Logical page size in bytes; must equal a multiple of the flash
     /// write unit and divide the erase block.
     pub page_size: u64,
-    /// DRAM dedicated to the write buffer, in bytes.
+    /// DRAM dedicated to the write buffer, in bytes, on the generic
+    /// `DramSpec::default()` part.
     pub dram_buffer_bytes: u64,
     /// Flash device to manage.
     pub flash: FlashSpec,
-    /// DRAM device backing the write buffer.
-    pub dram: DramSpec,
     /// Placement strategy.
     pub placement: Placement,
     /// GC victim selection.
@@ -121,13 +120,10 @@ pub struct StorageConfig {
 
 impl Default for StorageConfig {
     fn default() -> Self {
-        let flash = FlashSpec::default();
-        let dram = DramSpec::default().with_capacity(1 << 20);
         StorageConfig {
             page_size: 512,
             dram_buffer_bytes: 1 << 20,
-            flash,
-            dram,
+            flash: FlashSpec::default(),
             placement: Placement::LogStructured,
             gc: GcPolicy::CostBenefit,
             wear_leveling: WearLeveling::Static { threshold: 32 },

@@ -25,7 +25,7 @@ use crate::pool::PagePool;
 use crate::recovery::RecoveryReport;
 use crate::segment::{SegState, SegmentTable, Slot, SlotMeta};
 use crate::Result;
-use ssmc_device::{DeviceError, Dram, Flash, TearMode};
+use ssmc_device::{DeviceError, Dram, DramSpec, Flash, TearMode};
 use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, SharedClock, SimDuration, SimTime};
 
@@ -188,7 +188,7 @@ impl StorageManager {
     /// Panics if the configuration is inconsistent
     /// (see [`StorageConfig::validate`]) or the flash is too small to hold
     /// the reserved checkpoint area plus at least four segments.
-    pub fn new(mut cfg: StorageConfig, clock: SharedClock) -> Self {
+    pub fn new(cfg: StorageConfig, clock: SharedClock) -> Self {
         cfg.validate();
         let total_blocks = cfg.flash.total_blocks();
         assert!(
@@ -205,12 +205,11 @@ impl StorageManager {
             cfg.flash.block_bytes,
             cfg.page_size,
         );
-        // The DRAM device is sized to the write buffer; resize the spec in
-        // place rather than cloning it (callers hand `cfg` over by value,
-        // and nothing reads `cfg.dram` after construction).
-        cfg.dram.capacity = cfg.dram_buffer_bytes.max(1);
         let flash = Flash::new(cfg.flash.clone(), clock.clone());
-        let dram = Dram::new(cfg.dram.clone(), clock.clone());
+        let dram = Dram::new(
+            DramSpec::default().with_capacity(cfg.dram_buffer_bytes.max(1)),
+            clock.clone(),
+        );
         let now = clock.now();
         // Scratch capacity is claimed here, not on first use: the first
         // watermark flush or GC pass runs mid-replay, inside the
@@ -728,12 +727,7 @@ impl StorageManager {
     // lint: hot-path
     pub fn sync(&mut self) -> Result<()> {
         self.check_alive()?;
-        let mut pages = core::mem::take(&mut self.flush_scratch);
-        self.buffer.pages_into(&mut pages);
-        let flushed = self.flush_pages(&pages);
-        pages.clear();
-        self.flush_scratch = pages;
-        flushed?;
+        self.flush_victims(true, WriteBuffer::pages_into)?;
         self.flush_tombstones()?;
         self.update_gauges();
         Ok(())
@@ -752,20 +746,13 @@ impl StorageManager {
         self.table.reap_erased(now);
         // Age-based flush: write back pages that have not been written for
         // the policy's age limit (keeping write-hot pages in DRAM).
-        let cutoff_ns = now
-            .as_nanos()
-            .saturating_sub(self.cfg.flush.age_limit.as_nanos());
-        let mut cold = core::mem::take(&mut self.flush_scratch);
-        self.buffer
-            .colder_than_into(SimTime::from_nanos(cutoff_ns), usize::MAX, &mut cold);
-        let flushed = if cold.is_empty() {
-            Ok(())
-        } else {
-            self.flush_pages(&cold)
-        };
-        cold.clear();
-        self.flush_scratch = cold;
-        flushed?;
+        let cutoff = SimTime::from_nanos(
+            now.as_nanos()
+                .saturating_sub(self.cfg.flush.age_limit.as_nanos()),
+        );
+        self.flush_victims(false, |buffer, cold| {
+            buffer.colder_than_into(cutoff, usize::MAX, cold);
+        })?;
         if self.cfg.placement == Placement::LogStructured {
             let free = self.table.free_count() + self.table.pending_erases();
             if free < self.cfg.gc_trigger_segments {
@@ -794,13 +781,10 @@ impl StorageManager {
         if !self.buffer.is_full() {
             return Ok(());
         }
-        let mut victims = core::mem::take(&mut self.flush_scratch);
-        self.buffer
-            .coldest_k_into(self.cfg.flush.batch.max(1), &mut victims);
-        let flushed = self.flush_pages(&victims);
-        victims.clear();
-        self.flush_scratch = victims;
-        flushed
+        let batch = self.cfg.flush.batch.max(1);
+        self.flush_victims(false, |buffer, victims| {
+            buffer.coldest_k_into(batch, victims);
+        })
     }
 
     /// Applies the high/low watermark policy after an insert.
@@ -811,15 +795,32 @@ impl StorageManager {
         }
         let target = (self.cfg.flush.low_watermark * self.buffer.capacity() as f64) as usize;
         let excess = self.buffer.len().saturating_sub(target);
-        if excess > 0 {
-            let mut victims = core::mem::take(&mut self.flush_scratch);
-            self.buffer.coldest_k_into(excess, &mut victims);
-            let flushed = self.flush_pages(&victims);
-            victims.clear();
-            self.flush_scratch = victims;
-            flushed?;
-        }
-        Ok(())
+        self.flush_victims(false, |buffer, victims| {
+            buffer.coldest_k_into(excess, victims);
+        })
+    }
+
+    /// Flushes the buffered pages `pick` lists into the recycled
+    /// `flush_scratch` list. An empty list is flushed only when
+    /// `flush_if_empty` is set, because [`Self::flush_pages`] always
+    /// updates the buffer gauges: `sync` keeps that update at its instant,
+    /// the per-op `tick` path must not add one.
+    // lint: hot-path
+    fn flush_victims(
+        &mut self,
+        flush_if_empty: bool,
+        pick: impl FnOnce(&WriteBuffer, &mut Vec<PageId>),
+    ) -> Result<()> {
+        let mut victims = core::mem::take(&mut self.flush_scratch);
+        pick(&self.buffer, &mut victims);
+        let flushed = if victims.is_empty() && !flush_if_empty {
+            Ok(())
+        } else {
+            self.flush_pages(&victims)
+        };
+        victims.clear();
+        self.flush_scratch = victims;
+        flushed
     }
 
     /// Writes the given buffered pages back to flash and releases their

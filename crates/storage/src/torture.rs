@@ -35,9 +35,9 @@ use ssmc_sim::{Clock, SimDuration, SimRng};
 use std::collections::BTreeMap;
 
 /// One step of a torture op stream. The stream is the storage-level
-/// projection of a file trace (see `ssmc_trace`'s oracle) or a synthetic
-/// generator; either way it is fixed before the sweep starts so every
-/// cut replays the identical prefix.
+/// projection of a file trace (see `ssmc_bench::torture_sweep`) or a
+/// synthetic generator; either way it is fixed before the sweep starts
+/// so every cut replays the identical prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TortureOp {
     /// Write one page. Content is derived from `(seed, page, version)`
@@ -60,9 +60,7 @@ pub enum TortureOp {
 }
 
 /// Clock advance per [`TortureOp::Tick`].
-fn tick_step() -> SimDuration {
-    SimDuration::from_millis(250)
-}
+pub const TICK_STEP: SimDuration = SimDuration::from_millis(250);
 
 /// A durability violation found after recovering from a cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,7 +361,7 @@ fn replay_and_recover(
                 }
             }
             TortureOp::Tick => {
-                clock.advance(tick_step());
+                clock.advance(TICK_STEP);
                 let _ = m.tick();
             }
         }

@@ -29,7 +29,6 @@ pub mod analyze;
 pub mod generator;
 pub mod io;
 pub mod lifetime;
-pub mod oracle;
 pub mod record;
 pub mod replay;
 
@@ -37,6 +36,5 @@ pub use analyze::TraceAnalysis;
 pub use generator::{GeneratorConfig, Workload};
 pub use io::{kind_code, OpStreamFileReader, OpStreamWriter, StreamHeader, StreamSummary};
 pub use lifetime::LifetimeModel;
-pub use oracle::{pages_allocated, project, OracleConfig, PageOp, PageOpKind};
 pub use record::{FileId, FileOp, OpKind, Trace, TraceRecord, TraceStats};
 pub use replay::{replay, ReplayReport, TraceTarget};

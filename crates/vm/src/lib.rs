@@ -33,7 +33,7 @@ pub mod xip;
 
 pub use error::VmError;
 pub use space::{AddressSpace, Backing, Mapping};
-pub use vm::{Vm, VmConfig, VmMetrics};
+pub use vm::{Vm, VmMetrics};
 pub use xip::{launch, run_code, LaunchStats};
 
 /// Result alias for VM operations.

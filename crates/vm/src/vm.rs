@@ -8,32 +8,10 @@ use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, SharedClock, SimDuration, TimeWeighted};
 use ssmc_storage::{PageId, StorageManager};
 
-/// VM configuration.
-#[derive(Debug, Clone)]
-pub struct VmConfig {
-    /// Page size in bytes; must match the storage manager's.
-    pub page_size: u64,
-    /// DRAM frames available to the VM for demand-loaded code copies.
-    pub dram_frames: u64,
-    /// Timing/energy model of the VM's DRAM.
-    pub dram: DramSpec,
-    /// Bytes fetched per instruction fetch (a cache-line fill).
-    pub fetch_bytes: u64,
-    /// Page-table walk latency charged per fault.
-    pub table_walk: SimDuration,
-}
-
-impl Default for VmConfig {
-    fn default() -> Self {
-        VmConfig {
-            page_size: 512,
-            dram_frames: 4096,
-            dram: DramSpec::default(),
-            fetch_bytes: 64,
-            table_walk: SimDuration::from_nanos(400),
-        }
-    }
-}
+/// Bytes fetched per instruction fetch (a cache-line fill).
+const FETCH_BYTES: u64 = 64;
+/// Page-table walk latency charged per fault.
+const TABLE_WALK: SimDuration = SimDuration::from_nanos(400);
 
 /// VM counters.
 #[derive(Debug)]
@@ -53,7 +31,9 @@ pub struct VmMetrics {
 /// The virtual memory system.
 #[derive(Debug)]
 pub struct Vm {
-    cfg: VmConfig,
+    page_size: u64,
+    /// DRAM frames available for demand-loaded code copies.
+    frames: u64,
     clock: SharedClock,
     dram: Dram,
     free_frames: Vec<u64>,
@@ -68,15 +48,14 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Creates a VM with an empty frame pool of the configured size.
-    pub fn new(cfg: VmConfig, clock: SharedClock) -> Self {
-        let dram_spec = cfg
-            .dram
-            .clone()
-            .with_capacity((cfg.dram_frames * cfg.page_size).max(cfg.page_size));
+    /// Creates a VM with a pool of `frames` free DRAM frames of
+    /// `page_size` bytes (the storage manager's page size) on the generic
+    /// DRAM part.
+    pub fn new(frames: u64, page_size: u64, clock: SharedClock) -> Self {
+        let dram_spec = DramSpec::default().with_capacity((frames * page_size).max(page_size));
         let dram = Dram::new(dram_spec, clock.clone());
         Vm {
-            free_frames: (0..cfg.dram_frames).rev().collect(),
+            free_frames: (0..frames).rev().collect(),
             spaces: Vec::new(),
             metrics: VmMetrics {
                 faults: 0,
@@ -86,17 +65,18 @@ impl Vm {
                 frames_used: TimeWeighted::new(clock.now(), 0.0),
             },
             recorder: Recorder::disabled(),
-            scratch: vec![0u8; cfg.page_size as usize],
+            scratch: vec![0u8; page_size as usize],
             line: Vec::new(),
-            cfg,
+            page_size,
+            frames,
             clock,
             dram,
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &VmConfig {
-        &self.cfg
+    /// Page size in bytes.
+    pub fn page_size(&self) -> u64 {
+        self.page_size
     }
 
     /// Counters so far.
@@ -146,7 +126,7 @@ impl Vm {
 
     /// Frames currently in use.
     pub fn frames_in_use(&self) -> u64 {
-        self.cfg.dram_frames - self.free_frames.len() as u64
+        self.frames - self.free_frames.len() as u64
     }
 
     /// Creates a new protection domain and returns its asid.
@@ -174,7 +154,7 @@ impl Vm {
     ///
     /// [`VmError::BadAsid`] for unknown identifiers.
     pub fn map_code(&mut self, asid: u32, pages: Vec<PageId>, xip: bool) -> Result<u64> {
-        let page_size = self.cfg.page_size;
+        let page_size = self.page_size;
         let base = self.space_mut(asid)?.map_region(pages, xip);
         Ok(base * page_size)
     }
@@ -186,8 +166,8 @@ impl Vm {
         self.metrics.faults += 1;
         let span_start = self.clock.now();
         let e0 = self.span_energy_mark();
-        self.clock.advance(self.cfg.table_walk);
-        let addr = vpn * self.cfg.page_size;
+        self.clock.advance(TABLE_WALK);
+        let addr = vpn * self.page_size;
         let (page, xip) = self
             .space(asid)?
             .region_of(vpn)
@@ -202,7 +182,7 @@ impl Vm {
             self.metrics.frames_used.set(self.clock.now(), used);
             sm.read_page(page, &mut self.scratch)?;
             self.dram
-                .write(frame * self.cfg.page_size, &self.scratch)
+                .write(frame * self.page_size, &self.scratch)
                 .map_err(ssmc_storage::StorageError::from)?;
             self.metrics.pages_loaded += 1;
             self.metrics.major_faults += 1;
@@ -218,7 +198,7 @@ impl Vm {
                 self.dram.energy().total().as_nanojoules() - e0.as_nanojoules(),
             ),
             pages: copied,
-            bytes: copied * self.cfg.page_size,
+            bytes: copied * self.page_size,
         });
         Ok(backing)
     }
@@ -236,19 +216,19 @@ impl Vm {
     // lint: hot-path
     pub fn fetch(&mut self, asid: u32, addr: u64, sm: &mut StorageManager) -> Result<SimDuration> {
         let start = self.clock.now();
-        let vpn = addr / self.cfg.page_size;
-        let offset = addr % self.cfg.page_size;
+        let vpn = addr / self.page_size;
+        let offset = addr % self.page_size;
         let backing = match self.space(asid)?.table.get(&vpn) {
             Some(&backing) => backing,
             None => self.fault(asid, vpn, sm)?,
         };
-        let len = self.cfg.fetch_bytes.min(self.cfg.page_size - offset).max(1) as usize;
+        let len = FETCH_BYTES.min(self.page_size - offset).max(1) as usize;
         self.line.clear();
         self.line.resize(len, 0);
         match backing {
             Backing::Frame(f) => {
                 self.dram
-                    .read(f * self.cfg.page_size + offset, &mut self.line)
+                    .read(f * self.page_size + offset, &mut self.line)
                     .map_err(ssmc_storage::StorageError::from)?;
             }
             Backing::Storage(page) => {
@@ -293,13 +273,7 @@ mod tests {
             },
             clock.clone(),
         );
-        let vm = Vm::new(
-            VmConfig {
-                dram_frames: frames,
-                ..VmConfig::default()
-            },
-            clock,
-        );
+        let vm = Vm::new(frames, 512, clock);
         (vm, sm)
     }
 

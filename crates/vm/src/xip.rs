@@ -49,7 +49,7 @@ pub fn launch(
     if program.pages.is_empty() {
         return Err(VmError::SegFault { addr: 0 });
     }
-    let page_size = vm.config().page_size;
+    let page_size = vm.page_size();
     let start = sm.now();
     let frames_before = vm.frames_in_use();
     let faults_before = vm.metrics().faults;
@@ -98,7 +98,6 @@ pub fn run_code(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::VmConfig;
     use ssmc_device::FlashSpec;
     use ssmc_memfs::{MemFs, WritePolicy};
     use ssmc_sim::Clock;
@@ -128,13 +127,7 @@ mod tests {
         fs.write(fd, 0, &vec![0xC3u8; kb * 1024]).expect("write");
         fs.sync().expect("sync");
         let map = fs.map_file("/app").expect("map");
-        let vm = Vm::new(
-            VmConfig {
-                dram_frames: 4096,
-                ..VmConfig::default()
-            },
-            clock,
-        );
+        let vm = Vm::new(4096, 512, clock);
         (vm, fs, map)
     }
 

@@ -36,7 +36,6 @@ fn main() {
         budget_dollars: budget,
         dram_fractions: vec![0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9],
         base: MachineConfig::small_notebook(),
-        ..SizingSpec::default()
     };
     let points = sweep_sizing(&spec, &trace);
 

@@ -66,7 +66,7 @@ cargo run --release --offline -p ssmc-bench --bin experiments -- f2
 cargo bench -p ssmc-bench --bench simulator --offline -- --smoke
 
 # Allocation sentinel: a steady-state replay window must perform zero
-# heap allocations per op (the dynamic half of the lint's H1 rule),
+# heap allocations per op (the dynamic half of the lint's H2 rule),
 # and a full million-op compiled stream must replay from disk with flat
 # memory — the streaming half decodes 1M records and asserts zero
 # allocation events past the warmup window. Both windows now run with
@@ -157,6 +157,9 @@ fi
 
 # Behaviour guard: regenerating every experiment must leave results/
 # untouched — refactors of the hot path may not move a single byte of
-# simulated output.
-cargo run --release --offline -p ssmc-bench --bin experiments -- --json results all
+# simulated output. The printed tables are archived as
+# results/experiments_output.txt, so the guard covers them too (host
+# timings go to stderr, so stdout is deterministic).
+cargo run --release --offline -p ssmc-bench --bin experiments -- --json results all \
+    > results/experiments_output.txt
 git diff --exit-code results/
