@@ -136,7 +136,12 @@ impl FlashSpec {
     fn validate(&self) {
         assert!(self.banks > 0, "flash needs at least one bank");
         assert!(self.blocks_per_bank > 0, "flash needs at least one block");
-        assert!(self.block_bytes > 0, "empty erase blocks are meaningless");
+        // A power of two, so the block of an address is a shift on every
+        // read's path rather than a division.
+        assert!(
+            self.block_bytes.is_power_of_two(),
+            "erase blocks must be a power of two bytes"
+        );
         assert!(
             self.write_unit > 0 && self.block_bytes.is_multiple_of(self.write_unit),
             "write unit must divide the erase block"
@@ -230,6 +235,9 @@ struct Block {
     bad: bool,
     /// One bit per write unit: set = programmed since last erase.
     programmed: Vec<u64>,
+    /// The block's bytes, or `None` while every cell is erased: such a
+    /// block reads as the device's shared 0xFF block and owns nothing.
+    cells: Option<Box<[u8]>>,
 }
 
 impl Block {
@@ -238,6 +246,7 @@ impl Block {
             erase_count: 0,
             bad: false,
             programmed: vec![0; units.div_ceil(64)],
+            cells: None,
         }
     }
 
@@ -258,6 +267,11 @@ impl Block {
 
 /// A direct-mapped flash device.
 ///
+/// The device holds bytes only for the erase blocks programmed since
+/// their last erase, so its memory follows what it stores rather than its
+/// capacity. An erase hands the block's buffer to a spare list, and the
+/// next first program of an erased block takes it back.
+///
 /// # Examples
 ///
 /// ```
@@ -275,8 +289,15 @@ impl Block {
 pub struct Flash {
     spec: FlashSpec,
     clock: SharedClock,
-    data: Vec<u8>,
     blocks: Vec<Block>,
+    /// One erase block of 0xFF: what reads of a block without cells see.
+    erased: Box<[u8]>,
+    /// Buffers of erased blocks, kept for the next block to be
+    /// programmed. Its capacity is the block count, so a push never
+    /// reallocates.
+    spare: Vec<Box<[u8]>>,
+    /// `log2(block_bytes)`: the block of an address is `addr >> block_shift`.
+    block_shift: u32,
     bank_busy_until: Vec<SimTime>,
     counters: FlashCounters,
     energy: EnergyLedger,
@@ -302,15 +323,16 @@ impl Flash {
     /// not dividing the block, …).
     pub fn new(spec: FlashSpec, clock: SharedClock) -> Self {
         spec.validate();
-        let capacity = spec.capacity() as usize;
         let units_per_block = (spec.block_bytes / spec.write_unit) as usize;
         let blocks = (0..spec.total_blocks())
             .map(|_| Block::new(units_per_block))
             .collect();
         Flash {
             bank_busy_until: vec![SimTime::ZERO; spec.banks as usize],
-            data: vec![0xFF; capacity],
             blocks,
+            erased: vec![0xFF; spec.block_bytes as usize].into_boxed_slice(),
+            spare: Vec::with_capacity(spec.total_blocks() as usize),
+            block_shift: spec.block_bytes.trailing_zeros(),
             counters: FlashCounters::default(),
             energy: EnergyLedger::new(),
             first_wearout: None,
@@ -343,12 +365,19 @@ impl Flash {
         self.counters
     }
 
-    /// The raw array contents, as a flat byte view over the whole address
-    /// space. This is an inspection hook for tests and verification tools:
-    /// unlike [`Flash::read`], it moves no simulated time and charges no
-    /// energy.
-    pub fn contents(&self) -> &[u8] {
-        &self.data
+    /// Borrows `len` bytes of the array at `addr` without charging clock,
+    /// counters or energy: an inspection hook for recovery's checksum scan
+    /// and for tests. Like [`Flash::read`], the range must stay within one
+    /// erase block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or crosses an erase block.
+    pub fn peek(&self, addr: u64, len: u64) -> &[u8] {
+        if let Err(e) = self.check_span(addr, len) {
+            panic!("peek: {e}");
+        }
+        self.cells(addr, len)
     }
 
     /// Per-component energy consumed so far.
@@ -402,15 +431,12 @@ impl Flash {
 
     /// The erase block containing byte address `addr`.
     pub fn block_of(&self, addr: u64) -> BlockId {
-        BlockId((addr / self.spec.block_bytes) as u32)
+        BlockId((addr >> self.block_shift) as u32)
     }
 
     /// Byte range `[start, start + len)` of an erase block.
     pub fn block_range(&self, block: BlockId) -> (u64, u64) {
-        (
-            block.0 as u64 * self.spec.block_bytes,
-            self.spec.block_bytes,
-        )
+        ((block.0 as u64) << self.block_shift, self.spec.block_bytes)
     }
 
     /// Erase count of a block.
@@ -443,16 +469,51 @@ impl Flash {
             .charge("flash.idle", self.spec.idle_power.energy_over(d));
     }
 
-    fn check_range(&self, addr: u64, len: u64) -> Result<()> {
+    /// A read or a program must start inside the device, even an empty
+    /// one, and lie within one erase block.
+    fn check_span(&self, addr: u64, len: u64) -> Result<()> {
         let capacity = self.capacity();
-        if addr.checked_add(len).is_none_or(|end| end > capacity) {
+        if addr >= capacity || len > capacity - addr {
             return Err(DeviceError::OutOfRange {
                 addr,
                 len,
                 capacity,
             });
         }
+        if len > 0 && self.block_of(addr) != self.block_of(addr + len - 1) {
+            return Err(DeviceError::CrossesBlockBoundary { addr, len });
+        }
         Ok(())
+    }
+
+    /// The bytes of a range [`Flash::check_span`] accepted: the block's
+    /// buffer, or the shared 0xFF block while it has none.
+    fn cells(&self, addr: u64, len: u64) -> &[u8] {
+        let off = (addr & (self.spec.block_bytes - 1)) as usize;
+        let cells = self.blocks[(addr >> self.block_shift) as usize]
+            .cells
+            .as_deref()
+            .unwrap_or(&self.erased);
+        &cells[off..off + len as usize]
+    }
+
+    /// The writable bytes of `block`. A block without a buffer takes one
+    /// from the spare list, or allocates one when the list is empty, and
+    /// fills it with 0xFF so no earlier life of the buffer shows.
+    fn cells_mut(&mut self, block: BlockId) -> &mut [u8] {
+        let spare = &mut self.spare;
+        let block_bytes = self.spec.block_bytes as usize;
+        self.blocks[block.0 as usize]
+            .cells
+            .get_or_insert_with(|| match spare.pop() {
+                Some(mut cells) => {
+                    cells.fill(0xFF);
+                    cells
+                }
+                // lint: allow(H2): only when more blocks hold data at once
+                // than ever before; erased blocks' buffers are recycled.
+                None => vec![0xFF; block_bytes].into_boxed_slice(),
+            })
     }
 
     /// Everything a read does except deliver the bytes: stall on the busy
@@ -461,7 +522,7 @@ impl Flash {
     /// so both charge identically.
     // lint: hot-path
     fn charge_read(&mut self, addr: u64, len: u64) -> Result<SimDuration> {
-        self.check_range(addr, len)?;
+        self.check_span(addr, len)?;
         let start = self.clock.now();
         let bank = self.bank_of(addr);
         let busy = self.bank_busy_until[bank.0 as usize];
@@ -502,12 +563,13 @@ impl Flash {
 
     /// Reads `buf.len()` bytes starting at `addr`, advancing the clock past
     /// any bank-busy stall plus the read latency. Returns the total latency
-    /// experienced (stall included).
+    /// experienced (stall included). The range must not cross an erase
+    /// block.
     // lint: hot-path
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<SimDuration> {
         let len = buf.len() as u64;
         let total = self.charge_read(addr, len)?;
-        buf.copy_from_slice(&self.data[addr as usize..(addr + len) as usize]);
+        buf.copy_from_slice(self.cells(addr, len));
         Ok(total)
     }
 
@@ -519,12 +581,12 @@ impl Flash {
     // lint: hot-path
     pub fn read_borrow(&mut self, addr: u64, len: u64) -> Result<&[u8]> {
         self.charge_read(addr, len)?;
-        Ok(&self.data[addr as usize..(addr + len) as usize])
+        Ok(self.cells(addr, len))
     }
 
     fn program_checks(&self, addr: u64, data: &[u8]) -> Result<BlockId> {
         let len = data.len() as u64;
-        self.check_range(addr, len)?;
+        self.check_span(addr, len)?;
         if !addr.is_multiple_of(self.spec.write_unit) || !len.is_multiple_of(self.spec.write_unit) {
             // Alignment violations are programming errors in the layer
             // above, not device conditions; fail fast.
@@ -534,9 +596,6 @@ impl Flash {
             );
         }
         let block = self.block_of(addr);
-        if len > 0 && self.block_of(addr + len - 1) != block {
-            return Err(DeviceError::CrossesBlockBoundary { addr, len });
-        }
         let b = &self.blocks[block.0 as usize];
         if b.bad {
             return Err(DeviceError::BadBlock { block });
@@ -547,15 +606,21 @@ impl Flash {
         Ok(block)
     }
 
-    fn program_commit(&mut self, addr: u64, data: &[u8], block: BlockId) {
-        let units_per_block = (self.spec.block_bytes / self.spec.write_unit) as usize;
-        let first_unit = (addr / self.spec.write_unit) as usize % units_per_block;
-        let unit_count = data.len() / self.spec.write_unit as usize;
+    /// Marks the write units `data` covers at `addr` programmed, and
+    /// returns the offset of `addr` within its block.
+    fn mark_programmed(&mut self, addr: u64, data: &[u8], block: BlockId) -> usize {
+        let off = (addr & (self.spec.block_bytes - 1)) as usize;
+        let unit = self.spec.write_unit as usize;
         let b = &mut self.blocks[block.0 as usize];
-        for u in first_unit..first_unit + unit_count {
+        for u in off / unit..(off + data.len()) / unit {
             b.set_programmed(u);
         }
-        self.data[addr as usize..addr as usize + data.len()].copy_from_slice(data);
+        off
+    }
+
+    fn program_commit(&mut self, addr: u64, data: &[u8], block: BlockId) {
+        let off = self.mark_programmed(addr, data, block);
+        self.cells_mut(block)[off..off + data.len()].copy_from_slice(data);
         self.counters.programs += 1;
         self.counters.bytes_programmed += data.len() as u64;
     }
@@ -666,8 +731,9 @@ impl Flash {
         let b = &mut self.blocks[idx];
         b.erase_count += 1;
         b.clear_all();
-        let (start_addr, len) = self.block_range(block);
-        self.data[start_addr as usize..(start_addr + len) as usize].fill(0xFF);
+        if let Some(cells) = b.cells.take() {
+            self.spare.push(cells);
+        }
         self.counters.erases += 1;
         self.energy.charge(
             "flash.erase",
@@ -693,25 +759,20 @@ impl Flash {
         if matches!(tear, TearMode::Clean) || data.is_empty() {
             return;
         }
-        let units_per_block = (self.spec.block_bytes / self.spec.write_unit) as usize;
-        let first_unit = (addr / self.spec.write_unit) as usize % units_per_block;
-        let unit_count = data.len() / self.spec.write_unit as usize;
-        let b = &mut self.blocks[block.0 as usize];
-        for u in first_unit..first_unit + unit_count {
-            b.set_programmed(u);
-        }
+        let off = self.mark_programmed(addr, data, block);
+        let cells = &mut self.cells_mut(block)[off..off + data.len()];
         match tear {
             TearMode::Clean => unreachable!(),
             TearMode::Prefix => {
                 let torn = data.len() / 2;
-                self.data[addr as usize..addr as usize + torn].copy_from_slice(&data[..torn]);
+                cells[..torn].copy_from_slice(&data[..torn]);
             }
             TearMode::Stripe => {
-                for (i, chunk) in data.chunks(STRIPE_BYTES).enumerate() {
-                    if i % 2 == 0 {
-                        let at = addr as usize + i * STRIPE_BYTES;
-                        self.data[at..at + chunk.len()].copy_from_slice(chunk);
-                    }
+                let landed = cells
+                    .chunks_mut(STRIPE_BYTES)
+                    .zip(data.chunks(STRIPE_BYTES));
+                for (to, from) in landed.step_by(2) {
+                    to.copy_from_slice(from);
                 }
             }
         }
@@ -722,28 +783,29 @@ impl Flash {
     /// never completed) and programmed-unit bits are only cleared for
     /// units whose bytes are now fully erased, so `is_erased` over the
     /// whole block stays false — recovery must scrub it before reuse.
+    /// The block keeps its buffer; a block without one already reads
+    /// 0xFF everywhere.
     fn tear_erase(&mut self, block: BlockId, tear: TearMode) {
         if matches!(tear, TearMode::Clean) {
             return;
         }
-        let (start, len) = self.block_range(block);
         let unit = self.spec.write_unit as usize;
+        let b = &mut self.blocks[block.0 as usize];
         match tear {
             TearMode::Clean => unreachable!(),
             TearMode::Prefix => {
-                let torn = (len / 2) as usize;
-                self.data[start as usize..start as usize + torn].fill(0xFF);
-                let b = &mut self.blocks[block.0 as usize];
+                let torn = self.spec.block_bytes as usize / 2;
+                if let Some(cells) = b.cells.as_deref_mut() {
+                    cells[..torn].fill(0xFF);
+                }
                 for u in 0..torn / unit {
                     b.programmed[u / 64] &= !(1u64 << (u % 64));
                 }
             }
             TearMode::Stripe => {
-                for i in 0..(len as usize).div_ceil(STRIPE_BYTES) {
-                    if i % 2 == 0 {
-                        let at = start as usize + i * STRIPE_BYTES;
-                        let end = (at + STRIPE_BYTES).min((start + len) as usize);
-                        self.data[at..end].fill(0xFF);
+                if let Some(cells) = b.cells.as_deref_mut() {
+                    for chunk in cells.chunks_mut(STRIPE_BYTES).step_by(2) {
+                        chunk.fill(0xFF);
                     }
                 }
             }
@@ -907,6 +969,16 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(matches!(
             f.read(cap - 2, &mut buf),
+            Err(DeviceError::OutOfRange { .. })
+        ));
+        // An empty access at the capacity starts past the last block and
+        // bank.
+        assert!(matches!(
+            f.read(cap, &mut []),
+            Err(DeviceError::OutOfRange { .. })
+        ));
+        assert!(matches!(
+            f.program(cap, &[]),
             Err(DeviceError::OutOfRange { .. })
         ));
     }
@@ -1075,7 +1147,7 @@ mod tests {
         f.arm_power_cut(1, TearMode::Prefix);
         let err = f.program(0, &[0xAB; 512]).expect_err("torn");
         assert!(matches!(err, DeviceError::PowerCut));
-        let c = f.contents();
+        let c = f.peek(0, 512);
         assert!(c[..256].iter().all(|&b| b == 0xAB), "prefix landed");
         assert!(c[256..512].iter().all(|&b| b == 0xFF), "tail stayed erased");
         // The unit is disturbed: not erased, so it cannot be reprogrammed.
@@ -1094,8 +1166,7 @@ mod tests {
         let mut f = device();
         f.arm_power_cut(1, TearMode::Stripe);
         f.program(0, &[0x77; 512]).expect_err("torn");
-        let c = f.contents();
-        for (i, chunk) in c[..512].chunks(64).enumerate() {
+        for (i, chunk) in f.peek(0, 512).chunks(64).enumerate() {
             let want = if i % 2 == 0 { 0x77 } else { 0xFF };
             assert!(chunk.iter().all(|&b| b == want), "chunk {i}");
         }
@@ -1108,7 +1179,7 @@ mod tests {
         f.arm_power_cut(2, TearMode::Prefix);
         let err = f.erase(BlockId(0)).expect_err("torn erase");
         assert!(matches!(err, DeviceError::PowerCut));
-        let c = f.contents();
+        let c = f.peek(0, 4096);
         assert!(c[..2048].iter().all(|&b| b == 0xFF), "front half erased");
         assert!(c[2048..4096].iter().all(|&b| b == 0x11), "tail kept");
         assert!(!f.is_erased(0, 4096), "block must not read as erased");
@@ -1117,6 +1188,138 @@ mod tests {
         f.power_cycle();
         f.erase(BlockId(0)).expect("scrub erase");
         assert!(f.is_erased(0, 4096));
+    }
+
+    /// Buffers the device owns: held by blocks plus waiting on the spare
+    /// list.
+    fn buffers(f: &Flash) -> (usize, usize) {
+        let held = f.blocks.iter().filter(|b| b.cells.is_some()).count();
+        (held, f.spare.len())
+    }
+
+    #[test]
+    fn fresh_device_owns_no_block_buffers() {
+        let mut f = Flash::new(
+            FlashSpec::default().with_capacity(64 << 20),
+            Clock::shared(),
+        );
+        assert_eq!(f.capacity(), 64 << 20);
+        let last = f.capacity() - 16;
+        for addr in [0, f.capacity() / 2 + 100, last] {
+            let mut buf = [0u8; 16];
+            f.read(addr, &mut buf).expect("read");
+            assert_eq!(buf, [0xFF; 16]);
+            assert_eq!(f.read_borrow(addr, 16).expect("borrow"), [0xFF; 16]);
+            assert_eq!(f.peek(addr, 16), [0xFF; 16]);
+        }
+        assert_eq!(buffers(&f), (0, 0));
+    }
+
+    #[test]
+    fn one_program_creates_exactly_its_blocks_buffer() {
+        let mut f = device();
+        f.program(3 * 4096 + 1024, &[0x5A; 512]).expect("program");
+        assert_eq!(buffers(&f), (1, 0));
+        assert!(f.blocks[3].cells.is_some());
+        assert!(f.peek(3 * 4096, 1024).iter().all(|&b| b == 0xFF));
+        assert_eq!(f.peek(3 * 4096 + 1024, 512), [0x5A; 512]);
+    }
+
+    #[test]
+    fn recycled_buffer_never_leaks_an_earlier_life() {
+        let mut f = device();
+        f.program(0, &[0x11; 4096]).expect("fill block 0");
+        f.erase(BlockId(0)).expect("erase");
+        assert_eq!(buffers(&f), (0, 1));
+        f.program(4096, &[0x22; 512]).expect("program block 1");
+        assert_eq!(buffers(&f), (1, 0), "block 1 took block 0's buffer");
+        assert_eq!(f.peek(4096, 512), [0x22; 512]);
+        assert!(f.peek(4096 + 512, 3584).iter().all(|&b| b == 0xFF));
+        assert!(f.peek(0, 4096).iter().all(|&b| b == 0xFF));
+    }
+
+    #[test]
+    fn program_erase_cycles_reuse_one_buffer() {
+        let mut f = device();
+        for round in 0..5u8 {
+            let block = u32::from(round % 2);
+            let addr = u64::from(block) * 4096;
+            f.program(addr, &[round; 512]).expect("program");
+            assert_eq!(f.peek(addr, 512), [round; 512]);
+            f.erase(BlockId(block)).expect("erase");
+            assert_eq!(buffers(&f), (0, 1), "round {round}");
+        }
+    }
+
+    #[test]
+    fn torn_erase_of_a_block_without_buffer_reads_erased() {
+        for tear in [TearMode::Prefix, TearMode::Stripe] {
+            let mut f = device();
+            // Block 1 has held bytes once; block 0 never has.
+            f.program(4096, &[0x33; 4096]).expect("fill block 1");
+            f.erase(BlockId(1)).expect("erase block 1");
+            for (boundary, block) in [(3, 0), (4, 1)] {
+                f.arm_power_cut(boundary, tear);
+                let err = f.erase(BlockId(block)).expect_err("torn erase");
+                assert!(matches!(err, DeviceError::PowerCut));
+                f.power_cycle();
+                let start = u64::from(block) * 4096;
+                assert!(f.peek(start, 4096).iter().all(|&b| b == 0xFF), "{tear:?}");
+                assert!(f.is_erased(start, 4096), "{tear:?}");
+                assert_eq!(f.erase_count(BlockId(block)), u64::from(block));
+            }
+            assert_eq!(buffers(&f), (0, 1), "{tear:?}");
+        }
+    }
+
+    #[test]
+    fn torn_program_into_a_recycled_buffer_shows_no_old_bytes() {
+        for tear in [TearMode::Prefix, TearMode::Stripe] {
+            let mut f = device();
+            f.program(0, &[0x11; 4096]).expect("fill block 0");
+            f.erase(BlockId(0)).expect("erase");
+            f.arm_power_cut(3, tear);
+            f.program(4096, &[0xAB; 512]).expect_err("torn");
+            assert_eq!(buffers(&f), (1, 0), "{tear:?}");
+            for (i, chunk) in f.peek(4096, 512).chunks(64).enumerate() {
+                let landed = match tear {
+                    TearMode::Prefix => i < 4,
+                    _ => i % 2 == 0,
+                };
+                let want = if landed { 0xAB } else { 0xFF };
+                assert!(chunk.iter().all(|&b| b == want), "{tear:?} chunk {i}");
+            }
+            assert!(f.peek(4096 + 512, 3584).iter().all(|&b| b == 0xFF));
+            assert!(!f.is_erased(4096, 512));
+            assert!(f.is_erased(4096 + 512, 3584));
+        }
+    }
+
+    #[test]
+    fn reads_cannot_cross_block_boundary() {
+        let clock = Clock::shared();
+        let mut f = Flash::new(small_spec(), clock.clone());
+        let mut buf = [0u8; 16];
+        let err = f.read(4096 - 8, &mut buf).expect_err("cross-boundary read");
+        assert!(matches!(err, DeviceError::CrossesBlockBoundary { .. }));
+        let err = f
+            .read_borrow(4096 - 8, 16)
+            .expect_err("cross-boundary borrow");
+        assert!(matches!(err, DeviceError::CrossesBlockBoundary { .. }));
+        // Nothing was charged.
+        assert_eq!(clock.now(), SimTime::ZERO);
+        assert_eq!(f.counters().reads, 0);
+        assert_eq!(f.total_energy(), Energy::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn block_size_must_be_a_power_of_two() {
+        let spec = FlashSpec {
+            block_bytes: 3 * 1024,
+            ..small_spec()
+        };
+        Flash::new(spec, Clock::shared());
     }
 
     #[test]

@@ -1554,33 +1554,30 @@ impl StorageManager {
     /// is safe. The byte inspection is free of charged reads: its cost
     /// is folded into the per-header read charge of the recovery scan.
     fn validate_slot_crcs(&mut self) -> u64 {
-        let ps = self.cfg.page_size as usize;
+        let ps = self.cfg.page_size;
         let mut bad: Vec<(usize, usize)> = Vec::new();
-        {
-            let contents = self.flash.contents();
-            for seg in 0..self.table.len() {
-                if matches!(
-                    self.table.seg(seg).state,
-                    SegState::Free | SegState::Retired | SegState::ErasePending
-                ) {
-                    continue;
-                }
-                let n = self.table.seg(seg).next_slot;
-                for slot in 0..n {
-                    let expect = match &self.table.seg(seg).slots[slot] {
-                        Slot::Live(m) | Slot::Dead(m) => m.crc,
-                        Slot::Tomb(_) => self.zero_crc,
-                        Slot::Empty => continue,
-                    };
-                    let addr = self.table.slot_addr(seg, slot) as usize;
-                    let mut torn = crc::crc32(&contents[addr..addr + ps]) != expect;
-                    // The canary feature plants a recovery bug on purpose:
-                    // torn payloads are accepted as valid, which the CI
-                    // torture smoke must catch as a durability violation.
-                    torn = torn && !cfg!(feature = "recovery-fault-canary");
-                    if torn {
-                        bad.push((seg, slot));
-                    }
+        for seg in 0..self.table.len() {
+            if matches!(
+                self.table.seg(seg).state,
+                SegState::Free | SegState::Retired | SegState::ErasePending
+            ) {
+                continue;
+            }
+            let n = self.table.seg(seg).next_slot;
+            for slot in 0..n {
+                let expect = match &self.table.seg(seg).slots[slot] {
+                    Slot::Live(m) | Slot::Dead(m) => m.crc,
+                    Slot::Tomb(_) => self.zero_crc,
+                    Slot::Empty => continue,
+                };
+                let addr = self.table.slot_addr(seg, slot);
+                let mut torn = crc::crc32(self.flash.peek(addr, ps)) != expect;
+                // The canary feature plants a recovery bug on purpose:
+                // torn payloads are accepted as valid, which the CI
+                // torture smoke must catch as a durability violation.
+                torn = torn && !cfg!(feature = "recovery-fault-canary");
+                if torn {
+                    bad.push((seg, slot));
                 }
             }
         }

@@ -71,7 +71,12 @@ cargo bench -p ssmc-bench --bench simulator --offline -- --smoke
 # memory — the streaming half decodes 1M records and asserts zero
 # allocation events past the warmup window. Both windows now run with
 # the timeline sampler live (and assert rows were taken inside the
-# window), so this is also the sampler's zero-allocation proof. Full
+# window), so this is also the sampler's zero-allocation proof. The
+# in-memory window erases and reprograms flash blocks, so it also proves
+# that an erased block's cell buffer is recycled onto the next block
+# programmed rather than freed and allocated again: the settle loop
+# before it turns the device over about twice, so by the time the window
+# opens the device already owns its peak number of buffers. Full
 # mode on purpose: on a 2-core x86-64 host the in-memory window takes
 # 0.6 s and the million-op stream, compiled and replayed record by
 # record with ~170k timeline rows sampled, about 13 s.
