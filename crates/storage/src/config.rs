@@ -164,6 +164,12 @@ impl StorageConfig {
             self.flush.low_watermark <= self.flush.high_watermark,
             "flush watermarks out of order"
         );
+        // The cleaner writes what a victim must keep to the cold head
+        // before the erase, so it may need one more segment than it frees.
+        assert!(
+            self.gc_trigger_segments >= 2,
+            "GC trigger must leave the cleaner a segment: at least 2"
+        );
         assert!(
             self.gc_trigger_segments <= self.gc_target_segments,
             "GC trigger must not exceed target"
@@ -246,6 +252,17 @@ mod tests {
             ..StorageConfig::default()
         };
         // Default flash has a single bank.
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2")]
+    fn gc_trigger_of_one_rejected() {
+        let cfg = StorageConfig {
+            gc_trigger_segments: 1,
+            gc_target_segments: 2,
+            ..StorageConfig::default()
+        };
         cfg.validate();
     }
 

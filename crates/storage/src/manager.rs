@@ -13,6 +13,16 @@
 //! busy bank stall — which is precisely the contention experiment F3
 //! measures. When a writer must wait for an erase to deliver a free
 //! segment, the wait is charged to [`StorageMetrics::gc_wait`].
+//!
+//! # Cleaning
+//!
+//! A slot survives an erase only while a crash could need it: a live data
+//! slot, or a tombstone slot that holds a page's needed record (see
+//! [`crate::segment`]). Garbage collection counts both in victim cost and
+//! moves both to the cold head. It never opens or writes the write head,
+//! so nothing under it re-enters the write path. Before an erase would
+//! drop a stale copy that a pending (DRAM-only) tombstone supersedes, the
+//! pending records go to the cold head first.
 
 use crate::buffer::WriteBuffer;
 use crate::config::{BankPolicy, Placement, StorageConfig, WearLeveling};
@@ -23,7 +33,7 @@ use crate::map::{Location, PageId, PageMap};
 use crate::metrics::StorageMetrics;
 use crate::pool::PagePool;
 use crate::recovery::RecoveryReport;
-use crate::segment::{SegState, SegmentTable, Slot, SlotMeta};
+use crate::segment::{SegState, SegmentTable, Slot, SlotMeta, RECORD_BYTES};
 use crate::Result;
 use ssmc_device::{DeviceError, Dram, DramSpec, Flash, TearMode};
 use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
@@ -35,7 +45,9 @@ use ssmc_sim::{Energy, SharedClock, SimDuration, SimTime};
 enum SegClass {
     /// Fresh user data (hot).
     Write,
-    /// GC survivors and wear-leveling migrations (cold, read-mostly).
+    /// What GC keeps (live data and needed tombstone records), the
+    /// pending records it writes ahead of an erase, and wear-leveling
+    /// migrations (cold, read-mostly).
     Cold,
 }
 
@@ -149,9 +161,6 @@ pub struct StorageManager {
     /// discriminant; assigned only through [`StorageManager::set_head`].
     heads: [Option<usize>; 2],
     pending_tombstones: Vec<(PageId, u64)>,
-    /// Recycled scratch for tombstones carried across a segment erase;
-    /// see [`StorageManager::retire_or_erase`].
-    carry_scratch: Vec<(PageId, u64)>,
     /// CRC-32 of one all-zero page — the expected payload checksum of
     /// tombstone and checkpoint slots.
     zero_crc: u32,
@@ -177,8 +186,6 @@ pub struct StorageManager {
 /// Reserved erase blocks at the front of the device for the checkpoint
 /// ping-pong area.
 const RESERVED_BLOCKS: u32 = 2;
-/// Bytes per (page, seq) record in tombstone slots and checkpoints.
-const RECORD_BYTES: u64 = 16;
 
 impl StorageManager {
     /// Builds a manager over fresh devices.
@@ -230,7 +237,6 @@ impl StorageManager {
             recorder: Recorder::disabled(),
             heads: [None; 2],
             pending_tombstones: Vec::with_capacity(4 * slots.max(64)),
-            carry_scratch: Vec::with_capacity(slots.max(16)),
             zero_crc,
             flush_scratch: Vec::with_capacity(buffer_frames),
             live_scratch: Vec::with_capacity(slots),
@@ -728,7 +734,7 @@ impl StorageManager {
     pub fn sync(&mut self) -> Result<()> {
         self.check_alive()?;
         self.flush_victims(true, WriteBuffer::pages_into)?;
-        self.flush_tombstones()?;
+        self.flush_tombstones(SegClass::Write)?;
         self.update_gauges();
         Ok(())
     }
@@ -864,7 +870,7 @@ impl StorageManager {
                 let seq = self.map.next_seq();
                 let crc = crc::crc32(payload.bytes(&self.dram, ps));
                 // Opening the head may garbage-collect.
-                let seg = self.ensure_open(SegClass::Write, true)?;
+                let seg = self.ensure_open(SegClass::Write)?;
                 let addr = self.write_data_slot(seg, SlotMeta { page, seq, crc }, payload)?;
                 // The newer version is durable: the previous copy can
                 // finally die. Look it up only now, since GC under
@@ -1007,15 +1013,26 @@ impl StorageManager {
     }
 
     /// The one head setter: makes `seg` the open head of `class` (or
-    /// leaves `class` without one).
+    /// leaves `class` without one). An open head that still has room is
+    /// never replaced: nothing would close it, and GC never picks an open
+    /// segment.
     fn set_head(&mut self, class: SegClass, seg: Option<usize>) {
+        debug_assert!(
+            self.heads[class as usize].is_none_or(|old| {
+                self.table.seg(old).state != SegState::Open || self.table.seg(old).is_full()
+            }),
+            "{class:?} head replaced while open with room"
+        );
         self.heads[class as usize] = seg;
     }
 
     /// Returns an open segment for `class` with at least one free slot,
-    /// allocating / garbage-collecting / waiting for erases as needed.
+    /// allocating / waiting for erases as needed. Only the write head
+    /// garbage-collects: GC writes to the cold head, so nothing under
+    /// [`Self::collect_garbage`] comes back here for the write head.
     // lint: hot-path
-    fn ensure_open(&mut self, class: SegClass, allow_gc: bool) -> Result<usize> {
+    fn ensure_open(&mut self, class: SegClass) -> Result<usize> {
+        let cleans = class == SegClass::Write;
         for _ in 0..self.table.len() * 2 + 4 {
             if let Some(seg) = self.heads[class as usize] {
                 if !self.table.seg(seg).is_full() {
@@ -1026,7 +1043,7 @@ impl StorageManager {
             }
             let now = self.now();
             self.table.reap_erased(now);
-            if allow_gc {
+            if cleans {
                 let free = self.table.free_count() + self.table.pending_erases();
                 if free < self.cfg.gc_trigger_segments {
                     self.collect_garbage()?;
@@ -1052,7 +1069,7 @@ impl StorageManager {
                 });
                 continue;
             }
-            if allow_gc && self.collect_garbage()? {
+            if cleans && self.collect_garbage()? {
                 continue;
             }
             return Err(StorageError::NoSpace);
@@ -1089,16 +1106,16 @@ impl StorageManager {
             let moved = self.metrics.gc_flash_pages - moved0;
             self.emit_span(EventKind::StorageGc, start, e0, moved);
         }
-        self.maybe_flush_tombstones()?;
         Ok(progressed)
     }
 
     /// The relocation loop GC and wear leveling share: copies every live
-    /// slot of `victim` forward, then erases or retires it. The copies go
-    /// to `dest` when one is given (wear leveling's pre-opened
-    /// destination, closed once they are in) and otherwise to the cold
-    /// head: GC survivors are cold by definition, so they land there and,
-    /// under partitioning, on the read-mostly banks.
+    /// slot of `victim` forward — its live data, then its needed
+    /// tombstone records packed into full slots — and erases or retires
+    /// it. The copies go to `dest` when one is given (wear leveling's
+    /// pre-opened destination, closed once they are in) and otherwise to
+    /// the cold head: GC survivors are cold by definition, so they land
+    /// there and, under partitioning, on the read-mostly banks.
     // lint: hot-path
     fn relocate(&mut self, victim: usize, dest: Option<usize>) -> Result<()> {
         let mut data = self.pool.take();
@@ -1110,7 +1127,7 @@ impl StorageManager {
             self.flash.read(old_addr, &mut data)?;
             let seg = match dest {
                 Some(dest) => dest,
-                None => self.ensure_open(SegClass::Cold, false)?,
+                None => self.ensure_open(SegClass::Cold)?,
             };
             // The copy is byte-identical, so the header's CRC carries.
             let new_addr = self.write_data_slot(seg, meta, Payload::Bytes(&data))?;
@@ -1129,6 +1146,20 @@ impl StorageManager {
         live.clear();
         self.live_scratch = live;
         self.pool.put(data);
+        // What is left to keep are tombstone slots with needed records.
+        // Each batch re-points its records away from the victim, so the
+        // victim runs dry within as many batches as it has such slots.
+        for _ in 0..self.table.seg(victim).live {
+            if self.table.seg(victim).live == 0 {
+                break;
+            }
+            let seg = match dest {
+                Some(dest) => dest,
+                None => self.ensure_open(SegClass::Cold)?,
+            };
+            let batch = self.table.needed_batch(victim, self.tombstones_per_slot());
+            self.write_tomb_slot(seg, batch)?;
+        }
         if let Some(dest) = dest {
             self.table.close(dest);
         }
@@ -1136,71 +1167,31 @@ impl StorageManager {
     }
 
     /// Erases a drained victim segment, or retires it if the block has
-    /// worn out.
-    ///
-    /// WAL discipline for tombstones: any record in the victim whose
-    /// page still has a stale copy on flash is re-logged durably
-    /// *before* the erase is issued. The previous design queued carried
-    /// tombstones on the DRAM `pending_tombstones` list, which opened
-    /// two resurrection windows the crash-torture sweep flagged: a
-    /// power cut after the erase but before the next tombstone flush
-    /// lost the only durable record of a synced delete, and a *torn*
-    /// erase could wipe the tombstone slot's half of the block while
-    /// the stale data copy in the other half survived. Only when no
-    /// segment can be opened without recursing into GC do the records
-    /// fall back to the DRAM list (terminal space pressure).
+    /// worn out. No erase may expose a stale copy that a pending
+    /// tombstone supersedes: recovery would crown it (or an older copy)
+    /// over the delete. So when the victim holds such a copy, the pending
+    /// records go to the cold head first. (Shadow slots give dirty
+    /// rewrites the same guarantee.)
     // lint: hot-path
     fn retire_or_erase(&mut self, victim: usize) -> Result<()> {
-        let mut carried = core::mem::take(&mut self.carry_scratch);
-        carried.clear();
-        self.table.peek_carried_into(victim, &mut carried);
-        let logged = if carried.is_empty() {
-            Ok(false)
-        } else {
-            self.log_carried_tombstones(&carried)
-        };
-        carried.clear();
-        self.carry_scratch = carried;
-        // Records already re-logged are not queued again, so the release
-        // skips its filter; otherwise its copies go to the DRAM list.
-        let pending = (!logged?).then_some(&mut self.pending_tombstones);
+        if self
+            .table
+            .holds_copy_superseded_by(victim, &self.pending_tombstones)
+        {
+            self.flush_tombstones(SegClass::Cold)?;
+        }
         let block = self.flash.block_of(self.table.block_addr(victim));
         match self.flash.erase_async(block) {
             Ok(done) => {
-                self.table.begin_erase_into(victim, done, pending);
+                self.table.begin_erase(victim, done);
                 Ok(())
             }
             Err(DeviceError::WornOut { .. }) | Err(DeviceError::BadBlock { .. }) => {
-                self.table.retire_into(victim, pending);
+                self.table.retire(victim);
                 Ok(())
             }
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Durably logs carried tombstone records at the write head ahead of
-    /// a segment erase. Returns `Ok(true)` when every record was
-    /// programmed; `Ok(false)` means no segment could be opened without
-    /// recursing into GC and the remaining records went to the DRAM
-    /// pending list instead (the degraded pre-fix behaviour).
-    // lint: hot-path
-    fn log_carried_tombstones(&mut self, records: &[(PageId, u64)]) -> Result<bool> {
-        let per_slot = self.tombstones_per_slot();
-        for (i, chunk) in records.chunks(per_slot).enumerate() {
-            let batch = self.table.tomb_batch(chunk.iter().copied());
-            match self.write_tomb_slot(batch, false) {
-                Ok(()) => {}
-                // With GC off, opening a head fails only with NoSpace;
-                // a failed program is a device error.
-                Err(StorageError::NoSpace) => {
-                    self.pending_tombstones
-                        .extend_from_slice(&records[i * per_slot..]);
-                    return Ok(false);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1285,48 +1276,51 @@ impl StorageManager {
         if self.cfg.placement == Placement::LogStructured
             && self.pending_tombstones.len() >= self.tombstones_per_slot()
         {
-            self.flush_tombstones()?;
+            self.flush_tombstones(SegClass::Write)?;
         }
         Ok(())
     }
 
-    /// Writes all pending tombstones into tombstone slots.
+    /// Writes all pending tombstones, in order, into tombstone slots at
+    /// the `class` head.
     // lint: hot-path
-    fn flush_tombstones(&mut self) -> Result<()> {
+    fn flush_tombstones(&mut self, class: SegClass) -> Result<()> {
         if self.cfg.placement != Placement::LogStructured {
             self.pending_tombstones.clear();
             return Ok(());
         }
         let per_slot = self.tombstones_per_slot();
         while !self.pending_tombstones.is_empty() {
-            // The batch is drained before the head opens: GC under it can
-            // append carried tombstones to `pending_tombstones`, and those
-            // must go into *later* batches. If no segment can be opened,
-            // the drained batch is lost with the failed flush; the manager
-            // is out of space and the error is terminal for the operation
-            // that triggered the flush.
+            // The head opens before a batch is drained: cleaning under it
+            // may write the pending records itself, which keeps every
+            // page's records in sequence order, and a failed open leaves
+            // them queued.
+            let seg = self.ensure_open(class)?;
+            if self.pending_tombstones.is_empty() {
+                break;
+            }
             let take = per_slot.min(self.pending_tombstones.len());
             let batch = self.table.tomb_batch(self.pending_tombstones.drain(..take));
-            self.write_tomb_slot(batch, true)?;
+            self.write_tomb_slot(seg, batch)?;
         }
         Ok(())
     }
 
     /// The one tombstone-slot writer: appends `batch` as a tombstone slot
-    /// at the write head, marks the segment dirty for the
-    /// checkpoint-bounded recovery scan, and programs the slot. If no
-    /// head can be opened, the batch's store returns to the pool and the
-    /// error is passed on.
+    /// to the open segment `seg`, marks the segment dirty for the
+    /// checkpoint-bounded recovery scan, and programs the slot. A record
+    /// is needed unless its page has a copy on flash, current or
+    /// shielded, which is then newer than it.
     // lint: hot-path
-    fn write_tomb_slot(&mut self, batch: Vec<(PageId, u64)>, allow_gc: bool) -> Result<()> {
-        let seg = match self.ensure_open(SegClass::Write, allow_gc) {
-            Ok(seg) => seg,
-            Err(e) => {
-                self.table.recycle_tomb_batch(batch);
-                return Err(e);
-            }
+    fn write_tomb_slot(&mut self, seg: usize, batch: Vec<(PageId, u64)>) -> Result<()> {
+        let now = self.now();
+        let (map, buffer) = (&self.map, &self.buffer);
+        let has_flash_copy = |page| match map.get(page) {
+            Some(Location::Flash(_)) => true,
+            Some(Location::Dram(frame)) => buffer.shadow_get(frame).is_some(),
+            None => false,
         };
-        let slot = self.table.append_tomb(seg, batch, self.now());
+        let slot = self.table.append_tomb(seg, batch, now, has_flash_copy);
         let addr = self.table.slot_addr(seg, slot);
         self.ckpt.mark_dirtied(seg);
         // Tombstone slots are real programs: zeroed payload of records.
@@ -1567,7 +1561,7 @@ impl StorageManager {
             for slot in 0..n {
                 let expect = match &self.table.seg(seg).slots[slot] {
                     Slot::Live(m) | Slot::Dead(m) => m.crc,
-                    Slot::Tomb(_) => self.zero_crc,
+                    Slot::Tomb { .. } => self.zero_crc,
                     Slot::Empty => continue,
                 };
                 let addr = self.table.slot_addr(seg, slot);
@@ -1651,6 +1645,42 @@ impl StorageManager {
     pub fn data_at_risk_bytes(&self) -> u64 {
         self.buffer.len() as u64 * self.cfg.page_size
             + self.pending_tombstones.len() as u64 * RECORD_BYTES
+    }
+
+    /// Checks the manager's bookkeeping against full scans: the `Open`
+    /// segments are exactly the heads, the segment table's own accounts
+    /// hold ([`SegmentTable::check_invariants`]), and the live data slots
+    /// are the page map's flash pages plus the stale copies that dirty
+    /// rewrites shield. It walks the whole table, so tests call it between
+    /// operations rather than the data path.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first broken invariant.
+    pub fn check_invariants(&self) -> core::result::Result<(), String> {
+        if self.cfg.placement != Placement::LogStructured {
+            return Ok(());
+        }
+        for seg in 0..self.table.len() {
+            let state = self.table.seg(seg).state;
+            if (state == SegState::Open) != self.heads.contains(&Some(seg)) {
+                return Err(format!(
+                    "segment {seg} is {state:?}, heads are {:?}",
+                    self.heads
+                ));
+            }
+        }
+        let live_data = self.table.check_invariants()?;
+        let flash_pages = self.map.flash_pages();
+        let shadows = (0..self.buffer.capacity())
+            .filter(|&frame| self.buffer.shadow_get(frame).is_some())
+            .count();
+        if live_data != flash_pages + shadows {
+            return Err(format!(
+                "{live_data} live data slots for {flash_pages} flash pages and {shadows} shadows"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -2213,20 +2243,6 @@ mod tests {
         }
     }
 
-    /// 3 × per-slot + 5 records, each for a page (0..8) that has a stale
-    /// copy on flash, with rising sequence numbers.
-    fn staged_tombstones(m: &mut StorageManager) -> Vec<(PageId, u64)> {
-        for round in 0..2u8 {
-            for p in 0..8u64 {
-                m.write_page(p, &page_of(round)).expect("write");
-            }
-            m.sync().expect("sync");
-        }
-        assert!((0..8).all(|p| m.table.has_dead_copies(p)));
-        let n = 3 * m.tombstones_per_slot() + 5;
-        (0..n as u64).map(|i| (i % 8, 1_000 + i)).collect()
-    }
-
     /// Asserts the write head's first slots hold `records` in order, one
     /// full slot at a time, then a short last slot.
     fn assert_tomb_slots(m: &StorageManager, records: &[(PageId, u64)]) {
@@ -2235,46 +2251,12 @@ mod tests {
         let chunks: Vec<_> = records.chunks(m.tombstones_per_slot()).collect();
         assert_eq!(chunks.len(), 4);
         for (i, chunk) in chunks.iter().enumerate() {
-            assert_eq!(slots[i], Slot::Tomb(chunk.to_vec()), "slot {i}");
+            assert!(
+                matches!(&slots[i], Slot::Tomb { records, .. } if records == chunk),
+                "slot {i}"
+            );
         }
         assert_eq!(slots[chunks.len()], Slot::Empty);
-    }
-
-    /// The erase path re-logs a victim's carried tombstones slot by slot
-    /// in the victim's order, and queues none of them again. The erase
-    /// still forgets the victim's own stale copies.
-    #[test]
-    fn carried_tombstones_relog_in_order_across_slots() {
-        let (mut m, _) = manager();
-        let records = staged_tombstones(&mut m);
-        let victim = m
-            .table
-            .segments_in(SegState::Free)
-            .next()
-            .expect("a free segment");
-        let now = m.now();
-        m.table.open(victim);
-        // Page 100's only stale copy lives in the victim.
-        let meta = SlotMeta {
-            page: 100,
-            seq: 1,
-            crc: 0,
-        };
-        let slot = m.table.append(victim, meta, now);
-        m.table.kill_at(m.table.slot_addr(victim, slot));
-        m.table.append_tomb(victim, records.clone(), now);
-        m.table.close(victim);
-        let summary0 = m.metrics.summary_flash_pages;
-        m.retire_or_erase(victim).expect("erase");
-        assert_tomb_slots(&m, &records);
-        assert_eq!(m.metrics.summary_flash_pages - summary0, 4);
-        assert!(
-            m.pending_tombstones.is_empty(),
-            "re-logged records queued again"
-        );
-        assert_eq!(m.table.seg(victim).state, SegState::ErasePending);
-        assert!(!m.table.has_dead_copies(100), "erased copy still counted");
-        assert!((0..8).all(|p| m.table.has_dead_copies(p)));
     }
 
     /// A tombstone flush drains the DRAM list from the front, slot by
@@ -2282,24 +2264,34 @@ mod tests {
     #[test]
     fn pending_tombstones_flush_in_order_across_slots() {
         let (mut m, _) = manager();
-        let records = staged_tombstones(&mut m);
+        let n = 3 * m.tombstones_per_slot() + 5;
+        let records: Vec<_> = (0..n as u64).map(|i| (i % 8, 1_000 + i)).collect();
         m.pending_tombstones.extend(records.iter().copied());
-        m.flush_tombstones().expect("flush");
+        m.flush_tombstones(SegClass::Write).expect("flush");
         assert_tomb_slots(&m, &records);
         assert!(m.pending_tombstones.is_empty());
+        m.check_invariants().expect("invariants");
+    }
+
+    /// Closes the write head so the segment can be relocated the way GC
+    /// would relocate it, and returns it.
+    fn close_write_head(m: &mut StorageManager) -> usize {
+        let head = m.heads[SegClass::Write as usize].expect("a write head");
+        m.table.close(head);
+        m.set_head(SegClass::Write, None);
+        head
     }
 
     /// Regression for the torn-erase resurrection bug: a tombstone whose
-    /// page still has a stale copy elsewhere must be durably re-logged
-    /// *before* its segment is erased. The pre-fix code carried it on
-    /// the DRAM pending list, so a crash between the erase and the next
-    /// tombstone flush resurrected a synced delete.
+    /// page still has a stale copy elsewhere is a live slot, so GC moves
+    /// it before its segment is erased. A crash right after the erase
+    /// must not bring the synced delete back.
     #[test]
-    fn carried_tombstone_survives_erase_of_its_segment() {
+    fn needed_tombstone_survives_gc_of_its_segment() {
         let (mut m, _) = manager();
         // Fill one segment with pages 0..8, then delete page 3 and sync
         // the tombstone: the data segment keeps a dead copy of page 3,
-        // the tombstone lands in the cold segment.
+        // the tombstone lands in the next write segment.
         for p in 0..8u64 {
             m.write_page(p, &page_of(p as u8)).expect("write");
         }
@@ -2307,14 +2299,11 @@ mod tests {
         m.free_page(3).expect("free");
         m.sync().expect("sync tombstone");
         assert!(m.table.has_dead_copies(3));
-        let tomb_seg = m.heads[SegClass::Write as usize]
-            .expect("tombstone flush opened a fresh write segment");
-        assert_eq!(m.table.seg(tomb_seg).live, 0, "tomb-only segment");
-        // Drain the tombstone segment (no live pages) and erase it, the
-        // way GC would after its data died.
-        m.table.close(tomb_seg);
-        m.set_head(SegClass::Write, None);
-        m.retire_or_erase(tomb_seg).expect("erase");
+        let tomb_seg = close_write_head(&mut m);
+        assert_eq!(m.table.seg(tomb_seg).live, 1, "a needed record is live");
+        m.relocate(tomb_seg, None).expect("relocate");
+        assert_eq!(m.table.seg(tomb_seg).state, SegState::ErasePending);
+        m.check_invariants().expect("invariants");
         // Crash before any later tombstone flush could run.
         m.crash();
         m.recover().expect("recover");
@@ -2324,6 +2313,82 @@ mod tests {
         );
         for p in [0u64, 1, 2, 4, 5, 6, 7] {
             assert!(m.contains(p), "page {p} must survive");
+        }
+        m.check_invariants().expect("invariants after recovery");
+    }
+
+    /// Relocation packs a victim's needed records into full slots in
+    /// slot order and leaves the records no crash needs behind.
+    #[test]
+    fn relocation_packs_needed_records() {
+        let (mut m, _) = manager();
+        let per_slot = m.tombstones_per_slot() as u64;
+        let pages = per_slot + 4;
+        for p in 0..pages {
+            m.write_page(p, &page_of(1)).expect("write");
+        }
+        m.sync().expect("sync");
+        for p in 0..pages {
+            m.free_page(p).expect("free");
+        }
+        m.sync().expect("sync tombstones");
+        let tomb_seg = m.heads[SegClass::Write as usize].expect("write head");
+        assert_eq!(m.table.seg(tomb_seg).live, 2, "two slots of needed records");
+        // Rewriting pages 0..8 releases their records; two of the copies
+        // fill the tombstone segment, which the next flush closes.
+        for p in 0..8 {
+            m.write_page(p, &page_of(2)).expect("rewrite");
+        }
+        m.sync().expect("sync");
+        assert_eq!(m.table.seg(tomb_seg).state, SegState::Closed);
+        m.relocate(tomb_seg, None).expect("relocate");
+        let cold = m.heads[SegClass::Cold as usize].expect("the cold head took the copies");
+        let slots = &m.table.seg(cold).slots;
+        assert!(matches!(slots[..2], [Slot::Live(_), Slot::Live(_)]));
+        let Slot::Tomb { records, needed } = &slots[2] else {
+            panic!("slot 2 is {:?}", slots[2]);
+        };
+        let moved: Vec<_> = records.iter().map(|&(p, _)| p).collect();
+        assert_eq!(moved, (8..pages).collect::<Vec<_>>());
+        // The last four pages' only stale copies died with the victim, so
+        // its erase released their records.
+        assert_eq!(*needed as u64, per_slot - 8);
+        assert_eq!(slots[3], Slot::Empty);
+        m.check_invariants().expect("invariants");
+        m.crash();
+        m.recover().expect("recover");
+        for p in 0..pages {
+            assert_eq!(m.contains(p), p < 8, "page {p}");
+        }
+    }
+
+    /// GC must not erase a page's newest stale copy while the free that
+    /// killed it waits in DRAM: recovery would crown an older copy from
+    /// before the last sync. The pending records go to the cold head
+    /// before the erase.
+    #[test]
+    fn gc_writes_pending_tombstones_before_an_erase_exposes_an_older_copy() {
+        let (mut m, _) = manager();
+        for v in 1..=2u8 {
+            for p in 0..8u64 {
+                m.write_page(p, &page_of(v)).expect("write");
+            }
+            m.sync().expect("sync");
+        }
+        // Page 0's v2 copy dies with the free; its v1 copy is older still.
+        m.free_page(0).expect("free");
+        assert_eq!(m.pending_tombstones.len(), 1);
+        let victim = close_write_head(&mut m);
+        m.relocate(victim, None).expect("relocate");
+        assert!(m.pending_tombstones.is_empty(), "erased before the record");
+        m.check_invariants().expect("invariants");
+        m.crash();
+        m.recover().expect("recover");
+        assert!(!m.contains(0), "v1 resurrected over the free");
+        let mut buf = page_of(0);
+        for p in 1..8 {
+            m.read_page(p, &mut buf).expect("read");
+            assert_eq!(buf, page_of(2), "page {p}");
         }
     }
 

@@ -9,6 +9,14 @@
 //! batching (page, seq) deletion records, so a deleted file cannot
 //! resurrect from a stale copy during recovery.
 //!
+//! One liveness rule decides what an erase must keep. A data slot is live
+//! while it holds a page's current copy (or the stale copy a dirty rewrite
+//! still shields). A tombstone record is *needed* while it is its page's
+//! winning record at recovery over a data copy still on flash: no newer
+//! copy of the page is on flash and a stale copy survives. At most one
+//! record per page is needed, and a tombstone slot that holds one counts
+//! as live, so victim choice prices it and relocation moves it like data.
+//!
 //! Blocks that exceed their erase endurance are *retired*: the segment
 //! drops out of rotation and capacity shrinks, mirroring how the device
 //! model fails the block.
@@ -41,9 +49,19 @@ pub enum Slot {
     Live(SlotMeta),
     /// Holds a stale copy (page rewritten or deleted); reclaimed by GC.
     Dead(SlotMeta),
-    /// Holds batched deletion tombstones.
-    Tomb(Vec<(PageId, u64)>),
+    /// Holds batched deletion records; `needed` of them are their page's
+    /// needed record (see the module docs), and the slot is live while
+    /// any is.
+    Tomb {
+        /// The (page, seq) records, in the order they were programmed.
+        records: Vec<(PageId, u64)>,
+        /// How many records the table's needed index points at.
+        needed: u32,
+    },
 }
+
+/// Bytes per (page, seq) record in tombstone slots (and checkpoints).
+pub const RECORD_BYTES: u64 = 16;
 
 /// A segment's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +87,8 @@ pub struct Segment {
     pub slots: Vec<Slot>,
     /// Next slot to append into.
     pub next_slot: usize,
-    /// Live slot count (tombstone slots are never "live").
+    /// Slots an erase must keep: live data slots plus tombstone slots
+    /// that hold a needed record.
     pub live: usize,
     /// Most recent append instant (the "age" input to cost-benefit GC).
     pub youngest_write: SimTime,
@@ -91,26 +110,13 @@ impl Segment {
         self.next_slot >= self.slots.len()
     }
 
-    /// Fraction of slots holding live pages.
+    /// Fraction of slots an erase must keep.
     pub fn utilization(&self) -> f64 {
         if self.slots.is_empty() {
             0.0
         } else {
             self.live as f64 / self.slots.len() as f64
         }
-    }
-
-    /// The deletion records of the segment's tombstone slots, in slot
-    /// order. The slots are the only copy of the records.
-    // lint: hot-path
-    fn tomb_records(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        self.slots
-            .iter()
-            .flat_map(|slot| match slot {
-                Slot::Tomb(records) => records.as_slice(),
-                _ => &[],
-            })
-            .copied()
     }
 
     /// Appends the live slot metas (with their slot indices) to `out`.
@@ -143,10 +149,14 @@ pub struct SegmentTable {
     /// finally be dropped. Dense-indexed: `kill_at` runs on every
     /// overwrite of a flash-backed page.
     dead_copies: DenseIndex<u32>,
+    /// Per page, the number of its needed tombstone record (see the
+    /// module docs and [`SegmentTable::first_record`]). Sparse: only pages
+    /// with a stale copy and no newer copy on flash have an entry.
+    needed: DenseIndex<u32>,
     /// Free segments, maintained on every state transition so the GC
     /// trigger check is O(1) per operation.
     free_count: usize,
-    /// Retired segments, maintained by [`SegmentTable::retire_into`] and
+    /// Retired segments, maintained by [`SegmentTable::retire`] and
     /// [`SegmentTable::retire_free`]; part of the wear-spread cache key in
     /// the manager, and the only varying input of
     /// [`SegmentTable::usable_slots`].
@@ -173,6 +183,10 @@ impl SegmentTable {
             slots_per_segment as u64 * page_size <= block_bytes,
             "slots exceed the erase block"
         );
+        assert!(
+            count as u64 * block_bytes / RECORD_BYTES <= u32::MAX as u64,
+            "tombstone records must be numbered in 32 bits"
+        );
         SegmentTable {
             segments: (0..count)
                 .map(|_| Segment::new(slots_per_segment))
@@ -187,12 +201,13 @@ impl SegmentTable {
             // carries at most one record per victim slot).
             pending_erase: Vec::with_capacity(count),
             dead_copies: DenseIndex::new(crate::map::DEFAULT_DENSE_PAGES),
+            needed: DenseIndex::new(crate::map::DEFAULT_DENSE_PAGES),
             free_count: count,
             retired_count: 0,
-            // A tombstone slot holds page_size / 16 records (RECORD_BYTES
-            // in the manager), which bounds any batch drained into it.
+            // A tombstone slot holds page_size / RECORD_BYTES records,
+            // which bounds any batch drained into it.
             tomb_pool: (0..2)
-                .map(|_| Vec::with_capacity((page_size / 16).max(16) as usize))
+                .map(|_| Vec::with_capacity((page_size / RECORD_BYTES).max(16) as usize))
                 .collect(),
         }
     }
@@ -248,11 +263,6 @@ impl SegmentTable {
         self.retired_count
     }
 
-    /// Total live pages across all segments.
-    pub fn live_pages(&self) -> usize {
-        self.segments.iter().map(|s| s.live).sum()
-    }
-
     /// Total slot capacity across non-retired segments, O(1): every
     /// segment has the same slot count, so only the retired count varies.
     /// The manager's capacity check runs this on every write of a page
@@ -279,6 +289,19 @@ impl SegmentTable {
     /// Flash byte address of a slot.
     pub fn slot_addr(&self, seg: usize, slot: usize) -> u64 {
         self.block_addr(seg) + slot as u64 * self.page_size
+    }
+
+    /// The number of the first record of tombstone slot `slot` in `seg`,
+    /// counting records from the start of the segment area. The needed
+    /// index holds these numbers: a `u32` entry is as small as a
+    /// `dead_copies` one.
+    fn first_record(&self, seg: usize, slot: usize) -> u32 {
+        ((self.slot_addr(seg, slot) - self.base_addr) / RECORD_BYTES) as u32
+    }
+
+    /// The segment and slot holding record number `rec`.
+    fn record_slot(&self, rec: u32) -> (usize, usize) {
+        self.locate(self.base_addr + rec as u64 * RECORD_BYTES)
     }
 
     /// Inverse of [`SegmentTable::slot_addr`].
@@ -316,27 +339,37 @@ impl SegmentTable {
     }
 
     /// Appends a page to an open segment, returning the slot index used.
+    /// The copy is newer than any record of its page, so the page's
+    /// needed tombstone record (if any) is released.
     ///
     /// # Panics
     ///
     /// Panics if the segment is not open or is full.
     pub fn append(&mut self, seg: usize, meta: SlotMeta, now: SimTime) -> usize {
+        let slot = self.push_slot(seg, Slot::Live(meta), now);
+        self.segments[seg].live += 1;
+        if let Some(rec) = self.needed.remove(meta.page) {
+            self.release_record(rec);
+        }
+        slot
+    }
+
+    /// Programs `slot` into the next free position of open segment `seg`.
+    fn push_slot(&mut self, seg: usize, slot: Slot, now: SimTime) -> usize {
         let s = &mut self.segments[seg];
         assert_eq!(s.state, SegState::Open, "append to non-open segment");
         assert!(!s.is_full(), "append to full segment");
-        let slot = s.next_slot;
-        s.slots[slot] = Slot::Live(meta);
+        let at = s.next_slot;
+        s.slots[at] = slot;
         s.next_slot += 1;
-        s.live += 1;
         s.youngest_write = now;
-        slot
+        at
     }
 
     /// Collects `records` (one slot's worth) into a batch whose backing
     /// store comes from the reuse pool, so a steady-state tombstone flush
     /// performs no allocation once the pool is warm. Hand the batch to
-    /// [`SegmentTable::append_tomb`], or return it via
-    /// [`SegmentTable::recycle_tomb_batch`] if no segment can be opened.
+    /// [`SegmentTable::append_tomb`].
     // lint: hot-path
     pub fn tomb_batch(
         &mut self,
@@ -348,42 +381,118 @@ impl SegmentTable {
         batch
     }
 
-    /// Returns an unused batch's backing store to the reuse pool. Its
-    /// entries are discarded, not re-queued: a batch that found no open
-    /// segment is lost with the failed flush.
-    // lint: hot-path
-    pub fn recycle_tomb_batch(&mut self, mut batch: Vec<(PageId, u64)>) {
-        batch.clear();
-        self.tomb_pool.push(batch);
-    }
-
-    /// Appends a tombstone slot carrying deletion `entries`, returning the
-    /// slot index used. Tombstone slots never count as live.
+    /// Appends a tombstone slot carrying `records`, returning the slot
+    /// index used. Records must arrive in sequence order per page. Each
+    /// record whose page has a stale copy on flash, and no newer copy
+    /// (`has_flash_copy` reports the page's current or shielded copy),
+    /// becomes the page's needed record and releases the older one.
     ///
     /// # Panics
     ///
     /// Panics if the segment is not open or is full.
     // lint: hot-path
-    pub fn append_tomb(&mut self, seg: usize, entries: Vec<(PageId, u64)>, now: SimTime) -> usize {
-        let s = &mut self.segments[seg];
-        assert_eq!(s.state, SegState::Open, "append to non-open segment");
-        assert!(!s.is_full(), "append to full segment");
-        let slot = s.next_slot;
-        s.slots[slot] = Slot::Tomb(entries);
-        s.next_slot += 1;
-        s.youngest_write = now;
+    pub fn append_tomb(
+        &mut self,
+        seg: usize,
+        records: Vec<(PageId, u64)>,
+        now: SimTime,
+        has_flash_copy: impl Fn(PageId) -> bool,
+    ) -> usize {
+        let base = self.first_record(seg, self.segments[seg].next_slot);
+        let mut needed = 0;
+        for (i, &(page, _)) in records.iter().enumerate() {
+            if !self.has_dead_copies(page) || has_flash_copy(page) {
+                continue;
+            }
+            let rec = base + i as u32;
+            match self.needed.insert(page, rec) {
+                // An earlier record of this batch hands its place over.
+                Some(old) if (base..rec).contains(&old) => {}
+                Some(old) => {
+                    self.release_record(old);
+                    needed += 1;
+                }
+                None => needed += 1,
+            }
+        }
+        let slot = self.push_slot(seg, Slot::Tomb { records, needed }, now);
+        if needed > 0 {
+            self.segments[seg].live += 1;
+        }
         slot
+    }
+
+    /// Counts one more needed record in the tombstone slot holding
+    /// record `rec`; the slot turns live with its first.
+    fn hold_record(&mut self, rec: u32) {
+        let (seg, slot) = self.record_slot(rec);
+        let s = &mut self.segments[seg];
+        let Slot::Tomb { needed, .. } = &mut s.slots[slot] else {
+            panic!("needed record {rec} outside a tombstone slot")
+        };
+        *needed += 1;
+        if *needed == 1 {
+            s.live += 1;
+        }
+    }
+
+    /// Counts one needed record less in the tombstone slot holding
+    /// record `rec`; the slot turns dead with its last.
+    fn release_record(&mut self, rec: u32) {
+        let (seg, slot) = self.record_slot(rec);
+        let s = &mut self.segments[seg];
+        let Slot::Tomb { needed, .. } = &mut s.slots[slot] else {
+            panic!("needed record {rec} outside a tombstone slot")
+        };
+        *needed -= 1;
+        if *needed == 0 {
+            s.live -= 1;
+        }
+    }
+
+    /// Takes a pooled batch of up to `max` of `seg`'s needed records, in
+    /// slot order. Appending the batch elsewhere re-points the records,
+    /// so the next call returns the ones after them.
+    // lint: hot-path
+    pub fn needed_batch(&mut self, seg: usize, max: usize) -> Vec<(PageId, u64)> {
+        let mut batch = self.tomb_batch(core::iter::empty());
+        for (slot, s) in self.segments[seg].slots.iter().enumerate() {
+            let Slot::Tomb { records, needed } = s else {
+                continue;
+            };
+            if *needed == 0 {
+                continue;
+            }
+            let base = self.first_record(seg, slot);
+            for (i, &(page, seq)) in records.iter().enumerate() {
+                if batch.len() == max {
+                    return batch;
+                }
+                if self.needed.get(page) == Some(base + i as u32) {
+                    batch.push((page, seq));
+                }
+            }
+        }
+        batch
+    }
+
+    /// Whether `seg` holds a stale copy that one of `records` supersedes
+    /// (a record of the same page with a newer sequence).
+    pub fn holds_copy_superseded_by(&self, seg: usize, records: &[(PageId, u64)]) -> bool {
+        self.segments[seg].slots.iter().any(|slot| {
+            matches!(slot, Slot::Dead(m)
+                if records.iter().any(|&(page, seq)| page == m.page && seq > m.seq))
+        })
     }
 
     /// Discards a slot whose on-flash payload failed its CRC check: the
     /// program was torn by power loss, so the record never happened.
-    /// Recovery-only — liveness and dead-copy accounting are left to the
-    /// [`SegmentTable::recover_liveness`] rebuild that follows, which
-    /// recomputes both from scratch and skips `Empty` slots. A discarded
-    /// tombstone slot's records leave the segment's carried set with it
-    /// (they were never durable).
+    /// Recovery-only — liveness, dead-copy and needed-record accounting
+    /// are left to the [`SegmentTable::recover_liveness`] rebuild that
+    /// follows, which recomputes all three from scratch and skips `Empty`
+    /// slots.
     pub fn invalidate_slot(&mut self, seg: usize, slot: usize) {
-        if let Slot::Tomb(mut records) =
+        if let Slot::Tomb { mut records, .. } =
             core::mem::replace(&mut self.segments[seg].slots[slot], Slot::Empty)
         {
             records.clear();
@@ -392,7 +501,7 @@ impl SegmentTable {
     }
 
     /// Permanently retires a *free* segment whose block wore out during a
-    /// post-recovery scrub erase. Unlike [`SegmentTable::retire_into`]
+    /// post-recovery scrub erase. Unlike [`SegmentTable::retire`]
     /// there is no metadata to release: the segment holds nothing.
     ///
     /// # Panics
@@ -464,14 +573,12 @@ impl SegmentTable {
         s.state = SegState::Closed;
     }
 
-    /// Common bookkeeping for removing a closed, fully dead segment from
-    /// circulation: forgets its stale copies and appends to `carried` the
-    /// tombstones that must be re-logged because stale copies of their
-    /// pages still exist on flash ([`SegmentTable::peek_carried_into`]
-    /// after the segment's own stale copies are forgotten). With `carried`
-    /// `None` (the caller already re-logged them) nothing is appended.
+    /// Common bookkeeping for removing a closed segment that holds nothing
+    /// an erase must keep: forgets its stale copies, and with a page's
+    /// last stale copy that page's needed record (nothing is left for it
+    /// to beat at recovery).
     // lint: hot-path
-    fn release_metadata_into(&mut self, seg: usize, carried: Option<&mut Vec<(PageId, u64)>>) {
+    fn release_metadata(&mut self, seg: usize) {
         assert_eq!(
             self.segments[seg].state,
             SegState::Closed,
@@ -479,7 +586,7 @@ impl SegmentTable {
         );
         assert_eq!(
             self.segments[seg].live, 0,
-            "release of segment with live pages"
+            "release of segment with live slots"
         );
         // Dead-copy accounting by index: `dead_copies` and `segments` are
         // both fields of self, so iterating one while mutating the other
@@ -489,60 +596,33 @@ impl SegmentTable {
                 Slot::Dead(m) => m.page,
                 _ => continue,
             };
-            if let Some(n) = self.dead_copies.get(page) {
-                if n <= 1 {
-                    self.dead_copies.remove(page);
-                } else {
+            match self.dead_copies.get(page) {
+                Some(n) if n > 1 => {
                     self.dead_copies.insert(page, n - 1);
                 }
+                Some(_) => {
+                    self.dead_copies.remove(page);
+                    if let Some(rec) = self.needed.remove(page) {
+                        self.release_record(rec);
+                    }
+                }
+                None => {}
             }
         }
-        if let Some(carried) = carried {
-            self.peek_carried_into(seg, carried);
-        }
-    }
-
-    /// Appends to `out` the tombstones in `seg` whose loss could
-    /// resurrect a page: every record whose page still has a stale
-    /// (dead) copy on flash — *including* copies inside `seg` itself.
-    /// The erase path logs these durably *before* issuing the erase.
-    ///
-    /// This is deliberately broader than the filter in
-    /// `SegmentTable::release_metadata_into` (which skips tombstones
-    /// whose only stale copies die with the segment): a *torn* erase can
-    /// wipe the half of the block holding the tombstone slot while the
-    /// half holding the stale data copy survives, and recovery would
-    /// then pick the stale copy as the page's winner — a synced delete
-    /// coming back from the dead.
-    // lint: hot-path
-    pub fn peek_carried_into(&self, seg: usize, out: &mut Vec<(PageId, u64)>) {
-        out.extend(
-            self.segments[seg]
-                .tomb_records()
-                .filter(|&(page, _)| self.has_dead_copies(page)),
-        );
     }
 
     /// Begins erasing a closed segment; it becomes usable again once
     /// [`SegmentTable::reap_erased`] is called past `completes`.
-    /// Tombstones to carry forward are appended to `carried`, or dropped
-    /// if it is `None`.
     // lint: hot-path
-    pub fn begin_erase_into(
-        &mut self,
-        seg: usize,
-        completes: SimTime,
-        carried: Option<&mut Vec<(PageId, u64)>>,
-    ) {
-        self.release_metadata_into(seg, carried);
+    pub fn begin_erase(&mut self, seg: usize, completes: SimTime) {
+        self.release_metadata(seg);
         self.segments[seg].state = SegState::ErasePending;
         self.pending_erase.push((completes, seg));
     }
 
-    /// Permanently retires a worn-out closed segment. Tombstones to carry
-    /// forward are appended to `carried`, or dropped if it is `None`.
-    pub fn retire_into(&mut self, seg: usize, carried: Option<&mut Vec<(PageId, u64)>>) {
-        self.release_metadata_into(seg, carried);
+    /// Permanently retires a worn-out closed segment.
+    pub fn retire(&mut self, seg: usize) {
+        self.release_metadata(seg);
         self.segments[seg].state = SegState::Retired;
         self.retired_count += 1;
     }
@@ -570,8 +650,8 @@ impl SegmentTable {
             for slot in &mut s.slots {
                 // Recycle tombstone backing stores instead of dropping
                 // them: tomb_batch draws from the pool.
-                if let Slot::Tomb(v) = slot {
-                    let mut v = core::mem::take(v);
+                if let Slot::Tomb { records, .. } = slot {
+                    let mut v = core::mem::take(records);
                     v.clear();
                     self.tomb_pool.push(v);
                 }
@@ -587,11 +667,13 @@ impl SegmentTable {
     ///
     /// For every page the highest-sequence record wins, whether it is a
     /// data slot or a deletion tombstone. Data slots that lose become
-    /// `Dead`; winning data slots become `Live`. Segments that were mid-
-    /// erase at the crash are treated as erased. Returns the map of live
-    /// pages to their flash slot addresses — in ascending page order, so
-    /// the rebuild is deterministic — plus the highest sequence seen (to
-    /// restore the global write sequence).
+    /// `Dead`; winning data slots become `Live`; a winning tombstone
+    /// record that beats a surviving stale copy becomes the page's needed
+    /// record. Segments that were mid-erase at the crash are treated as
+    /// erased. Returns the map of live pages to their flash slot
+    /// addresses — in ascending page order, so the rebuild is
+    /// deterministic — plus the highest sequence seen (to restore the
+    /// global write sequence).
     pub fn recover_liveness(&mut self) -> (BTreeMap<PageId, u64>, u64) {
         // Interrupted erases complete conceptually at recovery time: the
         // block contents are indeterminate, so treat them as erased.
@@ -617,40 +699,33 @@ impl SegmentTable {
             }
         }
 
-        // Pass 1: find the winning sequence per page.
-        #[derive(Clone, Copy)]
-        struct Winner {
-            seq: u64,
-            slot: Option<(usize, usize)>,
+        // Pass 1: find the winning record per page — a data slot, or a
+        // tombstone record by its number.
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        enum Winner {
+            Data(usize, usize),
+            Tomb(u32),
         }
-        let mut winners: BTreeMap<PageId, Winner> = BTreeMap::new();
+        let mut winners: BTreeMap<PageId, (u64, Winner)> = BTreeMap::new();
         let mut max_seq = 0u64;
+        let mut offer = |page: PageId, seq: u64, at: Winner| {
+            max_seq = max_seq.max(seq);
+            let w = winners.entry(page).or_insert((seq, at));
+            if seq >= w.0 {
+                *w = (seq, at);
+            }
+        };
         for (si, s) in self.segments.iter().enumerate() {
             if matches!(s.state, SegState::Free | SegState::Retired) {
                 continue;
             }
             for (wi, slot) in s.slots.iter().enumerate() {
                 match slot {
-                    Slot::Live(m) | Slot::Dead(m) => {
-                        max_seq = max_seq.max(m.seq);
-                        let w = winners.entry(m.page).or_insert(Winner {
-                            seq: m.seq,
-                            slot: Some((si, wi)),
-                        });
-                        if m.seq >= w.seq {
-                            *w = Winner {
-                                seq: m.seq,
-                                slot: Some((si, wi)),
-                            };
-                        }
-                    }
-                    Slot::Tomb(entries) => {
-                        for &(page, seq) in entries {
-                            max_seq = max_seq.max(seq);
-                            let w = winners.entry(page).or_insert(Winner { seq, slot: None });
-                            if seq >= w.seq {
-                                *w = Winner { seq, slot: None };
-                            }
+                    Slot::Live(m) | Slot::Dead(m) => offer(m.page, m.seq, Winner::Data(si, wi)),
+                    Slot::Tomb { records, .. } => {
+                        let base = self.first_record(si, wi);
+                        for (i, &(page, seq)) in records.iter().enumerate() {
+                            offer(page, seq, Winner::Tomb(base + i as u32));
                         }
                     }
                     Slot::Empty => {}
@@ -660,7 +735,7 @@ impl SegmentTable {
 
         // Pass 2: rewrite liveness and dead-copy accounting to match.
         self.dead_copies.clear();
-        let mut live_map = BTreeMap::new();
+        self.needed.clear();
         for (si, s) in self.segments.iter_mut().enumerate() {
             s.live = 0;
             if matches!(s.state, SegState::Free | SegState::Retired) {
@@ -669,12 +744,13 @@ impl SegmentTable {
             for (wi, slot) in s.slots.iter_mut().enumerate() {
                 let meta = match slot {
                     Slot::Live(m) | Slot::Dead(m) => *m,
-                    _ => continue,
+                    Slot::Tomb { needed, .. } => {
+                        *needed = 0;
+                        continue;
+                    }
+                    Slot::Empty => continue,
                 };
-                let is_winner = winners
-                    .get(&meta.page)
-                    .is_some_and(|w| w.slot == Some((si, wi)));
-                if is_winner {
+                if winners.get(&meta.page).map(|w| w.1) == Some(Winner::Data(si, wi)) {
                     *slot = Slot::Live(meta);
                     s.live += 1;
                 } else {
@@ -684,9 +760,20 @@ impl SegmentTable {
                 }
             }
         }
-        for (page, w) in &winners {
-            if let Some((si, wi)) = w.slot {
-                live_map.insert(*page, self.slot_addr(si, wi));
+
+        // Pass 3: winning data slots map their pages; a winning record
+        // over a surviving stale copy is needed.
+        let mut live_map = BTreeMap::new();
+        for (page, (_, at)) in winners {
+            match at {
+                Winner::Data(si, wi) => {
+                    live_map.insert(page, self.slot_addr(si, wi));
+                }
+                Winner::Tomb(rec) if self.has_dead_copies(page) => {
+                    self.needed.insert(page, rec);
+                    self.hold_record(rec);
+                }
+                Winner::Tomb(_) => {}
             }
         }
         (live_map, max_seq)
@@ -700,6 +787,87 @@ impl SegmentTable {
     /// Number of erases in flight.
     pub fn pending_erases(&self) -> usize {
         self.pending_erase.len()
+    }
+
+    /// Checks the table's bookkeeping against a full scan: the free and
+    /// retired counts, the stale copies per page, each segment's `live`
+    /// (its live data slots plus its tombstone slots that hold a needed
+    /// record), and that every needed record is a tombstone record of its
+    /// page, in a segment that is still written or closed, with a stale
+    /// copy still on flash. Returns the live data slots, for the caller
+    /// to balance against the page map.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch found.
+    pub fn check_invariants(&self) -> Result<usize, String> {
+        let count = |state| self.segments.iter().filter(|s| s.state == state).count();
+        if count(SegState::Free) != self.free_count {
+            return Err(format!(
+                "free count {} disagrees with the table",
+                self.free_count
+            ));
+        }
+        if count(SegState::Retired) != self.retired_count {
+            return Err(format!(
+                "retired count {} disagrees with the table",
+                self.retired_count
+            ));
+        }
+        let mut dead: BTreeMap<PageId, u32> = BTreeMap::new();
+        let mut live_data = 0;
+        for (si, s) in self.segments.iter().enumerate() {
+            let mut live = 0;
+            for (wi, slot) in s.slots.iter().enumerate() {
+                match slot {
+                    Slot::Live(_) => {
+                        live += 1;
+                        live_data += 1;
+                    }
+                    Slot::Dead(m) if matches!(s.state, SegState::Open | SegState::Closed) => {
+                        *dead.entry(m.page).or_default() += 1;
+                    }
+                    Slot::Tomb { records, needed } => {
+                        let base = self.first_record(si, wi);
+                        let held = (0..records.len())
+                            .filter(|&i| self.needed.get(records[i].0) == Some(base + i as u32))
+                            .count();
+                        if held != *needed as usize {
+                            return Err(format!(
+                                "slot {si}/{wi} counts {needed} needed records, the index {held}"
+                            ));
+                        }
+                        live += usize::from(held > 0);
+                    }
+                    _ => {}
+                }
+            }
+            if live != s.live {
+                return Err(format!(
+                    "segment {si} ({:?}) has live {} but {live} slots to keep",
+                    s.state, s.live
+                ));
+            }
+        }
+        if dead != self.dead_copies.iter().collect() {
+            return Err("stale-copy counts disagree with the dead slots".to_string());
+        }
+        for (page, rec) in self.needed.iter() {
+            let (seg, slot) = self.record_slot(rec);
+            let i = (rec - self.first_record(seg, slot)) as usize;
+            let s = &self.segments[seg];
+            let holds = matches!(&s.slots[slot], Slot::Tomb { records, .. }
+                if records.get(i).is_some_and(|r| r.0 == page));
+            if !holds || !matches!(s.state, SegState::Open | SegState::Closed) {
+                return Err(format!(
+                    "page {page}: needed record {rec} is not one of its tombstone records"
+                ));
+            }
+            if !self.has_dead_copies(page) {
+                return Err(format!("page {page}: needed record with no stale copy"));
+            }
+        }
+        Ok(live_data)
     }
 }
 
@@ -753,7 +921,7 @@ mod tests {
         assert!(tb.seg(0).is_full());
         tb.close(0);
         assert_eq!(tb.segments_in(SegState::Closed).collect::<Vec<_>>(), [0]);
-        assert_eq!(tb.live_pages(), 8);
+        assert_eq!(tb.seg(0).live, 8);
     }
 
     #[test]
@@ -768,18 +936,24 @@ mod tests {
         assert!(tb.has_dead_copies(7));
     }
 
+    /// A tombstone slot whose records beat no stale copy takes space but
+    /// nothing an erase must keep.
     #[test]
-    fn tomb_slots_consume_space_but_not_liveness() {
+    fn tomb_slots_without_needed_records_are_not_live() {
         let mut tb = table();
         tb.open(0);
-        let slot = tb.append_tomb(0, vec![(9, 5), (10, 6)], t(1));
+        let slot = tb.append_tomb(0, vec![(9, 5), (10, 6)], t(1), |_| false);
         assert_eq!(slot, 0);
         assert_eq!(tb.seg(0).live, 0);
         assert_eq!(tb.seg(0).next_slot, 1);
         assert_eq!(
-            tb.seg(0).tomb_records().collect::<Vec<_>>(),
-            [(9, 5), (10, 6)]
+            tb.seg(0).slots[0],
+            Slot::Tomb {
+                records: vec![(9, 5), (10, 6)],
+                needed: 0
+            }
         );
+        assert_eq!(tb.check_invariants(), Ok(0));
     }
 
     #[test]
@@ -789,9 +963,7 @@ mod tests {
         let s = tb.append(0, sm(1, 1), t(0));
         tb.kill_at(tb.slot_addr(0, s));
         tb.close(0);
-        let mut carried = Vec::new();
-        tb.begin_erase_into(0, t(5), Some(&mut carried));
-        assert!(carried.is_empty());
+        tb.begin_erase(0, t(5));
         assert_eq!(tb.pending_erases(), 1);
         assert_eq!(tb.reap_erased(t(4)), 0);
         assert_eq!(tb.reap_erased(t(5)), 1);
@@ -805,7 +977,7 @@ mod tests {
         let before = tb.usable_slots();
         tb.open(0);
         tb.close(0);
-        tb.retire_into(0, None);
+        tb.retire(0);
         assert_eq!(tb.segments_in(SegState::Retired).collect::<Vec<_>>(), [0]);
         assert_eq!(tb.usable_slots(), before - 8);
         // Retired segments never return to the free list.
@@ -826,7 +998,7 @@ mod tests {
         // Both retirement paths feed the same count.
         tb.open(0);
         tb.close(0);
-        tb.retire_into(0, None);
+        tb.retire(0);
         assert_eq!(
             tb.segments_in(SegState::Retired).collect::<Vec<_>>(),
             [0, 2]
@@ -834,39 +1006,67 @@ mod tests {
         assert_eq!(tb.usable_slots(), before - 16);
     }
 
+    /// A record is needed while it beats a stale copy on flash: it keeps
+    /// its slot live until a newer record of its page takes over, a newer
+    /// data copy is programmed, or the page's last stale copy is erased.
     #[test]
-    fn tombstones_carried_only_while_stale_copies_remain() {
+    fn needed_records_follow_the_newest_record_of_a_page() {
         let mut tb = table();
-        // Page 9's stale copy lives in segment 1; its tombstone was logged
-        // in segment 0.
+        // Page 9's stale copy lives in segment 1.
         tb.open(1);
         let s = tb.append(1, sm(9, 1), t(0));
         tb.kill_at(tb.slot_addr(1, s));
         tb.open(0);
-        tb.append_tomb(0, vec![(9, 2)], t(1));
-        tb.close(0);
-        let mut carried = Vec::new();
-        tb.begin_erase_into(0, t(1), Some(&mut carried));
-        assert_eq!(carried, [(9, 2)]);
-
-        // Once segment 1 (the stale copy) is erased too, a fresh tombstone
-        // can be dropped with its segment.
-        tb.close(1);
-        tb.begin_erase_into(1, t(2), None);
-        tb.reap_erased(t(3));
+        tb.append_tomb(0, vec![(9, 2)], t(1), |_| false);
+        assert_eq!(tb.seg(0).live, 1, "the record beats the stale copy");
+        // A record for a page with a current copy on flash beats nothing.
+        tb.append_tomb(0, vec![(9, 3)], t(1), |_| true);
+        assert_eq!(tb.seg(0).live, 1);
+        // A newer record hands the need over, within a batch too.
+        tb.append_tomb(0, vec![(9, 4), (9, 5)], t(1), |_| false);
+        assert_eq!(tb.seg(0).live, 1);
+        assert_eq!(
+            tb.seg(0).slots[2],
+            Slot::Tomb {
+                records: vec![(9, 4), (9, 5)],
+                needed: 1
+            }
+        );
+        assert_eq!(tb.check_invariants(), Ok(0));
+        // Packing returns the needed record only, then nothing once it
+        // has moved on.
+        let batch = tb.needed_batch(0, 32);
+        assert_eq!(batch, [(9, 5)]);
         tb.open(2);
-        tb.append_tomb(2, vec![(9, 3)], t(4));
-        tb.close(2);
-        carried.clear();
-        tb.begin_erase_into(2, t(4), Some(&mut carried));
-        assert!(carried.is_empty());
+        tb.append_tomb(2, batch, t(2), |_| false);
+        assert_eq!((tb.seg(0).live, tb.seg(2).live), (0, 1));
+        assert!(tb.needed_batch(0, 32).is_empty());
+        // Erasing the last stale copy releases the record.
+        tb.close(1);
+        tb.begin_erase(1, t(3));
+        assert_eq!(tb.seg(2).live, 0);
+        assert_eq!(tb.check_invariants(), Ok(0));
     }
 
-    /// A torn tombstone slot that recovery invalidates drops its records
-    /// from the segment's carried set; the surviving slot's records are
-    /// still carried, in slot order.
+    /// A newer data copy of the page releases its needed record.
     #[test]
-    fn invalidated_tomb_slot_is_not_carried() {
+    fn data_copy_releases_the_needed_record() {
+        let mut tb = table();
+        tb.open(1);
+        let s = tb.append(1, sm(7, 1), t(0));
+        tb.kill_at(tb.slot_addr(1, s));
+        tb.append_tomb(1, vec![(7, 2)], t(0), |_| false);
+        assert_eq!(tb.seg(1).live, 1);
+        tb.append(1, sm(7, 3), t(0));
+        assert_eq!(tb.seg(1).live, 1, "only the new data slot is live");
+        assert_eq!(tb.check_invariants(), Ok(1));
+    }
+
+    /// Recovery makes the winning record of each page with a surviving
+    /// stale copy needed; a torn tombstone slot it invalidated takes part
+    /// in nothing, so the stale copies it would have beaten win.
+    #[test]
+    fn recovery_rebuilds_needed_records() {
         let mut tb = table();
         // Pages 1..=4 keep stale copies in segment 1.
         tb.open(1);
@@ -875,26 +1075,32 @@ mod tests {
             tb.kill_at(tb.slot_addr(1, s));
         }
         tb.open(0);
-        tb.append_tomb(0, vec![(1, 10), (2, 11)], t(1));
-        tb.append_tomb(0, vec![(4, 12), (3, 13)], t(1));
+        tb.append_tomb(0, vec![(1, 10), (2, 11)], t(1), |_| false);
+        tb.append_tomb(0, vec![(4, 12), (3, 13)], t(1), |_| false);
         tb.close(0);
         tb.invalidate_slot(0, 0);
-        let mut peeked = Vec::new();
-        tb.peek_carried_into(0, &mut peeked);
-        assert_eq!(peeked, [(4, 12), (3, 13)]);
-        let mut carried = Vec::new();
-        tb.begin_erase_into(0, t(2), Some(&mut carried));
-        assert_eq!(carried, [(4, 12), (3, 13)]);
+        let (live, max_seq) = tb.recover_liveness();
+        assert_eq!(live.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(max_seq, 13);
+        assert_eq!(tb.seg(0).live, 1, "the surviving slot's records win");
+        assert_eq!(
+            tb.seg(0).slots[1],
+            Slot::Tomb {
+                records: vec![(4, 12), (3, 13)],
+                needed: 2
+            }
+        );
+        assert_eq!(tb.check_invariants(), Ok(2));
     }
 
     #[test]
-    #[should_panic(expected = "live pages")]
+    #[should_panic(expected = "live slots")]
     fn erasing_live_segment_panics() {
         let mut tb = table();
         tb.open(0);
         tb.append(0, sm(1, 1), t(0));
         tb.close(0);
-        tb.begin_erase_into(0, t(1), None);
+        tb.begin_erase(0, t(1));
     }
 
     #[test]
@@ -904,7 +1110,7 @@ mod tests {
         tb.append(0, sm(1, 1), t(0));
         let s2 = tb.append(0, sm(2, 2), t(0));
         tb.kill_at(tb.slot_addr(0, s2));
-        tb.append_tomb(0, vec![(2, 3)], t(0));
+        tb.append_tomb(0, vec![(2, 3)], t(0), |_| false);
         let mut live = Vec::new();
         tb.seg(0).live_slots_into(&mut live);
         assert_eq!(live.len(), 1);
@@ -918,8 +1124,8 @@ mod tests {
             tb.open(seg);
             tb.close(seg);
         }
-        tb.begin_erase_into(1, t(10), None);
-        tb.begin_erase_into(0, t(3), None);
+        tb.begin_erase(1, t(10));
+        tb.begin_erase(0, t(3));
         assert_eq!(tb.next_erase_completion(), Some(t(3)));
     }
 }

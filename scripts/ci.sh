@@ -98,6 +98,17 @@ cargo bench -p ssmc-bench --bench simulator --offline -- --check "$PWD/BENCH_thr
 # debug million-file loop is pointlessly slow).
 cargo test --release --offline --test scale_namespace -- --ignored
 
+# Cleaner proofs, release-only like the namespace one. The small crash
+# sweep runs all 300 streams (the default test run covers the first 40):
+# every cut of each, prefix and stripe tears, on a 6-segment flash where
+# GC erases tombstone slots and page ids are reused within a dozen ops
+# (~1 s). The million-op BSD replay on the bsd-long machine checks the
+# storage manager's invariants, zero failed ops, no worn-out block and the
+# summary-page share every 100k ops (~2 s on a 2-core x86-64 host).
+cargo test --release --offline -p ssmc-storage --lib \
+    torture::tests::every_small_sweep_stream_passes -- --ignored
+cargo test --release --offline --test cleaner_health -- --ignored
+
 # Observability smoke: a traced replay must produce a decodable artifact
 # and trace-dump must render it. Uses a temp path — trace artifacts
 # never land in results/.
@@ -132,14 +143,14 @@ cargo run --release --offline -p ssmc-bench --bin timeline-dump -- \
 # Crash-torture smoke: power-cut injection at every flash program/erase
 # boundary of a 2k-op BSD window, both torn-write modes, recovery
 # differentially checked against the durability model. Exhaustive by
-# design (~20k cut+recover cycles, about 46 s at 4 threads on a 2-core
+# design (~19k cut+recover cycles, about 23 s at 4 threads on a 2-core
 # x86-64 host with the carry-less CRC kernel); any violation exits
 # non-zero with the offending cut index printed. Its JSON (boundary
 # count and per-tear results) must match goldens/torture_2000.json byte
 # for byte: a change to the flash op sequence moves the boundary count,
 # so such a change re-records this golden and states its reason, the
-# same way goldens/f2_timeline.tl is handled. The cleaner fix in ROADMAP
-# item 1 is expected to move it from 9,884 to 9,911 boundaries.
+# same way goldens/f2_timeline.tl is handled. It holds 9,673 boundaries
+# since the cleaner keeps only the tombstones recovery needs.
 cargo run --release --offline -p ssmc-bench --bin experiments -- \
     crash-torture --ops 2000 --tear both --threads 4 --json "$TRACE_TMP/torture_2000.json"
 cmp "$TRACE_TMP/torture_2000.json" goldens/torture_2000.json

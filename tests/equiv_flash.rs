@@ -20,11 +20,12 @@ use ssmc::device::{BlockId, Flash};
 use ssmc::trace::{GeneratorConfig, Workload};
 
 /// FNV-1a hash of the whole flash address space after the replay + sync.
-/// Re-recorded for the shadow-slot crash-consistency fix: stale durable
-/// copies of dirty pages now stay Live until their replacement is
-/// flushed, which changes GC victim choice and segment layout (but not
-/// the page count — that is a user-write tally).
-const GOLDEN_FLASH_FNV: u64 = 0x7b0c_1ed6_147f_a880;
+/// Re-recorded when the cleaner got one liveness rule: a tombstone is
+/// kept (and moved by GC) only while it beats a stale copy on flash, and
+/// GC writes only to the cold head, so tombstone slots land in other
+/// segments and no erase re-logs records at the write head. The page
+/// count is a user-write tally and did not move.
+const GOLDEN_FLASH_FNV: u64 = 0x1551_9795_493a_c06c;
 /// Total pages programmed during the same run, recorded alongside the
 /// hash as a cheaper first-line diagnostic.
 const GOLDEN_PAGES_WRITTEN: u64 = 121_954;

@@ -130,7 +130,7 @@ fn segment_recovery_picks_highest_sequence() {
                 }
             };
             if is_tomb {
-                table.append_tomb(seg, vec![(page, seq)], SimTime::ZERO);
+                table.append_tomb(seg, vec![(page, seq)], SimTime::ZERO, |_| false);
             } else {
                 // A newer data copy makes the old one dead; the recovery
                 // scan must reconstruct this without our help, so just
@@ -153,7 +153,14 @@ fn segment_recovery_picks_highest_sequence() {
 
         // Liveness counters agree with the winner set, and each winner's
         // address holds a Live slot with the winning sequence.
-        assert_eq!(table.live_pages(), expected_live.len(), "{ctx}: live count");
+        let live_slots = (0..table.len())
+            .flat_map(|s| table.seg(s).slots.iter())
+            .filter(|slot| matches!(slot, Slot::Live(_)))
+            .count();
+        assert_eq!(live_slots, expected_live.len(), "{ctx}: live count");
+        table
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         for (page, addr) in live {
             let (seg, slot) = table.locate(addr);
             match &table.seg(seg).slots[slot] {
