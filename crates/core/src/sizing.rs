@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn giving_all_budget_to_dram_starves_flash() {
         // With 95 % of the budget on DRAM, flash is tiny; a workload with
-        // a bigger live set must hit NoSpace and be reported infeasible.
+        // a bigger live set must fail ops and be reported infeasible.
         let spec = SizingSpec {
             budget_dollars: 400.0,
             dram_fractions: vec![0.95],

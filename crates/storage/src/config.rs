@@ -66,8 +66,6 @@ pub struct FlushPolicy {
     pub high_watermark: f64,
     /// Flush target for a high-watermark event.
     pub low_watermark: f64,
-    /// Pages flushed per reclaim batch when the buffer is full.
-    pub batch: usize,
 }
 
 impl Default for FlushPolicy {
@@ -76,7 +74,6 @@ impl Default for FlushPolicy {
             age_limit: SimDuration::from_secs(30),
             high_watermark: 0.90,
             low_watermark: 0.75,
-            batch: 16,
         }
     }
 }
@@ -107,7 +104,8 @@ pub struct StorageConfig {
     /// Stop garbage collection when free segments reach this count.
     pub gc_target_segments: usize,
     /// Fraction of log capacity allowed to hold live data; beyond it,
-    /// writes fail with `NoSpace` rather than letting GC thrash.
+    /// writes of new pages fail with `NoSpace`. The rest of the log is
+    /// the slack the cleaner reclaims from.
     pub max_utilization: f64,
     /// Reserve two blocks as a checkpoint ping-pong area and write a map
     /// snapshot on every `sync`.

@@ -3,12 +3,26 @@
 use core::fmt;
 use ssmc_device::DeviceError;
 
+/// Why the cleaner could not supply a segment to write into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stall {
+    /// No segment is free or erasing, and no closed segment has a slot
+    /// to reclaim: the write head has nowhere to go.
+    NothingToReclaim,
+    /// A victim's live slots (or the pending tombstones its erase must
+    /// write first) have no segment to move into.
+    NoRoomForSurvivors,
+}
+
 /// Errors surfaced by the storage manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// No flash space left even after garbage collection: the live data
-    /// set exceeds the configured maximum utilisation.
+    /// The live data set would exceed capacity (the configured maximum
+    /// utilisation of the usable log, or the device in in-place mode).
     NoSpace,
+    /// Live data fits, but the cleaner cannot free a segment; the cause
+    /// says why.
+    CleanerStalled(Stall),
     /// The machine is in the crashed state (battery died) and has not been
     /// recovered yet.
     Crashed,
@@ -21,6 +35,14 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StorageError::NoSpace => write!(f, "flash is full (live data exceeds capacity)"),
+            StorageError::CleanerStalled(Stall::NothingToReclaim) => write!(
+                f,
+                "cleaner stalled: no segment is free or erasing and none has a slot to reclaim"
+            ),
+            StorageError::CleanerStalled(Stall::NoRoomForSurvivors) => write!(
+                f,
+                "cleaner stalled: no segment to move a victim's live slots into"
+            ),
             StorageError::Crashed => write!(f, "storage manager is crashed; recover first"),
             StorageError::Device(e) => write!(f, "device error: {e}"),
         }

@@ -11,26 +11,29 @@ use crate::config::GcPolicy;
 use crate::segment::{SegState, SegmentTable};
 use ssmc_sim::SimTime;
 
-/// Picks the next victim among closed segments, or `None` if no closed
-/// segment exists. Full segments (no free slots) with zero live pages are
-/// always preferred — cleaning them is free space at zero copy cost.
+/// Picks the next victim among the closed segments that have a slot to
+/// reclaim (fewer live slots than slots), or `None` if there is none. A
+/// fully live segment is never a victim: relocating it frees one segment
+/// and fills another, so cleaning it gains nothing (cost-benefit already
+/// scores it zero). Segments with zero live pages are always preferred:
+/// cleaning them is free space at zero copy cost.
 // lint: hot-path
 pub fn pick_victim(table: &SegmentTable, policy: GcPolicy, now: SimTime) -> Option<usize> {
-    // Free-lunch fast path: a fully dead segment. Candidates are walked
-    // through the state iterator — GC runs in the steady-state write
-    // path, so no candidate list is materialised.
-    if let Some(dead) = table
-        .segments_in(SegState::Closed)
-        .find(|&s| table.seg(s).live == 0)
-    {
+    // Candidates are walked through the state iterator — GC runs in the
+    // steady-state write path, so no candidate list is materialised.
+    let candidates = || {
+        table.segments_in(SegState::Closed).filter(|&s| {
+            let seg = table.seg(s);
+            seg.live < seg.slots.len()
+        })
+    };
+    // Free-lunch fast path: a fully dead segment.
+    if let Some(dead) = candidates().find(|&s| table.seg(s).live == 0) {
         return Some(dead);
     }
     match policy {
-        GcPolicy::Greedy => table
-            .segments_in(SegState::Closed)
-            .min_by_key(|&s| table.seg(s).live),
-        GcPolicy::CostBenefit => table
-            .segments_in(SegState::Closed)
+        GcPolicy::Greedy => candidates().min_by_key(|&s| table.seg(s).live),
+        GcPolicy::CostBenefit => candidates()
             .map(|s| (s, cost_benefit(table, s, now)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
             .map(|(s, _)| s),
@@ -69,31 +72,34 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(s)
     }
 
+    /// Writes all four slots of `seg` at `at`, keeps the first `live`
+    /// of them live, and closes the segment.
+    fn fill(tb: &mut SegmentTable, seg: usize, live: usize, at: SimTime) {
+        tb.open(seg);
+        for i in 0..4 {
+            let slot = tb.append(
+                seg,
+                SlotMeta {
+                    page: (seg * 10 + i) as u64,
+                    seq: (seg * 10 + i) as u64 + 1,
+                    crc: 0,
+                },
+                at,
+            );
+            if i >= live {
+                let addr = tb.slot_addr(seg, slot);
+                tb.kill_at(addr);
+            }
+        }
+        tb.close(seg);
+    }
+
     /// Builds a table with three closed segments:
     /// seg 0: 2/4 live, young (written at t=90)
     /// seg 1: 3/4 live, very old (written at t=1)
     /// seg 2: 1/4 live, medium age (written at t=50)
     fn setup() -> SegmentTable {
         let mut tb = SegmentTable::new(4, 4, 0, 4096, 512);
-        let fill = |tb: &mut SegmentTable, seg: usize, live: usize, at: SimTime| {
-            tb.open(seg);
-            for i in 0..4 {
-                let slot = tb.append(
-                    seg,
-                    SlotMeta {
-                        page: (seg * 10 + i) as u64,
-                        seq: (seg * 10 + i) as u64 + 1,
-                        crc: 0,
-                    },
-                    at,
-                );
-                if i >= live {
-                    let addr = tb.slot_addr(seg, slot);
-                    tb.kill_at(addr);
-                }
-            }
-            tb.close(seg);
-        };
         fill(&mut tb, 0, 2, t(90));
         fill(&mut tb, 1, 3, t(1));
         fill(&mut tb, 2, 1, t(50));
@@ -132,6 +138,17 @@ mod tests {
         }
         for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
             assert_eq!(pick_victim(&tb, policy, t(100)), Some(0), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn fully_live_segments_are_never_victims() {
+        let mut tb = SegmentTable::new(4, 4, 0, 4096, 512);
+        for (seg, at) in [(0, 90), (1, 1), (2, 50)] {
+            fill(&mut tb, seg, 4, t(at));
+        }
+        for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
+            assert_eq!(pick_victim(&tb, policy, t(100)), None, "{policy:?}");
         }
     }
 

@@ -44,7 +44,7 @@ pub mod torture;
 
 pub use config::{BankPolicy, FlushPolicy, GcPolicy, Placement, StorageConfig, WearLeveling};
 pub use dense::DenseIndex;
-pub use error::StorageError;
+pub use error::{Stall, StorageError};
 pub use manager::StorageManager;
 pub use map::{Location, PageId, PageMap};
 pub use metrics::StorageMetrics;

@@ -23,11 +23,17 @@
 //! so nothing under it re-enters the write path. Before an erase would
 //! drop a stale copy that a pending (DRAM-only) tombstone supersedes, the
 //! pending records go to the cold head first.
+//!
+//! GC cleans only victims with a slot to reclaim, and stops at its
+//! free-segment target or when no victim is left. When no segment can be
+//! had, the manager returns [`StorageError::CleanerStalled`] with the
+//! cause; [`StorageError::NoSpace`] means only that live data would
+//! exceed [`StorageManager::page_capacity`].
 
 use crate::buffer::WriteBuffer;
 use crate::config::{BankPolicy, Placement, StorageConfig, WearLeveling};
 use crate::crc;
-use crate::error::StorageError;
+use crate::error::{Stall, StorageError};
 use crate::gc::{pick_coldest, pick_victim};
 use crate::map::{Location, PageId, PageMap};
 use crate::metrics::StorageMetrics;
@@ -82,52 +88,15 @@ struct CkptState {
     /// Pages the latest checkpoint occupies.
     pages: u64,
     /// Segments appended to since the latest checkpoint (recovery must
-    /// re-scan only these). A bitmap indexed by segment — marking a
-    /// segment dirty happens on every flash program, so it must not
-    /// touch the allocator the way a tree-set insert would; reads scan
-    /// ascending, matching the old ordered-set iteration.
+    /// re-scan only these). A bitmap indexed by segment, sized once to
+    /// the segment table, which never grows — marking a segment dirty
+    /// happens on every flash program, so it must not touch the
+    /// allocator the way a tree-set insert would.
     dirtied: Vec<bool>,
     /// Last checkpoint instant.
     last: SimTime,
     /// Set when a checkpoint block wears out; checkpointing then stops.
     disabled: bool,
-}
-
-impl CkptState {
-    /// Marks `seg` as appended-to since the last checkpoint. The bitmap
-    /// is sized when the snapshot is taken; if the segment table has
-    /// grown since, indexing out of range must neither panic nor —
-    /// worse — silently drop the mark, so the bitmap grows here with
-    /// the new entries conservatively dirty (they were never covered by
-    /// the snapshot).
-    fn mark_dirtied(&mut self, seg: usize) {
-        match self.dirtied.get_mut(seg) {
-            Some(dirty) => *dirty = true,
-            None => self.dirtied.resize(seg + 1, true),
-        }
-    }
-
-    /// Whether a checkpoint-bounded recovery must rescan `seg`'s
-    /// headers. Out of range means the segment appeared after the
-    /// snapshot, so it must be scanned. (The old `unwrap_or(false)`
-    /// default silently skipped such segments.) Callers that iterate
-    /// the whole table call [`CkptState::cover`] first, so an
-    /// out-of-range query here indicates a missed `mark_dirtied`.
-    fn is_dirtied(&self, seg: usize) -> bool {
-        debug_assert!(
-            seg < self.dirtied.len(),
-            "segment {seg} outside the checkpoint bitmap — mark_dirtied skipped?"
-        );
-        self.dirtied.get(seg).copied().unwrap_or(true)
-    }
-
-    /// Extends the bitmap to cover `n` segments, marking any segments
-    /// that appeared after the snapshot as conservatively dirty.
-    fn cover(&mut self, n: usize) {
-        if self.dirtied.len() < n {
-            self.dirtied.resize(n, true);
-        }
-    }
 }
 
 /// The physical storage manager of §3.3.
@@ -449,8 +418,10 @@ impl StorageManager {
     /// # Errors
     ///
     /// [`StorageError::NoSpace`] when live data would exceed capacity,
-    /// [`StorageError::Crashed`] after an unrecovered battery death, or a
-    /// propagated device error (in-place mode wearing out a block).
+    /// [`StorageError::CleanerStalled`] when a flush needs a segment the
+    /// cleaner cannot free, [`StorageError::Crashed`] after an
+    /// unrecovered battery death, or a propagated device error (in-place
+    /// mode wearing out a block).
     ///
     /// # Panics
     ///
@@ -686,7 +657,10 @@ impl StorageManager {
     ///
     /// # Errors
     ///
-    /// [`StorageError::Crashed`] after an unrecovered battery death.
+    /// [`StorageError::Crashed`] after an unrecovered battery death,
+    /// [`StorageError::CleanerStalled`] when a full slot of tombstones
+    /// cannot reach flash (the free itself has taken effect in DRAM), or
+    /// a propagated device error.
     // lint: hot-path
     pub fn free_page(&mut self, page: PageId) -> Result<()> {
         self.check_alive()?;
@@ -729,7 +703,7 @@ impl StorageManager {
     ///
     /// # Errors
     ///
-    /// Propagates flush failures (no space, device errors).
+    /// Propagates flush failures (a stalled cleaner, device errors).
     // lint: hot-path
     pub fn sync(&mut self) -> Result<()> {
         self.check_alive()?;
@@ -760,10 +734,7 @@ impl StorageManager {
             buffer.colder_than_into(cutoff, usize::MAX, cold);
         })?;
         if self.cfg.placement == Placement::LogStructured {
-            let free = self.table.free_count() + self.table.pending_erases();
-            if free < self.cfg.gc_trigger_segments {
-                self.collect_garbage()?;
-            }
+            self.maybe_collect_garbage()?;
             self.maybe_wear_level()?;
             if self.cfg.checkpointing
                 && !self.ckpt.disabled
@@ -784,12 +755,13 @@ impl StorageManager {
     /// if necessary.
     // lint: hot-path
     fn make_room(&mut self) -> Result<()> {
+        /// Pages a full buffer flushes to make room for one more.
+        const BATCH: usize = 16;
         if !self.buffer.is_full() {
             return Ok(());
         }
-        let batch = self.cfg.flush.batch.max(1);
         self.flush_victims(false, |buffer, victims| {
-            buffer.coldest_k_into(batch, victims);
+            buffer.coldest_k_into(BATCH, victims);
         })
     }
 
@@ -913,7 +885,7 @@ impl StorageManager {
         // Dirty the segment *before* the program: a power cut mid-program
         // must never leave a slot the checkpoint-bounded recovery scan
         // would skip.
-        self.ckpt.mark_dirtied(seg);
+        self.ckpt.dirtied[seg] = true;
         self.flash
             .program_async(addr, payload.bytes(&self.dram, self.cfg.page_size))?;
         Ok(addr)
@@ -1026,67 +998,75 @@ impl StorageManager {
         self.heads[class as usize] = seg;
     }
 
-    /// Returns an open segment for `class` with at least one free slot,
-    /// allocating / waiting for erases as needed. Only the write head
-    /// garbage-collects: GC writes to the cold head, so nothing under
-    /// [`Self::collect_garbage`] comes back here for the write head.
+    /// Returns an open segment for `class` with at least one free slot.
+    /// A full head is closed; then each pass reaps finished erases, runs
+    /// the GC trigger for the write head, and opens a free segment, or
+    /// waits for the next erase to finish, or returns why the cleaner is
+    /// stalled. Only the write head garbage-collects: GC writes to the
+    /// cold head, so nothing under [`Self::collect_garbage`] comes back
+    /// here for the write head. DESIGN.md §4 says why the loop ends.
     // lint: hot-path
     fn ensure_open(&mut self, class: SegClass) -> Result<usize> {
-        let cleans = class == SegClass::Write;
-        for _ in 0..self.table.len() * 2 + 4 {
-            if let Some(seg) = self.heads[class as usize] {
-                if !self.table.seg(seg).is_full() {
-                    return Ok(seg);
-                }
-                self.table.close(seg);
-                self.set_head(class, None);
+        if let Some(seg) = self.heads[class as usize] {
+            if !self.table.seg(seg).is_full() {
+                return Ok(seg);
             }
+            self.table.close(seg);
+            self.set_head(class, None);
+        }
+        loop {
             let now = self.now();
             self.table.reap_erased(now);
-            if cleans {
-                let free = self.table.free_count() + self.table.pending_erases();
-                if free < self.cfg.gc_trigger_segments {
-                    self.collect_garbage()?;
-                }
+            if class == SegClass::Write {
+                self.maybe_collect_garbage()?;
             }
             if let Some(seg) = self.alloc_segment(class) {
                 self.table.open(seg);
                 self.set_head(class, Some(seg));
-                continue;
+                return Ok(seg);
             }
-            // No free segment: wait out the erase backlog if there is one.
-            if let Some(at) = self.table.next_erase_completion() {
-                let waited_from = self.now();
-                self.clock.advance_to(at);
-                self.metrics.gc_wait += self.now().since(waited_from);
-                self.recorder.emit(|| Span {
-                    kind: EventKind::StorageStall,
-                    start: waited_from,
-                    end: self.clock.now(),
-                    energy: Energy::ZERO,
-                    pages: 0,
-                    bytes: 0,
-                });
-                continue;
-            }
-            if cleans && self.collect_garbage()? {
-                continue;
-            }
-            return Err(StorageError::NoSpace);
+            let Some(at) = self.table.next_erase_completion() else {
+                return Err(StorageError::CleanerStalled(match class {
+                    SegClass::Write => Stall::NothingToReclaim,
+                    SegClass::Cold => Stall::NoRoomForSurvivors,
+                }));
+            };
+            let waited_from = self.now();
+            self.clock.advance_to(at);
+            self.metrics.gc_wait += self.now().since(waited_from);
+            self.recorder.emit(|| Span {
+                kind: EventKind::StorageStall,
+                start: waited_from,
+                end: self.clock.now(),
+                energy: Energy::ZERO,
+                pages: 0,
+                bytes: 0,
+            });
         }
-        Err(StorageError::NoSpace)
     }
 
-    /// Runs garbage collection until the free-segment target is met or no
-    /// further progress is possible. Returns whether anything was
-    /// reclaimed.
+    /// The one GC trigger: cleans when free plus erasing segments have
+    /// dropped below `gc_trigger_segments`.
     // lint: hot-path
-    fn collect_garbage(&mut self) -> Result<bool> {
+    fn maybe_collect_garbage(&mut self) -> Result<()> {
+        let free = self.table.free_count() + self.table.pending_erases();
+        if free < self.cfg.gc_trigger_segments {
+            self.collect_garbage()?;
+        }
+        Ok(())
+    }
+
+    /// Cleans victims until free plus erasing segments reach the target
+    /// or no closed segment has a slot to reclaim. A victim keeps at most
+    /// `slots − 1` slots, so the pass frees a segment net at least every
+    /// `slots` victims and ends (DESIGN.md §4).
+    // lint: hot-path
+    fn collect_garbage(&mut self) -> Result<()> {
         let start = self.now();
         let e0 = self.span_energy_mark();
         let moved0 = self.metrics.gc_flash_pages;
-        let mut progressed = false;
-        for _ in 0..self.table.len() {
+        let runs0 = self.metrics.gc_runs;
+        loop {
             let now = self.now();
             self.table.reap_erased(now);
             let free = self.table.free_count() + self.table.pending_erases();
@@ -1100,13 +1080,12 @@ impl StorageManager {
             };
             self.relocate(victim, None)?;
             self.metrics.gc_runs += 1;
-            progressed = true;
         }
-        if progressed {
+        if self.metrics.gc_runs > runs0 {
             let moved = self.metrics.gc_flash_pages - moved0;
             self.emit_span(EventKind::StorageGc, start, e0, moved);
         }
-        Ok(progressed)
+        Ok(())
     }
 
     /// The relocation loop GC and wear leveling share: copies every live
@@ -1147,12 +1126,10 @@ impl StorageManager {
         self.live_scratch = live;
         self.pool.put(data);
         // What is left to keep are tombstone slots with needed records.
-        // Each batch re-points its records away from the victim, so the
-        // victim runs dry within as many batches as it has such slots.
-        for _ in 0..self.table.seg(victim).live {
-            if self.table.seg(victim).live == 0 {
-                break;
-            }
+        // Each batch re-points its records away from the victim, and a
+        // batch holds a whole slot's worth, so every batch drains at
+        // least one such slot.
+        while self.table.seg(victim).live > 0 {
             let seg = match dest {
                 Some(dest) => dest,
                 None => self.ensure_open(SegClass::Cold)?,
@@ -1322,7 +1299,7 @@ impl StorageManager {
         };
         let slot = self.table.append_tomb(seg, batch, now, has_flash_copy);
         let addr = self.table.slot_addr(seg, slot);
-        self.ckpt.mark_dirtied(seg);
+        self.ckpt.dirtied[seg] = true;
         // Tombstone slots are real programs: zeroed payload of records.
         let data = self.pool.take_zeroed();
         let programmed = self.flash.program_async(addr, &data);
@@ -1438,16 +1415,13 @@ impl StorageManager {
                         self.flash.read(base + i * self.cfg.page_size, &mut page)?;
                     }
                     self.pool.put(page);
-                    // Cover first: segments past the snapshot-time bitmap
-                    // are conservatively dirty, never silently clean.
-                    self.ckpt.cover(self.table.len());
                 }
                 // One ascending header scan; the two scans differ only in
                 // which segments they visit.
                 let mut header = [0u8; RECORD_BYTES as usize];
                 for seg in 0..self.table.len() {
                     let visit = if used_checkpoint {
-                        self.ckpt.is_dirtied(seg)
+                        self.ckpt.dirtied[seg]
                     } else {
                         !matches!(
                             self.table.seg(seg).state,
@@ -2098,58 +2072,6 @@ mod tests {
     // Crash-torture regression pins
     // --------------------------------------------------------------
 
-    /// Regression: the dirtied bitmap used to be indexed blindly on the
-    /// write path and defaulted out-of-range segments to *clean* on the
-    /// recovery path — a segment past the checkpoint-time bitmap length
-    /// was silently skipped by the bounded scan. Growth must resize the
-    /// bitmap and out-of-range queries must default to dirty.
-    #[test]
-    fn dirtied_bitmap_grows_conservatively_past_checkpoint_size() {
-        let mut ck = CkptState {
-            active: 0,
-            valid: true,
-            pages: 1,
-            dirtied: vec![false; 2],
-            last: SimTime::ZERO,
-            disabled: false,
-        };
-        ck.mark_dirtied(1);
-        assert!(ck.is_dirtied(1));
-        assert!(!ck.is_dirtied(0));
-        // Mark past the checkpoint-time size: the bitmap grows, and the
-        // gap segments (2..=4) default to dirty, never silently clean.
-        ck.mark_dirtied(5);
-        assert_eq!(ck.dirtied.len(), 6);
-        assert!(ck.is_dirtied(5));
-        assert!(ck.is_dirtied(3), "gap segment must default dirty");
-        assert!(!ck.is_dirtied(0), "explicitly clean segments stay clean");
-    }
-
-    /// End-to-end version: a checkpoint-time bitmap shorter than the
-    /// segment table (simulating growth) must neither panic on the next
-    /// flush nor lose segments from the post-crash scan.
-    #[test]
-    fn recovery_survives_bitmap_shorter_than_table() {
-        let (mut m, _) = manager();
-        m.write_page(1, &page_of(0x11)).expect("write");
-        m.sync().expect("sync");
-        m.checkpoint().expect("checkpoint");
-        // Simulate a table that grew after the checkpoint snapshot.
-        m.ckpt.dirtied.truncate(1);
-        for p in 0..24u64 {
-            m.write_page(p, &page_of(p as u8)).expect("write");
-        }
-        m.sync().expect("sync");
-        m.crash();
-        let report = m.recover().expect("recover");
-        assert!(report.used_checkpoint);
-        let mut buf = page_of(0);
-        for p in 0..24u64 {
-            m.read_page(p, &mut buf).expect("read");
-            assert_eq!(buf, page_of(p as u8), "page {p}");
-        }
-    }
-
     /// Satellite 2: once a checkpoint block wears out mid-run, recovery
     /// must fall back to the full scan and never consult the stale (but
     /// still `valid`) snapshot.
@@ -2544,8 +2466,8 @@ mod tests {
         assert_eq!(buf, page_of(0), "freed page resurrected");
     }
 
-    /// The bug the sweep actually caught: a segment whose every page has
-    /// been rewritten into the buffer looks fully dead, so GC's
+    /// The bug the sweep actually caught: a segment whose every live
+    /// page has been rewritten into the buffer looks fully dead, so GC's
     /// free-lunch path erases it — destroying the only durable copies —
     /// and a crash before the next flush loses synced data. Post-fix the
     /// shadowed slots count as live, GC copies them forward, and
@@ -2565,32 +2487,36 @@ mod tests {
             m.write_page(p, &page_of(p as u8 + 1)).expect("write v1");
         }
         m.sync().expect("sync v1");
-        // ...and close it by pushing one more page into the next one.
-        m.write_page(100, &page_of(0x64)).expect("filler");
-        m.sync().expect("sync filler");
+        // ...and close it by rewriting page 7 into the next one, which
+        // leaves it a dead slot to reclaim.
+        m.write_page(7, &page_of(0x77)).expect("page 7 v2");
+        m.sync().expect("sync page 7 v2");
         let victim = (0..m.table.len())
-            .find(|&s| m.table.seg(s).state == SegState::Closed && m.table.seg(s).live >= 8)
+            .find(|&s| m.table.seg(s).state == SegState::Closed)
             .expect("v1 segment is closed");
-        // Rewrite every page dirty: pre-fix this zeroed the segment's
-        // live count, making it free-lunch GC bait.
-        for p in 0..8 {
+        // Rewrite every other page dirty: pre-fix this zeroed the
+        // segment's live count, making it free-lunch GC bait.
+        for p in 0..7 {
             m.write_page(p, &page_of(p as u8 + 0x11)).expect("rewrite");
         }
         assert_eq!(
             m.table.seg(victim).live,
-            8,
+            7,
             "shadowed copies must stay live"
         );
         m.collect_garbage().expect("gc");
+        assert_eq!(m.metrics().gc_flash_pages, 7, "GC moved the shadows");
         // Crash with the rewrites still volatile; recovery must land on
         // the synced v1 generation, wherever GC moved it.
         m.crash();
         m.recover().expect("recover");
-        for p in 0..8 {
-            let mut buf = page_of(0);
+        let mut buf = page_of(0);
+        for p in 0..7 {
             m.read_page(p, &mut buf).expect("read");
             assert_eq!(buf, page_of(p as u8 + 1), "synced v1 of page {p} lost");
         }
+        m.read_page(7, &mut buf).expect("read");
+        assert_eq!(buf, page_of(0x77), "page 7 lost its synced v2");
     }
 
     /// Write-through companion bug: the unbuffered log path never killed

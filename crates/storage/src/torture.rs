@@ -87,6 +87,9 @@ pub enum Violation {
     },
     /// Recovery itself returned an error.
     RecoveryFailed,
+    /// The recovered manager's bookkeeping broke an invariant
+    /// ([`StorageManager::check_invariants`]'s message).
+    Invariant(String),
 }
 
 impl core::fmt::Display for Violation {
@@ -102,6 +105,7 @@ impl core::fmt::Display for Violation {
                 write!(f, "page {page}: content matches no attempted version")
             }
             Violation::RecoveryFailed => write!(f, "recovery returned an error"),
+            Violation::Invariant(msg) => write!(f, "invariant broken after recovery: {msg}"),
         }
     }
 }
@@ -396,8 +400,9 @@ pub fn count_boundaries(
 }
 
 /// One torture run: arm a power cut at boundary `cut_at` with the given
-/// tear mode, replay until it fires, crash, recover, and differentially
-/// verify. Pure function of its arguments — shard freely.
+/// tear mode, replay until it fires, crash, recover, check the manager's
+/// invariants, and differentially verify. Pure function of its
+/// arguments — shard freely.
 pub fn run_cut(
     cfg: &StorageConfig,
     ops: &[TortureOp],
@@ -409,6 +414,9 @@ pub fn run_cut(
     let mut violations = Vec::new();
     let recovery = match recovery {
         Ok(r) => {
+            if let Err(msg) = m.check_invariants() {
+                violations.push(Violation::Invariant(msg));
+            }
             model.verify(&mut m, &mut violations);
             Some(r)
         }

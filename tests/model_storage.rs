@@ -9,7 +9,10 @@
 //!   every page (explicit syncs and background ticks both flush), never
 //!   fabricated data, and never loses an explicitly synced page;
 //! * capacity accounting never lets live pages exceed the advertised
-//!   capacity.
+//!   capacity, and `NoSpace` means exactly that live data is at capacity
+//!   (or past it, once retired blocks have shrunk it);
+//! * on a full flash the cleaner either makes room or says why it cannot
+//!   (`CleanerStalled`), never `NoSpace` while live data fits.
 //!
 //! Cases are generated from fixed seeds by `SimRng`, so every run (and
 //! every machine) exercises the identical sequences; a failure message
@@ -17,7 +20,7 @@
 
 use ssmc::device::FlashSpec;
 use ssmc::sim::{Clock, SimDuration, SimRng};
-use ssmc::storage::{StorageConfig, StorageManager};
+use ssmc::storage::{Stall, StorageConfig, StorageError, StorageManager};
 use std::collections::HashMap;
 
 const PAGE: usize = 512;
@@ -92,11 +95,15 @@ fn check_against_model(ops: &[Op], ctx: &str) {
                     current.insert(p, b);
                     history.entry(p).or_default().push(b);
                 }
-                Err(ssmc::storage::StorageError::NoSpace) => {
+                Err(StorageError::NoSpace) => {
                     // Model must agree capacity was the issue.
                     assert!(
                         !current.contains_key(&p),
                         "{ctx}: NoSpace rewriting an existing page"
+                    );
+                    assert!(
+                        !sm.has_capacity_for(1),
+                        "{ctx}: NoSpace with room for another page"
                     );
                 }
                 Err(e) => panic!("{ctx}: write: {e}"),
@@ -238,6 +245,80 @@ fn synced_state_always_survives_crash() {
             );
         }
     }
+}
+
+/// The small crash sweep's flash (`ssmc_storage::torture`'s tests): one
+/// bank of eight 2 KiB blocks, so 6 segments of 4 slots behind the two
+/// checkpoint blocks, GC trigger 2 and target 3, written through.
+fn small_flash(max_utilization: f64) -> StorageManager {
+    let cfg = StorageConfig {
+        page_size: PAGE as u64,
+        dram_buffer_bytes: 0,
+        flash: FlashSpec {
+            banks: 1,
+            blocks_per_bank: 8,
+            block_bytes: 2048,
+            write_unit: 512,
+            ..FlashSpec::default()
+        },
+        gc_trigger_segments: 2,
+        gc_target_segments: 3,
+        max_utilization,
+        ..StorageConfig::default()
+    };
+    StorageManager::new(cfg, Clock::shared())
+}
+
+/// Writes pages `0..page_capacity()` and syncs; returns the capacity.
+fn fill_to_capacity(sm: &mut StorageManager) -> u64 {
+    let cap = sm.page_capacity();
+    for p in 0..cap {
+        sm.write_page(p, &[p as u8; PAGE]).expect("fill");
+    }
+    sm.sync().expect("sync the fill");
+    assert!(!sm.has_capacity_for(1));
+    cap
+}
+
+/// At the default utilisation limit a full flash keeps two segments'
+/// worth of dead or unwritten slots, so GC can always make room for a
+/// rewrite. A free's tombstone can still find no segment to go to,
+/// because the write head may hold the last free one; that stall names
+/// its cause rather than claiming the flash is full.
+#[test]
+fn full_flash_rewrites_succeed_and_stalled_frees_say_why() {
+    let mut sm = small_flash(StorageConfig::default().max_utilization);
+    let cap = fill_to_capacity(&mut sm);
+    assert_eq!(cap, 20);
+    for p in 0..cap {
+        let rewrite = sm.write_page(p, &[0xB0; PAGE]).and_then(|()| sm.sync());
+        rewrite.unwrap_or_else(|e| panic!("rewrite of page {p}: {e}"));
+    }
+    let mut stalls = 0;
+    for p in 0..10 {
+        match sm.free_page(p).and_then(|()| sm.sync()) {
+            Ok(()) => {}
+            Err(StorageError::CleanerStalled(Stall::NoRoomForSurvivors)) => stalls += 1,
+            Err(e) => panic!("free of page {p}: {e}"),
+        }
+        assert!(sm.pages_live() <= sm.page_capacity());
+    }
+    assert!(stalls > 0, "no free stalled: the stall cause went untested");
+}
+
+/// With no utilisation limit a full flash is fully live: no segment has
+/// a slot to reclaim, so a rewrite stalls the write head even though
+/// live data is within capacity.
+#[test]
+fn fully_live_flash_stalls_with_nothing_to_reclaim() {
+    let mut sm = small_flash(1.0);
+    let cap = fill_to_capacity(&mut sm);
+    assert_eq!(cap, 24);
+    let err = (0..cap)
+        .find_map(|p| sm.write_page(p, &[0xB0; PAGE]).err())
+        .expect("a rewrite of a fully live flash stalls");
+    assert_eq!(err, StorageError::CleanerStalled(Stall::NothingToReclaim));
+    assert!(sm.pages_live() <= sm.page_capacity());
 }
 
 #[test]
