@@ -124,6 +124,16 @@ pub struct DiskCounters {
     pub spin_ups: u64,
 }
 
+/// The drive's energy accounts: the ledger's name table, sorted, and the
+/// index of each name in it.
+mod account {
+    pub const NAMES: &[&str] = &["disk.active", "disk.idle", "disk.spin_up", "disk.standby"];
+    pub const ACTIVE: usize = 0;
+    pub const IDLE: usize = 1;
+    pub const SPIN_UP: usize = 2;
+    pub const STANDBY: usize = 3;
+}
+
 /// A mobile disk drive.
 #[derive(Debug)]
 pub struct Disk {
@@ -142,7 +152,7 @@ impl Disk {
             head_cylinder: 0,
             spin: SpinState::Spinning,
             counters: DiskCounters::default(),
-            energy: EnergyLedger::new(),
+            energy: EnergyLedger::new(account::NAMES),
             spec,
             clock,
         }
@@ -198,7 +208,7 @@ impl Disk {
         if self.spin == SpinState::Standby {
             self.clock.advance(self.spec.spin_up);
             self.energy.charge(
-                "disk.spin_up",
+                account::SPIN_UP,
                 self.spec.spin_up_power.energy_over(self.spec.spin_up),
             );
             self.counters.spin_ups += 1;
@@ -218,10 +228,10 @@ impl Disk {
         match self.spin {
             SpinState::Spinning => self
                 .energy
-                .charge("disk.idle", self.spec.idle_power.energy_over(d)),
+                .charge(account::IDLE, self.spec.idle_power.energy_over(d)),
             SpinState::Standby => self
                 .energy
-                .charge("disk.standby", self.spec.standby_power.energy_over(d)),
+                .charge(account::STANDBY, self.spec.standby_power.energy_over(d)),
         }
     }
 
@@ -245,7 +255,7 @@ impl Disk {
         self.head_cylinder = target;
         self.clock.advance(latency);
         self.energy
-            .charge("disk.active", self.spec.active_power.energy_over(latency));
+            .charge(account::ACTIVE, self.spec.active_power.energy_over(latency));
         self.counters.bytes += len;
         latency
     }
@@ -338,8 +348,8 @@ mod tests {
         d.charge_idle(SimDuration::from_secs(1));
         d.spin_down();
         d.charge_idle(SimDuration::from_secs(1));
-        let spinning = d.energy().component("disk.idle");
-        let standby = d.energy().component("disk.standby");
+        let spinning = d.energy().component(account::IDLE);
+        let standby = d.energy().component(account::STANDBY);
         assert!(standby < spinning);
     }
 

@@ -73,6 +73,15 @@ pub struct DramCounters {
     pub bytes_written: u64,
 }
 
+/// The DRAM's energy accounts: the ledger's name table, sorted, and the
+/// index of each name in it.
+mod account {
+    pub const NAMES: &[&str] = &["dram.active", "dram.refresh", "dram.self_refresh"];
+    pub const ACTIVE: usize = 0;
+    pub const REFRESH: usize = 1;
+    pub const SELF_REFRESH: usize = 2;
+}
+
 /// A battery-backed DRAM array.
 #[derive(Debug)]
 pub struct Dram {
@@ -91,7 +100,7 @@ impl Dram {
             data: vec![0; spec.capacity as usize],
             valid: true,
             counters: DramCounters::default(),
-            energy: EnergyLedger::new(),
+            energy: EnergyLedger::new(account::NAMES),
             spec,
             clock,
         }
@@ -149,7 +158,7 @@ impl Dram {
         self.counters.reads += 1;
         self.counters.bytes_read += len;
         self.energy
-            .charge("dram.active", self.spec.active_power.energy_over(latency));
+            .charge(account::ACTIVE, self.spec.active_power.energy_over(latency));
         Ok(latency)
     }
 
@@ -224,18 +233,18 @@ impl Dram {
         self.counters.writes += 1;
         self.counters.bytes_written += charged_len;
         self.energy
-            .charge("dram.active", self.spec.active_power.energy_over(latency));
+            .charge(account::ACTIVE, self.spec.active_power.energy_over(latency));
         Ok(latency)
     }
 
     /// Charges refresh power for a span, in normal or self-refresh mode.
     pub fn charge_refresh(&mut self, d: SimDuration, self_refresh: bool) {
-        let (name, p) = if self_refresh {
-            ("dram.self_refresh", self.spec.self_refresh_power)
+        let (account, p) = if self_refresh {
+            (account::SELF_REFRESH, self.spec.self_refresh_power)
         } else {
-            ("dram.refresh", self.spec.refresh_power)
+            (account::REFRESH, self.spec.refresh_power)
         };
-        self.energy.charge(name, p.energy_over(d));
+        self.energy.charge(account, p.energy_over(d));
     }
 
     /// Destroys the contents: called when the battery dies. Subsequent
@@ -320,8 +329,8 @@ mod tests {
         let mut d = dram();
         d.charge_refresh(SimDuration::from_secs(1), false);
         d.charge_refresh(SimDuration::from_secs(1), true);
-        let normal = d.energy().component("dram.refresh");
-        let low = d.energy().component("dram.self_refresh");
+        let normal = d.energy().component(account::REFRESH);
+        let low = d.energy().component(account::SELF_REFRESH);
         assert!(low < normal);
     }
 

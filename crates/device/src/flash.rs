@@ -265,6 +265,16 @@ impl Block {
     }
 }
 
+/// The device's energy accounts: the ledger's name table, sorted, and the
+/// index of each name in it.
+mod account {
+    pub const NAMES: &[&str] = &["flash.erase", "flash.idle", "flash.program", "flash.read"];
+    pub const ERASE: usize = 0;
+    pub const IDLE: usize = 1;
+    pub const PROGRAM: usize = 2;
+    pub const READ: usize = 3;
+}
+
 /// A direct-mapped flash device.
 ///
 /// The device holds bytes only for the erase blocks programmed since
@@ -334,7 +344,7 @@ impl Flash {
             spare: Vec::with_capacity(spec.total_blocks() as usize),
             block_shift: spec.block_bytes.trailing_zeros(),
             counters: FlashCounters::default(),
-            energy: EnergyLedger::new(),
+            energy: EnergyLedger::new(account::NAMES),
             first_wearout: None,
             recorder: Recorder::disabled(),
             boundary_ops: 0,
@@ -466,7 +476,7 @@ impl Flash {
     /// Charges idle power for a span during which the device did nothing.
     pub fn charge_idle(&mut self, d: SimDuration) {
         self.energy
-            .charge("flash.idle", self.spec.idle_power.energy_over(d));
+            .charge(account::IDLE, self.spec.idle_power.energy_over(d));
     }
 
     /// A read or a program must start inside the device, even an empty
@@ -549,7 +559,7 @@ impl Flash {
         self.counters.reads += 1;
         self.counters.bytes_read += len;
         self.energy
-            .charge("flash.read", self.spec.read_power.energy_over(latency));
+            .charge(account::READ, self.spec.read_power.energy_over(latency));
         self.recorder.emit(|| Span {
             kind: EventKind::FlashRead,
             start,
@@ -662,7 +672,7 @@ impl Flash {
         self.bank_busy_until[bank.0 as usize] = done;
         self.program_commit(addr, data, block);
         self.energy.charge(
-            "flash.program",
+            account::PROGRAM,
             self.spec.program_power.energy_over(latency),
         );
         self.recorder.emit(|| Span {
@@ -736,7 +746,7 @@ impl Flash {
         }
         self.counters.erases += 1;
         self.energy.charge(
-            "flash.erase",
+            account::ERASE,
             self.spec.erase_power.energy_over(self.spec.erase_latency),
         );
         self.recorder.emit(|| Span {
@@ -1080,12 +1090,12 @@ mod tests {
         f.erase(BlockId(1)).expect("erase");
         f.charge_idle(SimDuration::from_secs(1));
         let e = f.energy();
-        assert!(e.component("flash.program").as_nanojoules() > 0);
-        assert!(e.component("flash.read").as_nanojoules() > 0);
-        assert!(e.component("flash.erase").as_nanojoules() > 0);
-        assert!(e.component("flash.idle").as_nanojoules() > 0);
+        assert!(e.component(account::PROGRAM).as_nanojoules() > 0);
+        assert!(e.component(account::READ).as_nanojoules() > 0);
+        assert!(e.component(account::ERASE).as_nanojoules() > 0);
+        assert!(e.component(account::IDLE).as_nanojoules() > 0);
         // Erase at 90 mW for 500 ms = 45 mJ, dwarfing a 512-byte read.
-        assert!(e.component("flash.erase") > e.component("flash.read"));
+        assert!(e.component(account::ERASE) > e.component(account::READ));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Battery life is a first-class concern of the paper (§2 compares devices
 //! by power; §4 trades DRAM against flash partly on power). Devices charge
-//! every operation and every idle interval to an [`EnergyLedger`] under a
-//! component name, so experiments can report joules per workload and
-//! per-component breakdowns.
+//! every operation and every idle interval to one of the named component
+//! accounts of an [`EnergyLedger`], so experiments can report joules per
+//! workload and per-component breakdowns.
 
 use crate::report::{FromReport, ReportError, ToReport, Value};
 use crate::time::SimDuration;
@@ -151,86 +151,70 @@ impl core::ops::Add for Power {
     }
 }
 
-/// Named per-component energy counters.
+/// Most accounts a ledger holds: flash and disk have four components,
+/// DRAM three.
+const MAX_ACCOUNTS: usize = 4;
+
+/// Per-component energy counters for one device.
 ///
-/// A device ledger holds a handful of fixed component names, so the
-/// accounts live in a name-sorted `Vec` rather than a tree: lookups are a
-/// short binary search over contiguous memory, and a last-hit index makes
-/// the common charge-same-component-again case a single string compare.
-#[derive(Debug, Clone, Default)]
+/// A device fixes its component names when it builds the ledger, as a
+/// sorted table, and defines an index constant for each beside it. A
+/// charge is one array add: no name compare, search or allocation sits
+/// on the device access path.
+#[derive(Debug, Clone)]
 pub struct EnergyLedger {
-    /// `(component, energy)` pairs kept sorted by component name, so
-    /// iteration and report order match the old map-based layout.
-    accounts: Vec<(String, Energy)>,
-    /// Index of the most recently charged account (a hint, not an
-    /// invariant: stale values only cost one failed compare).
-    last: usize,
-    /// Running sum of every account, maintained by [`Self::charge`] so
-    /// [`Self::total`] is a scalar read: the battery-drain path queries
-    /// the total before every replayed operation, and walking the
-    /// accounts there would put a traversal on the hot path.
-    total: Energy,
+    /// Component names, sorted and unique; `accounts[i]` is `names[i]`'s.
+    names: &'static [&'static str],
+    accounts: [Energy; MAX_ACCOUNTS],
 }
 
 impl EnergyLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        EnergyLedger::default()
+    /// Creates a ledger with one empty account per name in `names`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `names` is not sorted and unique, or holds more than
+    /// four names.
+    pub fn new(names: &'static [&'static str]) -> Self {
+        assert!(
+            names.len() <= MAX_ACCOUNTS,
+            "a ledger holds at most {MAX_ACCOUNTS} accounts: {names:?}"
+        );
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "ledger names must be sorted and unique: {names:?}"
+        );
+        EnergyLedger {
+            names,
+            accounts: [Energy::ZERO; MAX_ACCOUNTS],
+        }
     }
 
-    /// Charges `e` to `component`, creating the account on first use.
+    /// Charges `e` to the account `names[account]`.
     // lint: hot-path
-    pub fn charge(&mut self, component: &str, e: Energy) {
-        if e == Energy::ZERO {
-            return;
-        }
-        self.total = self.total.saturating_add(e);
-        if let Some((name, acct)) = self.accounts.get_mut(self.last) {
-            if name == component {
-                *acct = acct.saturating_add(e);
-                return;
-            }
-        }
-        match self
-            .accounts
-            .binary_search_by(|(k, _)| k.as_str().cmp(component))
-        {
-            Ok(i) => {
-                self.accounts[i].1 = self.accounts[i].1.saturating_add(e);
-                self.last = i;
-            }
-            Err(i) => {
-                // lint: allow(H2): first charge for a component allocates
-                // its key string once per ledger lifetime; steady-state
-                // charges hit the index hint or the binary search above.
-                self.accounts.insert(i, (component.to_owned(), e));
-                self.last = i;
-            }
-        }
+    pub fn charge(&mut self, account: usize, e: Energy) {
+        debug_assert!(account < self.names.len(), "no ledger account {account}");
+        self.accounts[account] = self.accounts[account].saturating_add(e);
     }
 
-    /// Charges `power × duration` to `component`.
-    pub fn charge_power(&mut self, component: &str, p: Power, d: SimDuration) {
-        self.charge(component, p.energy_over(d));
+    /// Energy charged to the account `names[account]` so far.
+    pub fn component(&self, account: usize) -> Energy {
+        self.accounts[account]
     }
 
-    /// Energy charged to `component` so far (zero for unknown components).
-    pub fn component(&self, component: &str) -> Energy {
-        self.accounts
-            .binary_search_by(|(k, _)| k.as_str().cmp(component))
-            .map(|i| self.accounts[i].1)
-            .unwrap_or(Energy::ZERO)
-    }
-
-    /// Total energy across all components (a maintained scalar, not a
-    /// walk over the accounts).
+    /// Total energy across all accounts.
     pub fn total(&self) -> Energy {
-        self.total
+        self.accounts.iter().copied().sum()
     }
 
-    /// Iterates over `(component, energy)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, Energy)> {
-        self.accounts.iter().map(|(k, v)| (k.as_str(), *v))
+    /// Iterates over `(component, energy)` pairs in name order, skipping
+    /// accounts that hold no energy.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Energy)> {
+        self.names
+            .iter()
+            .zip(self.accounts)
+            .filter(|&(_, e)| e != Energy::ZERO)
+            .map(|(&name, e)| (name, e))
     }
 }
 
@@ -259,15 +243,61 @@ mod tests {
         assert!(e.as_joules() > 1e9);
     }
 
+    const NAMES: &[&str] = &["disk", "dram", "flash"];
+    const DISK: usize = 0;
+    const DRAM: usize = 1;
+    const FLASH: usize = 2;
+
     #[test]
     fn ledger_accumulates_per_component() {
-        let mut l = EnergyLedger::new();
-        l.charge("flash", Energy::from_joules(0.5));
-        l.charge("flash", Energy::from_joules(0.25));
-        l.charge("dram", Energy::from_joules(1.0));
-        assert!((l.component("flash").as_joules() - 0.75).abs() < 1e-9);
+        let mut l = EnergyLedger::new(NAMES);
+        l.charge(FLASH, Energy::from_joules(0.5));
+        l.charge(FLASH, Energy::from_joules(0.25));
+        l.charge(DRAM, Energy::from_joules(1.0));
+        assert!((l.component(FLASH).as_joules() - 0.75).abs() < 1e-9);
         assert!((l.total().as_joules() - 1.75).abs() < 1e-9);
-        assert_eq!(l.component("disk"), Energy::ZERO);
+        assert_eq!(l.component(DISK), Energy::ZERO);
+    }
+
+    #[test]
+    fn iter_skips_empty_accounts_in_name_order() {
+        let mut l = EnergyLedger::new(NAMES);
+        assert_eq!(l.iter().count(), 0);
+        l.charge(FLASH, Energy::from_nanojoules(3));
+        l.charge(DISK, Energy::ZERO);
+        l.charge(DRAM, Energy::from_nanojoules(5));
+        let got: Vec<_> = l.iter().collect();
+        assert_eq!(
+            got,
+            [
+                ("dram", Energy::from_nanojoules(5)),
+                ("flash", Energy::from_nanojoules(3)),
+            ]
+        );
+    }
+
+    #[test]
+    fn total_is_the_sum_of_the_accounts() {
+        let mut l = EnergyLedger::new(NAMES);
+        assert_eq!(l.total(), Energy::ZERO);
+        l.charge(DISK, Energy::from_nanojoules(2));
+        l.charge(DRAM, Energy::from_nanojoules(30));
+        l.charge(FLASH, Energy::from_nanojoules(400));
+        l.charge(DISK, Energy::from_nanojoules(5_000));
+        assert_eq!(l.total(), l.iter().map(|(_, e)| e).sum());
+        assert_eq!(l.total(), Energy::from_nanojoules(5_432));
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and unique")]
+    fn unsorted_names_are_rejected() {
+        EnergyLedger::new(&["flash", "dram"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and unique")]
+    fn duplicate_names_are_rejected() {
+        EnergyLedger::new(&["dram", "dram"]);
     }
 
     #[test]

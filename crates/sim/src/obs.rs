@@ -606,9 +606,9 @@ impl FromReport for Instrument {
 /// * [`counter_family`](MetricSink::counter_family) is timeline-only
 ///   (per-segment wear would add ~1,000 registry entries on a 64 MB
 ///   part, and the registry already carries the wear summary);
-/// * [`ledger`](MetricSink::ledger) is registry-only (ledger accounts
-///   appear on first charge, while a timeline row's width is fixed when
-///   the timeline is registered).
+/// * [`ledger`](MetricSink::ledger) is registry-only (a ledger account
+///   is published only once it holds energy, while a timeline row's
+///   width is fixed when the timeline is registered).
 pub trait MetricSink {
     /// A monotonically accumulated count.
     fn counter(&mut self, name: &'static str, v: u64);
@@ -630,8 +630,8 @@ pub trait MetricSink {
         value_of: impl FnMut(usize) -> u64,
     );
 
-    /// Registry only: one counter per ledger account, named
-    /// `{prefix}{component}_nj`.
+    /// Registry only: one counter per ledger account that holds energy,
+    /// named `{prefix}{component}_nj`.
     fn ledger(&mut self, prefix: &'static str, ledger: &EnergyLedger);
 }
 

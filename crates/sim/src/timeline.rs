@@ -707,8 +707,9 @@ mod tests {
         use crate::{Energy, EnergyLedger};
         let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
         tw.set(SimTime::from_nanos(10), 4.0);
-        let mut ledger = EnergyLedger::new();
-        ledger.charge("flash.read", Energy::from_nanojoules(7));
+        // `flash.idle` holds no energy, so the registry leaves it out.
+        let mut ledger = EnergyLedger::new(&["flash.idle", "flash.read"]);
+        ledger.charge(1, Energy::from_nanojoules(7));
         fn publish<S: MetricSink>(sink: &mut S, tw: &TimeWeighted, ledger: &EnergyLedger) {
             sink.counter("a.count", 5);
             sink.time_weighted("a.level", tw);

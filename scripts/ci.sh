@@ -35,6 +35,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # API, and a signature change in memfs or core fails here rather than
 # only when the benchmark next runs.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# The benchmark's own output checks run only when it does: a repeat
+# replay, traced against untraced, sampler on against off, the layer drive
+# against the machines' fingerprints, and fsck. One short run per workload
+# and mode (~5.5 s for the four on a 2-core x86-64 host). A failed check
+# exits non-zero, but failed ops alone do not, so the last line of the
+# output, its JSON summary, must also report none.
+for workload in bsd-long mail-spool; do
+    for trace in 0 1; do
+        out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace "$trace")
+        case "$(printf '%s\n' "$out" | tail -n 1)" in
+        *'"failed": 0,'*) ;;
+        *)
+            printf '%s\n' "$out" >&2
+            echo "perfbench --workload $workload --trace $trace reported failed ops" >&2
+            exit 1
+            ;;
+        esac
+    done
+done
 
 # Invariant linter: per-file rules plus the interprocedural passes —
 # workspace call graph, transitive hot-path allocation (H2), unit-suffix

@@ -25,15 +25,19 @@ fn tmp(name: &str) -> PathBuf {
 /// must cover each other in both directions:
 ///
 /// * every registry instrument is a same-named channel, except the
-///   per-component `energy.*` ledger accounts (they appear on first
-///   charge, and a row's width is fixed at registration; the per-device
-///   `energy.*_total_nj` scalars stand in for them);
+///   per-component `energy.*` ledger accounts (an account shows only once
+///   it holds energy, and a row's width is fixed at registration; the
+///   per-device `energy.*_total_nj` scalars stand in for them);
 /// * every channel is a registry instrument, except `timeline.tick` and
 ///   the per-segment wear family (the registry carries the wear summary).
 ///
 /// The sealed final row must equal the end-of-run registry value for
 /// value, and kinds must map Counter→Counter and Gauge/TimeWeighted→Gauge
 /// (a time-weighted instrument samples as its current level).
+///
+/// The run publishes a fixed set of `energy.*` names (the VM's DRAM is
+/// never accessed, so it has no active account), and each device's
+/// accounts sum to its total.
 #[test]
 fn final_row_matches_end_of_run_registry() {
     let trace = GeneratorConfig::new(Workload::Bsd)
@@ -109,8 +113,44 @@ fn final_row_matches_end_of_run_registry() {
         );
     }
     assert!(wear > 0, "per-segment wear channels missing");
-    // The ledger accounts are really there, just registry-only.
-    assert!(registry.iter().any(|(name, _)| ledger_account(name)));
+
+    let energy: Vec<&str> = registry
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("energy."))
+        .collect();
+    assert_eq!(
+        energy,
+        [
+            "energy.dram.active_nj",
+            "energy.dram.refresh_nj",
+            "energy.dram_total_nj",
+            "energy.flash.erase_nj",
+            "energy.flash.idle_nj",
+            "energy.flash.program_nj",
+            "energy.flash.read_nj",
+            "energy.flash_total_nj",
+            "energy.vm_dram.refresh_nj",
+            "energy.vm_total_nj",
+        ]
+    );
+    for (total, accounts) in [
+        ("energy.flash_total_nj", "energy.flash."),
+        ("energy.dram_total_nj", "energy.dram."),
+        ("energy.vm_total_nj", "energy.vm_dram."),
+    ] {
+        let sum: u64 = energy
+            .iter()
+            .filter(|name| name.starts_with(accounts))
+            .map(|name| {
+                registry
+                    .counter_value(name)
+                    .expect("ledger accounts are counters")
+            })
+            .sum();
+        assert!(sum > 0, "{accounts}* charged nothing");
+        assert_eq!(registry.counter_value(total), Some(sum), "{total}");
+    }
 }
 
 /// Fixed-seed timelines must be byte-identical across repeats and across
