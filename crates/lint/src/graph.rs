@@ -32,11 +32,9 @@ use crate::rules::AllowEntry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The fully-qualified names of the energy-accounting primitives. Rule
-/// E1 exempts them: *being* the ledger is not double-charging it.
-const CHARGE_PRIMITIVES: [&str; 2] = [
-    "ssmc_sim::energy::EnergyLedger::charge",
-    "ssmc_sim::energy::EnergyLedger::charge_power",
-];
+/// E1 exempts them: *being* the ledger is not double-charging it. The
+/// workspace self-test checks that each one is a live function.
+pub const CHARGE_PRIMITIVES: [&str; 1] = ["ssmc_sim::energy::EnergyLedger::charge"];
 
 /// One function node in the workspace call graph.
 #[derive(Debug, Clone)]

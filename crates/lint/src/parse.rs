@@ -157,7 +157,7 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Allocation-prone sites (the ALLOC_PATTERNS table).
     pub alloc_sites: Vec<Site>,
-    /// Lines of `.charge(` / `.charge_power(` calls (rule E1).
+    /// Lines of `.charge(` calls (rule E1).
     pub charge_sites: Vec<Site>,
 }
 
@@ -748,14 +748,10 @@ impl<'a> Parser<'a> {
             if call_paren.is_some() && !KEYWORDS.contains(&id) && id != "self" && id != "Self" {
                 let kind = self.classify_call(i, id);
                 if let CallKind::Method(m) | CallKind::SelfMethod(m) = &kind {
-                    if m == "charge" || m == "charge_power" {
+                    if m == "charge" {
                         charge_sites.push(Site {
                             line: t.line,
-                            what: if m == "charge" {
-                                ".charge()"
-                            } else {
-                                ".charge_power()"
-                            },
+                            what: ".charge()",
                         });
                     }
                 }
@@ -1113,11 +1109,10 @@ mod tests {
 
     #[test]
     fn charge_sites_recorded() {
-        let src =
-            "fn f(&mut self) { self.energy.charge(\"x\", e); other.charge_power(\"y\", p, d); }\n";
+        let src = "fn f(&mut self) { self.energy.charge(0, e); other.discharge(1); }\n";
         let p = parse(src);
         let what: Vec<&str> = p.fns[0].charge_sites.iter().map(|s| s.what).collect();
-        assert_eq!(what, [".charge()", ".charge_power()"]);
+        assert_eq!(what, [".charge()"]);
     }
 
     #[test]

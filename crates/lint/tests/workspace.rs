@@ -3,6 +3,7 @@
 //! violation fails the suite even when CI is not involved.
 
 use ssmc_lint::analyze_workspace;
+use ssmc_lint::graph::CHARGE_PRIMITIVES;
 use std::path::PathBuf;
 
 #[test]
@@ -31,6 +32,14 @@ fn live_workspace_lints_clean() {
         a.graph.nodes.len(),
         a.graph.edge_count()
     );
+    // E1's exemption list names functions by qualified name, and nothing
+    // else would notice an entry whose function was deleted or renamed.
+    for primitive in CHARGE_PRIMITIVES {
+        assert!(
+            a.graph.nodes.iter().any(|n| n.qual == primitive),
+            "CHARGE_PRIMITIVES names {primitive}, which is not a workspace function"
+        );
+    }
     assert!(
         a.diags.is_empty(),
         "workspace must lint clean, got {} diagnostics:\n{}",

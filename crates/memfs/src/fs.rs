@@ -20,60 +20,28 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 struct DirIndex {
     names: BTreeMap<Box<str>, (u64, Ino)>,
     free_slots: Vec<u64>,
-    /// How many index entries claim each slot. Normally 0 or 1, but a
-    /// stale entry (e.g. left behind when an error path gave a live slot
-    /// back to `free_slots`) can alias a reused slot. Zeroing a slot must
-    /// then drop *every* claimant — the original `HashMap::retain` by
-    /// slot did exactly that, and replayed results depend on it — so this
-    /// counter tells `remove_slot_entries` when the rare healing scan is
-    /// needed without an O(n) walk per delete.
-    slot_rc: Vec<u32>,
 }
 
 impl DirIndex {
-    fn bump_slot(&mut self, slot: u64) {
-        let i = slot as usize;
-        if self.slot_rc.len() <= i {
-            self.slot_rc.resize(i + 1, 0);
-        }
-        self.slot_rc[i] += 1;
-    }
-
-    fn drop_slot(&mut self, slot: u64) {
-        self.slot_rc[slot as usize] -= 1;
-    }
-
-    fn slot_claims(&self, slot: u64) -> u32 {
-        self.slot_rc.get(slot as usize).copied().unwrap_or(0)
-    }
-
-    /// Records `name → (slot, ino)`, keeping the claim counts exact when
-    /// the insert overwrites an entry pointing at another slot. The name
-    /// becomes the key as it is: a `String` sized to its text converts
-    /// without a copy.
+    /// Records `name → (slot, ino)`. The name becomes the key as it is:
+    /// a `String` sized to its text converts without a copy.
     fn insert(&mut self, name: String, slot: u64, ino: Ino) {
-        if let Some((old_slot, _)) = self.names.insert(name.into_boxed_str(), (slot, ino)) {
-            self.drop_slot(old_slot);
-        }
-        self.bump_slot(slot);
+        self.names.insert(name.into_boxed_str(), (slot, ino));
     }
+}
 
-    /// Removes every index entry claiming `slot` — the exact semantics of
-    /// the historical `names.retain(|_, (s, _)| *s != slot)`, which kept
-    /// the index self-healing when a stale alias pointed at a reused
-    /// slot. `name_hint` (the caller's lookup result or the on-flash
-    /// entry name) covers the common single-claimant case in O(log n);
-    /// only genuine aliases pay the full scan.
-    fn remove_slot_entries(&mut self, slot: u64, name_hint: &str) {
-        if self.names.get(name_hint).is_some_and(|&(s, _)| s == slot) {
-            self.names.remove(name_hint);
-            self.drop_slot(slot);
-        }
-        if self.slot_claims(slot) > 0 {
-            self.names.retain(|_, &mut (s, _)| s != slot);
-            self.slot_rc[slot as usize] = 0;
-        }
-    }
+/// Everything memfs keeps in DRAM for one inode number. It dies with the
+/// inode: [`MemFs::remove_inode`] bumps `gen` and drops `dir`, so the
+/// number's next tenant inherits neither descriptors nor directory
+/// entries.
+#[derive(Debug, Default)]
+struct InoState {
+    /// Bumped each time the inode is freed. A descriptor records the
+    /// generation it was opened under and is valid only while it matches.
+    gen: u32,
+    /// The directory's name index; `None` for a file, and for a
+    /// directory that has held no entry since mount.
+    dir: Option<DirIndex>,
 }
 
 /// How a descriptor was opened.
@@ -174,27 +142,21 @@ pub struct MemFs {
     policy: WritePolicy,
     next_fd: u64,
     /// Descriptor table, indexed directly by fd (descriptors are issued
-    /// sequentially, so the table is dense).
-    fds: Vec<Option<(Ino, OpenMode)>>,
-    /// Open descriptors per inode, slab-indexed by ino (inos are issued
+    /// sequentially, so the table is dense): the inode, the generation it
+    /// was opened under, and the mode.
+    fds: Vec<Option<(Ino, u32, OpenMode)>>,
+    /// Per-inode DRAM state, slab-indexed by ino (inos are issued
     /// sequentially and recycled, so the slab stays population-sized).
-    /// Kept exactly in sync with `fds` so [`Self::remove_inode`] can
-    /// invalidate a dead inode's descriptors without scanning the whole
-    /// descriptor table — that scan is O(descriptors ever issued) and
-    /// turns long replays quadratic in their delete count. The inner
-    /// vectors keep their capacity across inode recycling.
-    ino_fds: Vec<Vec<u64>>,
+    /// The paper's single-level store makes directories memory-resident;
+    /// each directory's `BTreeMap` index is the in-memory structure a
+    /// real implementation would use instead of a buffer cache, probed by
+    /// `&str` so path resolution allocates nothing and stays O(log n),
+    /// maintained incrementally and rebuilt at mount and by fsck from the
+    /// durable slot layout.
+    inos: Vec<InoState>,
     free_inos: Vec<Ino>,
     next_ino: Ino,
     metrics: FsMetrics,
-    /// DRAM-resident directory index, slab-indexed by the directory's ino
-    /// (inos are issued sequentially). The paper's single-level store makes
-    /// directories memory-resident; this is the in-memory structure a real
-    /// implementation would use instead of a buffer cache, maintained
-    /// incrementally and rebuilt at mount and by fsck from the durable
-    /// slot layout. Each directory's index is a `BTreeMap` probed by
-    /// `&str`, so path resolution allocates nothing and stays O(log n).
-    dirs: Vec<Option<DirIndex>>,
     /// Recycled page-sized scratch buffer for sub-page reads and RMW.
     scratch: Vec<u8>,
     recorder: Recorder,
@@ -212,11 +174,10 @@ impl MemFs {
             policy,
             next_fd: 3,
             fds: Vec::new(),
-            ino_fds: Vec::new(),
+            inos: Vec::new(),
             free_inos: Vec::new(),
             next_ino: ROOT_INO + 1,
             metrics: FsMetrics::default(),
-            dirs: Vec::new(),
             scratch: Vec::new(),
             recorder: Recorder::disabled(),
         };
@@ -439,29 +400,36 @@ impl MemFs {
         Ok(out)
     }
 
+    /// The inode's DRAM record, created on first use.
+    fn ino_state(&mut self, ino: Ino) -> &mut InoState {
+        let idx = ino as usize;
+        if self.inos.len() <= idx {
+            self.inos.resize_with(idx + 1, InoState::default);
+        }
+        &mut self.inos[idx]
+    }
+
     /// The directory's DRAM index, created on first use.
     fn dir_index_mut(&mut self, dir: Ino) -> &mut DirIndex {
-        let idx = dir as usize;
-        if self.dirs.len() <= idx {
-            self.dirs.resize_with(idx + 1, || None);
-        }
-        self.dirs[idx].get_or_insert_with(DirIndex::default)
+        self.ino_state(dir)
+            .dir
+            .get_or_insert_with(DirIndex::default)
     }
 
     // lint: hot-path
-    fn dir_lookup(&mut self, dir: Ino, name: &str) -> Result<Option<(u64, Ino)>> {
-        Ok(self
-            .dirs
-            .get(dir as usize)
-            .and_then(|d| d.as_ref())
-            .and_then(|d| d.names.get(name).copied()))
+    fn dir_lookup(&self, dir: Ino, name: &str) -> Option<(u64, Ino)> {
+        let index = self.inos.get(dir as usize)?.dir.as_ref()?;
+        index.names.get(name).copied()
     }
 
     /// Rebuilds the DRAM directory index and free-slot lists by scanning
     /// the durable slot layout (mount and post-recovery path; charges the
-    /// page reads a real scan would).
+    /// page reads a real scan would). Generations stay: fsck may run
+    /// while descriptors are open, and they must keep their validity.
     fn rebuild_dindex(&mut self) -> Result<()> {
-        self.dirs.clear();
+        for state in &mut self.inos {
+            state.dir = None;
+        }
         let mut queue: VecDeque<Ino> = VecDeque::new();
         queue.push_back(ROOT_INO);
         // lint: allow(D2): membership test only; traversal order comes
@@ -512,10 +480,15 @@ impl MemFs {
         Ok(())
     }
 
+    /// Zeroes `slot` and frees it. `name` leaves the index only if it
+    /// maps to this slot: fsck passes the name read from the slot, not
+    /// one the index resolved.
     fn dir_remove_slot(&mut self, dir: Ino, slot: u64, name: &str) -> Result<()> {
         self.write_dirent_slot(dir, slot, &[0u8; DIRENT_BYTES])?;
         let d = self.dir_index_mut(dir);
-        d.remove_slot_entries(slot, name);
+        if d.names.get(name).is_some_and(|&(s, _)| s == slot) {
+            d.names.remove(name);
+        }
         d.free_slots.push(slot);
         Ok(())
     }
@@ -557,7 +530,7 @@ impl MemFs {
             if inode.kind != InodeKind::Dir {
                 return Err(FsError::NotDir);
             }
-            let Some((_, next)) = self.dir_lookup(cur, part)? else {
+            let Some((_, next)) = self.dir_lookup(cur, part) else {
                 return Err(FsError::NotFound);
             };
             cur = next;
@@ -582,7 +555,7 @@ impl MemFs {
     pub fn create(&mut self, path: &str) -> Result<u64> {
         let (dir, name) = self.resolve_parent(path)?;
         self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
-        if self.dir_lookup(dir, name)?.is_some() {
+        if self.dir_lookup(dir, name).is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_ino()?;
@@ -609,7 +582,7 @@ impl MemFs {
     pub fn mkdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
         self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
-        if self.dir_lookup(dir, name)?.is_some() {
+        if self.dir_lookup(dir, name).is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_ino()?;
@@ -670,16 +643,9 @@ impl MemFs {
     fn alloc_fd(&mut self, ino: Ino, mode: OpenMode) -> u64 {
         let fd = self.next_fd;
         self.next_fd += 1;
-        if self.fds.len() <= fd as usize {
-            self.fds.resize(fd as usize + 1, None);
-        }
-        self.fds[fd as usize] = Some((ino, mode));
-        if self.ino_fds.len() <= ino as usize {
-            // lint: allow(H2): the per-inode fd table grows once per new inode
-            // number.
-            self.ino_fds.resize_with(ino as usize + 1, Vec::new);
-        }
-        self.ino_fds[ino as usize].push(fd);
+        let gen = self.ino_state(ino).gen;
+        self.fds.resize(fd as usize, None);
+        self.fds.push(Some((ino, gen, mode)));
         fd
     }
 
@@ -687,29 +653,26 @@ impl MemFs {
     ///
     /// # Errors
     ///
-    /// [`FsError::BadFd`] if the descriptor is unknown.
+    /// [`FsError::BadFd`] if the descriptor is unknown or its inode has
+    /// been removed.
     pub fn close(&mut self, fd: u64) -> Result<()> {
-        match self.fds.get_mut(fd as usize) {
-            Some(slot @ Some(_)) => {
-                let (ino, _) = slot.take().expect("matched Some");
-                if let Some(open) = self.ino_fds.get_mut(ino as usize) {
-                    if let Some(pos) = open.iter().position(|&f| f == fd) {
-                        open.swap_remove(pos);
-                    }
-                }
-                Ok(())
-            }
-            _ => Err(FsError::BadFd),
-        }
+        self.fd_ino(fd, false)?;
+        self.fds[fd as usize] = None;
+        Ok(())
     }
 
+    /// The inode behind a live descriptor: one opened under the inode's
+    /// current generation.
     fn fd_ino(&self, fd: u64, need_write: bool) -> Result<Ino> {
-        let (ino, mode) = self
+        let (ino, gen, mode) = self
             .fds
             .get(fd as usize)
             .copied()
             .flatten()
             .ok_or(FsError::BadFd)?;
+        if self.inos[ino as usize].gen != gen {
+            return Err(FsError::BadFd);
+        }
         if need_write && mode != OpenMode::Write {
             return Err(FsError::ReadOnly);
         }
@@ -911,7 +874,7 @@ impl MemFs {
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
         self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
-        let Some((slot, ino)) = self.dir_lookup(dir, name)? else {
+        let Some((slot, ino)) = self.dir_lookup(dir, name) else {
             return Err(FsError::NotFound);
         };
         let mut inode = self.read_inode(ino)?;
@@ -937,15 +900,11 @@ impl MemFs {
         }
         self.write_inode(ino, &Inode::decode(&[0u8; INODE_BYTES]))?;
         self.free_inos.push(ino);
-        // Any descriptor pointing at the dead inode becomes invalid. The
-        // per-ino list makes this O(open descriptors of this inode); the
-        // drained vector keeps its capacity for the ino's next tenant.
-        if let Some(open) = self.ino_fds.get_mut(ino as usize) {
-            for fd in open.drain(..) {
-                if let Some(slot) = self.fds.get_mut(fd as usize) {
-                    *slot = None;
-                }
-            }
+        // The inode's descriptors and directory index die with it. With no
+        // record yet, neither exists.
+        if let Some(state) = self.inos.get_mut(ino as usize) {
+            state.gen = state.gen.wrapping_add(1);
+            state.dir = None;
         }
         Ok(())
     }
@@ -959,7 +918,7 @@ impl MemFs {
     pub fn rmdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
         self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
-        let Some((slot, ino)) = self.dir_lookup(dir, name)? else {
+        let Some((slot, ino)) = self.dir_lookup(dir, name) else {
             return Err(FsError::NotFound);
         };
         let inode = self.read_inode(ino)?;
@@ -979,17 +938,23 @@ impl MemFs {
     ///
     /// # Errors
     ///
-    /// [`FsError::Exists`] if the destination exists, plus path/storage
-    /// errors.
+    /// [`FsError::Exists`] if the destination exists,
+    /// [`FsError::BadPath`] if `new` lies below `old` (a directory cannot
+    /// move into its own subtree), plus path/storage errors.
     pub fn rename(&mut self, old: &str, new: &str) -> Result<()> {
+        // Paths are canonical and a directory has exactly one name, so
+        // `new` is inside `old` exactly when it extends `old` by a `/`.
+        if new.strip_prefix(old).is_some_and(|r| r.starts_with('/')) {
+            return Err(FsError::BadPath);
+        }
         let (old_dir, old_name) = self.resolve_parent(old)?;
         self.read_inode(old_dir)?; // unused, but dropping the charged read moves simulated time
-        let Some((old_slot, ino)) = self.dir_lookup(old_dir, old_name)? else {
+        let Some((old_slot, ino)) = self.dir_lookup(old_dir, old_name) else {
             return Err(FsError::NotFound);
         };
         let (new_dir, new_name) = self.resolve_parent(new)?;
         self.read_inode(new_dir)?; // unused, but dropping the charged read moves simulated time
-        if self.dir_lookup(new_dir, new_name)?.is_some() {
+        if self.dir_lookup(new_dir, new_name).is_some() {
             return Err(FsError::Exists);
         }
         self.dir_add(
@@ -1084,8 +1049,7 @@ impl MemFs {
     /// Simulates battery death.
     pub fn crash(&mut self) {
         self.fds.clear();
-        self.ino_fds.clear();
-        self.dirs.clear();
+        self.inos.clear();
         self.sm.crash();
     }
 
@@ -1302,8 +1266,16 @@ mod tests {
         assert!(!f.exists("/big"));
         // Descriptor died with the file.
         assert_eq!(f.write(fd, 0, b"x"), Err(FsError::BadFd));
-        // Name is reusable.
-        f.create("/big").expect("recreate");
+        // Name is reusable, and so is the inode number, under a new
+        // generation: the old descriptor stays dead.
+        let new = f.create("/big").expect("recreate");
+        assert_eq!(f.close(fd), Err(FsError::BadFd));
+        f.write(new, 0, b"fresh").expect("write");
+        assert_eq!(f.stat("/big").expect("stat").size, 5);
+        // fsck keeps generations, so an open descriptor outlives it.
+        f.fsck().expect("fsck");
+        f.close(new).expect("close");
+        assert_eq!(f.close(new), Err(FsError::BadFd));
     }
 
     #[test]
@@ -1332,33 +1304,25 @@ mod tests {
     }
 
     #[test]
-    fn zeroing_a_slot_drops_every_aliased_index_entry() {
-        // A stale index entry can alias a reused slot (historically: an
-        // error path handed a live slot back to `free_slots`). The
-        // original per-directory HashMap removed entries by slot
-        // (`retain`), so zeroing the slot healed every claimant at once —
-        // and long replays pin that behaviour. Reproduce the alias
-        // directly and check the claim counter heals the same way.
+    fn a_reused_directory_inode_starts_with_an_empty_index() {
+        // /a's index ends with slot 0 free. /b reuses /a's inode, which
+        // starts with no slots, so /b's first entry must append a slot and
+        // grow the directory rather than take the dead index's free slot.
         let mut f = fs();
-        f.create("/a").expect("create"); // slot 0
-        f.create("/b").expect("create"); // slot 1
-
-        // Simulate the historical double-free: slot 0 is live but listed
-        // as free.
-        f.dirs[ROOT_INO as usize]
-            .as_mut()
-            .expect("root index")
-            .free_slots
-            .push(0);
-        // /c reuses slot 0, overwriting /a's dirent; the index now holds
-        // two claimants for slot 0.
-        f.create("/c").expect("create");
-        assert!(f.stat("/a").is_ok(), "stale alias still resolves");
-        // Zeroing the slot must drop BOTH entries, as retain-by-slot did.
-        f.unlink("/c").expect("unlink");
-        assert_eq!(f.stat("/a").unwrap_err(), FsError::NotFound);
-        assert_eq!(f.stat("/c").unwrap_err(), FsError::NotFound);
-        assert!(f.stat("/b").is_ok(), "unrelated entry survives");
+        f.mkdir("/a").expect("mkdir");
+        f.create("/a/x").expect("create");
+        f.unlink("/a/x").expect("unlink");
+        f.rmdir("/a").expect("rmdir");
+        f.mkdir("/b").expect("mkdir reuses the inode");
+        f.create("/b/y").expect("create");
+        let names: Vec<String> = f
+            .list_dir("/b")
+            .expect("list")
+            .into_iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(names, ["y"]);
+        assert_eq!(f.rmdir("/b"), Err(FsError::DirNotEmpty));
     }
 
     #[test]
@@ -1389,6 +1353,19 @@ mod tests {
         // Destination collision is refused.
         f.create("/b/taken").expect("create");
         assert_eq!(f.rename("/b/moved", "/b/taken"), Err(FsError::Exists));
+    }
+
+    #[test]
+    fn a_directory_cannot_move_into_its_own_subtree() {
+        let mut f = fs();
+        f.mkdir("/a").expect("mkdir");
+        f.mkdir("/a/b").expect("mkdir");
+        assert_eq!(f.rename("/a", "/a/c"), Err(FsError::BadPath));
+        assert_eq!(f.rename("/a", "/a/b/c"), Err(FsError::BadPath));
+        // A sibling whose name merely starts with "a" is not inside /a.
+        f.rename("/a", "/ab").expect("rename to a sibling");
+        assert!(f.exists("/ab/b"));
+        assert_eq!(f.fsck().expect("fsck"), FsckReport::default());
     }
 
     #[test]

@@ -22,7 +22,10 @@ done
 # Clippy's default lints over the same packages and targets, also as
 # errors: a finding is fixed in code, not allowed.
 cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo test -q --offline --workspace
+# Every test binary runs even after one fails, so a single pass names
+# every failing test (a re-record that moves several goldens trips
+# several binaries at once); the step still fails if any test does.
+cargo test -q --offline --workspace --no-fail-fast
 
 # Rustdoc must be warning-clean too: every intra-doc link resolves and no
 # public doc links a private item, so a doc left pointing at a deleted or
