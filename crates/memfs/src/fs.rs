@@ -554,7 +554,6 @@ impl MemFs {
     /// [`FsError::Exists`] if the path exists, plus path/storage errors.
     pub fn create(&mut self, path: &str) -> Result<u64> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
         if self.dir_lookup(dir, name).is_some() {
             return Err(FsError::Exists);
         }
@@ -581,7 +580,6 @@ impl MemFs {
     /// [`FsError::Exists`] if the path exists, plus path/storage errors.
     pub fn mkdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
         if self.dir_lookup(dir, name).is_some() {
             return Err(FsError::Exists);
         }
@@ -873,7 +871,6 @@ impl MemFs {
     /// [`FsError::IsDir`] for directories, plus path/storage errors.
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
         let Some((slot, ino)) = self.dir_lookup(dir, name) else {
             return Err(FsError::NotFound);
         };
@@ -917,7 +914,6 @@ impl MemFs {
     /// errors.
     pub fn rmdir(&mut self, path: &str) -> Result<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        self.read_inode(dir)?; // unused, but dropping the charged read moves simulated time
         let Some((slot, ino)) = self.dir_lookup(dir, name) else {
             return Err(FsError::NotFound);
         };
@@ -948,12 +944,10 @@ impl MemFs {
             return Err(FsError::BadPath);
         }
         let (old_dir, old_name) = self.resolve_parent(old)?;
-        self.read_inode(old_dir)?; // unused, but dropping the charged read moves simulated time
         let Some((old_slot, ino)) = self.dir_lookup(old_dir, old_name) else {
             return Err(FsError::NotFound);
         };
         let (new_dir, new_name) = self.resolve_parent(new)?;
-        self.read_inode(new_dir)?; // unused, but dropping the charged read moves simulated time
         if self.dir_lookup(new_dir, new_name).is_some() {
             return Err(FsError::Exists);
         }

@@ -20,12 +20,12 @@ use ssmc::device::{BlockId, Flash};
 use ssmc::trace::{GeneratorConfig, Workload};
 
 /// FNV-1a hash of the whole flash address space after the replay + sync.
-/// Re-recorded when the cleaner got one liveness rule: a tombstone is
-/// kept (and moved by GC) only while it beats a stale copy on flash, and
-/// GC writes only to the cold head, so tombstone slots land in other
-/// segments and no erase re-logs records at the write head. The page
-/// count is a user-write tally and did not move.
-const GOLDEN_FLASH_FNV: u64 = 0x1551_9795_493a_c06c;
+/// Re-recorded when memfs stopped reading the parent directory's inode a
+/// second time in create, mkdir, unlink, rmdir and rename: each of those
+/// reads was charged simulated time, so dropping them moved the times
+/// written to flash (inode mtimes among them). The page count is a
+/// user-write tally and did not move.
+const GOLDEN_FLASH_FNV: u64 = 0xc43a_f034_c310_48a7;
 /// Total pages programmed during the same run, recorded alongside the
 /// hash as a cheaper first-line diagnostic.
 const GOLDEN_PAGES_WRITTEN: u64 = 121_954;
