@@ -100,6 +100,11 @@ impl MobileComputer {
         &self.battery
     }
 
+    /// The virtual-memory system.
+    pub fn vm(&self) -> &Vm {
+        &self.vm
+    }
+
     /// Installs an observability recorder across every layer of the
     /// machine: machine root spans, FS, storage, flash, and VM.
     pub fn set_recorder(&mut self, recorder: Recorder) {
@@ -179,7 +184,9 @@ impl MobileComputer {
         path: &std::path::Path,
         interval: SimDuration,
     ) -> std::io::Result<()> {
-        let f = std::io::BufWriter::new(std::fs::File::create(path)?);
+        // Room for many rows per write: a row is 8 bytes a channel, and a
+        // 24 MB machine publishes 438 channels.
+        let f = std::io::BufWriter::with_capacity(256 << 10, std::fs::File::create(path)?);
         self.enable_timeline(Box::new(f), interval)
     }
 

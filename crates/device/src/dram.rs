@@ -83,10 +83,14 @@ mod account {
 }
 
 /// A battery-backed DRAM array.
+///
+/// The array holds host memory only up to the highest byte an access
+/// has touched; every byte past it reads zero.
 #[derive(Debug)]
 pub struct Dram {
     spec: DramSpec,
     clock: SharedClock,
+    /// The bytes up to the highest one touched.
     data: Vec<u8>,
     valid: bool,
     counters: DramCounters,
@@ -94,10 +98,11 @@ pub struct Dram {
 }
 
 impl Dram {
-    /// Creates a zero-filled, valid array.
+    /// Creates a valid array that reads zero everywhere and holds no
+    /// memory yet.
     pub fn new(spec: DramSpec, clock: SharedClock) -> Self {
         Dram {
-            data: vec![0; spec.capacity as usize],
+            data: Vec::new(),
             valid: true,
             counters: DramCounters::default(),
             energy: EnergyLedger::new(account::NAMES),
@@ -131,7 +136,14 @@ impl Dram {
         &self.energy
     }
 
-    fn check(&self, addr: u64, len: u64) -> Result<()> {
+    /// Host bytes the array holds: what it has grown to, not its
+    /// capacity.
+    pub fn held_bytes(&self) -> u64 {
+        self.data.capacity() as u64
+    }
+
+    /// Checks an access and grows the array to cover it.
+    fn check(&mut self, addr: u64, len: u64) -> Result<()> {
         if !self.valid {
             return Err(DeviceError::ContentsLost);
         }
@@ -144,6 +156,10 @@ impl Dram {
                 len,
                 capacity: self.spec.capacity,
             });
+        }
+        let end = (addr + len) as usize;
+        if self.data.len() < end {
+            self.data.resize(end, 0);
         }
         Ok(())
     }
@@ -190,7 +206,8 @@ impl Dram {
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds or contents are lost.
+    /// Panics if the range reaches past every byte an access has
+    /// touched, or contents are lost.
     pub fn peek(&self, addr: u64, len: u64) -> &[u8] {
         assert!(self.valid, "peek after contents lost");
         &self.data[addr as usize..(addr + len) as usize]
@@ -249,10 +266,10 @@ impl Dram {
 
     /// Destroys the contents: called when the battery dies. Subsequent
     /// accesses fail with [`DeviceError::ContentsLost`] until
-    /// [`Dram::reinitialise`] is called.
+    /// [`Dram::reinitialise`] is called, and then read zeros.
     pub fn lose_contents(&mut self) {
         self.valid = false;
-        self.data.fill(0);
+        self.data.clear();
     }
 
     /// Marks the array valid again after recovery re-populates it.
@@ -322,6 +339,29 @@ mod tests {
         d.read(0, &mut buf).expect("valid again");
         // Contents were genuinely destroyed, not preserved.
         assert_eq!(buf, [0; 16]);
+    }
+
+    #[test]
+    fn array_holds_only_what_accesses_touched() {
+        let mut d = dram();
+        assert_eq!(d.held_bytes(), 0);
+        d.write(4096, &[7; 16]).expect("write");
+        let held = d.held_bytes();
+        assert!((4096 + 16..1 << 20).contains(&held), "held {held}");
+        // Bytes past the highest one written read zero.
+        let mut buf = [1u8; 32];
+        d.read(4096, &mut buf).expect("read past the written bytes");
+        assert_eq!(buf[..16], [7; 16]);
+        assert_eq!(buf[16..], [0; 16]);
+        assert_eq!(d.read_borrow(8192, 8).expect("borrow"), [0; 8]);
+        assert_eq!(d.peek(8192, 8), [0; 8]);
+        // A lost array keeps its memory and reads zero once valid again.
+        let held = d.held_bytes();
+        d.lose_contents();
+        assert_eq!(d.held_bytes(), held);
+        d.reinitialise();
+        d.read(4096, &mut buf).expect("read after reinitialise");
+        assert_eq!(buf, [0; 32]);
     }
 
     #[test]

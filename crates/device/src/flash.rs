@@ -17,6 +17,7 @@ use crate::error::DeviceError;
 use crate::Result;
 use ssmc_sim::obs::{EventKind, MetricSink, Recorder, Span};
 use ssmc_sim::{Energy, EnergyLedger, Power, SharedClock, SimDuration, SimTime};
+use std::borrow::Cow;
 
 /// Identifies an erase block within the device (global, not per-bank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -229,15 +230,39 @@ struct PowerCutPlan {
     tear: TearMode,
 }
 
+/// What one write unit holds since its block's last erase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    /// Not programmed: reads 0xFF and takes a program.
+    Erased,
+    /// Programmed with one byte repeated. Distinct from `Erased` even
+    /// for 0xFF: the unit needs an erase before its next program.
+    Fill(u8),
+    /// Programmed with the bytes at this offset of the block's store.
+    Stored(u32),
+}
+
+/// A store offset as a unit entry holds it.
+fn store_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("a block's store holds under 4 GiB")
+}
+
+/// `Some(byte)` when every byte of `data` is `byte`.
+fn same_filled(data: &[u8]) -> Option<u8> {
+    let (&first, _) = data.split_first()?;
+    // Each byte equals its successor: one overlapping memcmp.
+    (data[1..] == data[..data.len() - 1]).then_some(first)
+}
+
 #[derive(Debug)]
 struct Block {
     erase_count: u64,
     bad: bool,
-    /// One bit per write unit: set = programmed since last erase.
-    programmed: Vec<u64>,
-    /// The block's bytes, or `None` while every cell is erased: such a
-    /// block reads as the device's shared 0xFF block and owns nothing.
-    cells: Option<Box<[u8]>>,
+    /// One entry per write unit.
+    units: Box<[Unit]>,
+    /// The bytes of the `Stored` units, appended in program order. An
+    /// erase empties it and keeps its capacity.
+    store: Vec<u8>,
 }
 
 impl Block {
@@ -245,23 +270,107 @@ impl Block {
         Block {
             erase_count: 0,
             bad: false,
-            programmed: vec![0; units.div_ceil(64)],
-            cells: None,
+            units: vec![Unit::Erased; units].into_boxed_slice(),
+            store: Vec::new(),
         }
     }
 
-    fn unit_is_programmed(&self, unit: usize) -> bool {
-        self.programmed[unit / 64] >> (unit % 64) & 1 == 1
-    }
-
-    fn set_programmed(&mut self, unit: usize) {
-        self.programmed[unit / 64] |= 1 << (unit % 64);
-    }
-
-    fn clear_all(&mut self) {
-        for w in &mut self.programmed {
-            *w = 0;
+    /// Marks the units from `first` programmed with `data`: a `Fill`
+    /// each when its bytes are all equal, else the bytes join the store.
+    fn set_program(&mut self, first: usize, data: &[u8], unit: usize) {
+        match same_filled(data) {
+            Some(byte) => self.units[first..first + data.len() / unit].fill(Unit::Fill(byte)),
+            None => {
+                let base = self.store.len();
+                self.store.extend_from_slice(data);
+                self.mark_stored(first, base, unit);
+            }
         }
+    }
+
+    /// Marks the units from `first` programmed with the bytes the caller
+    /// appended to the store at `base`, giving them back if they are all
+    /// equal.
+    fn mark_stored(&mut self, first: usize, base: usize, unit: usize) {
+        let n = (self.store.len() - base) / unit;
+        let units = &mut self.units[first..first + n];
+        if let Some(byte) = same_filled(&self.store[base..]) {
+            self.store.truncate(base);
+            units.fill(Unit::Fill(byte));
+            return;
+        }
+        for (k, u) in units.iter_mut().enumerate() {
+            *u = Unit::Stored(store_offset(base + k * unit));
+        }
+    }
+
+    /// The store offset of `[off, off + len)` when the range lies in one
+    /// run of the store: every unit it covers is `Stored` right after
+    /// the one before, as the units of one stored program are.
+    fn stored_run(&self, off: usize, len: usize, unit: usize) -> Option<usize> {
+        if len == 0 {
+            return Some(0);
+        }
+        let first = off / unit;
+        let Unit::Stored(base) = self.units[first] else {
+            return None;
+        };
+        let units = &self.units[first..=(off + len - 1) / unit];
+        let run = units
+            .iter()
+            .enumerate()
+            .all(|(k, &u)| u == Unit::Stored(base + (k * unit) as u32));
+        run.then_some(base as usize + off % unit)
+    }
+
+    /// Copies the block's bytes `[off, off + out.len())` into `out`.
+    fn gather(&self, off: usize, out: &mut [u8], unit: usize) {
+        let end = off + out.len();
+        let mut at = off;
+        while at < end {
+            let next = (at / unit + 1) * unit;
+            let to = &mut out[at - off..next.min(end) - off];
+            match self.units[at / unit] {
+                Unit::Erased => to.fill(0xFF),
+                Unit::Fill(byte) => to.fill(byte),
+                Unit::Stored(base) => {
+                    let from = base as usize + at % unit;
+                    to.copy_from_slice(&self.store[from..from + to.len()]);
+                }
+            }
+            at = next;
+        }
+    }
+
+    /// Returns the bytes `[off, end)` of the block to 0xFF, leaving every
+    /// unit they touch programmed. A same-filled unit moves its bytes to
+    /// the store first.
+    fn erase_bytes(&mut self, off: usize, end: usize, unit: usize) {
+        let mut at = off;
+        while at < end {
+            let u = at / unit;
+            let next = (u + 1) * unit;
+            let base = match self.units[u] {
+                Unit::Erased | Unit::Fill(0xFF) => None,
+                Unit::Fill(byte) => {
+                    let base = self.store.len();
+                    self.store.resize(base + unit, byte);
+                    self.units[u] = Unit::Stored(store_offset(base));
+                    Some(base)
+                }
+                Unit::Stored(base) => Some(base as usize),
+            };
+            if let Some(base) = base {
+                let from = base + at % unit;
+                self.store[from..from + next.min(end) - at].fill(0xFF);
+            }
+            at = next;
+        }
+    }
+
+    fn set_erased(&mut self) {
+        self.units.fill(Unit::Erased);
+        self.store.clear();
     }
 }
 
@@ -277,10 +386,10 @@ mod account {
 
 /// A direct-mapped flash device.
 ///
-/// The device holds bytes only for the erase blocks programmed since
-/// their last erase, so its memory follows what it stores rather than its
-/// capacity. An erase hands the block's buffer to a spare list, and the
-/// next first program of an erased block takes it back.
+/// Each write unit records whether it is erased, programmed with one
+/// byte repeated, or programmed with bytes kept in its erase block's
+/// store, so the device's memory follows the bytes it holds that are
+/// not same-filled, not its capacity.
 ///
 /// # Examples
 ///
@@ -300,12 +409,9 @@ pub struct Flash {
     spec: FlashSpec,
     clock: SharedClock,
     blocks: Vec<Block>,
-    /// One erase block of 0xFF: what reads of a block without cells see.
-    erased: Box<[u8]>,
-    /// Buffers of erased blocks, kept for the next block to be
-    /// programmed. Its capacity is the block count, so a push never
-    /// reallocates.
-    spare: Vec<Box<[u8]>>,
+    /// One erase block of bytes: where [`Flash::read_borrow`] gathers a
+    /// range that is not one run of a store.
+    gathered: Box<[u8]>,
     /// `log2(block_bytes)`: the block of an address is `addr >> block_shift`.
     block_shift: u32,
     bank_busy_until: Vec<SimTime>,
@@ -340,8 +446,7 @@ impl Flash {
         Flash {
             bank_busy_until: vec![SimTime::ZERO; spec.banks as usize],
             blocks,
-            erased: vec![0xFF; spec.block_bytes as usize].into_boxed_slice(),
-            spare: Vec::with_capacity(spec.total_blocks() as usize),
+            gathered: vec![0; spec.block_bytes as usize].into_boxed_slice(),
             block_shift: spec.block_bytes.trailing_zeros(),
             counters: FlashCounters::default(),
             energy: EnergyLedger::new(account::NAMES),
@@ -375,19 +480,38 @@ impl Flash {
         self.counters
     }
 
-    /// Borrows `len` bytes of the array at `addr` without charging clock,
+    /// The `len` bytes of the array at `addr`, without charging clock,
     /// counters or energy: an inspection hook for recovery's checksum scan
-    /// and for tests. Like [`Flash::read`], the range must stay within one
-    /// erase block.
+    /// and for tests. A range inside one program of mixed bytes is
+    /// borrowed; any other range is gathered into a new buffer. Like
+    /// [`Flash::read`], the range must stay within one erase block.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or crosses an erase block.
-    pub fn peek(&self, addr: u64, len: u64) -> &[u8] {
+    pub fn peek(&self, addr: u64, len: u64) -> Cow<'_, [u8]> {
         if let Err(e) = self.check_span(addr, len) {
             panic!("peek: {e}");
         }
-        self.cells(addr, len)
+        let (block, off, unit) = self.locate(addr);
+        let len = len as usize;
+        match block.stored_run(off, len, unit) {
+            Some(at) => Cow::Borrowed(&block.store[at..at + len]),
+            None => {
+                // lint: allow(H2): recovery and tests peek; the hot paths
+                // reach this only through a name shared with `Dram::peek`.
+                let mut out = vec![0; len];
+                block.gather(off, &mut out, unit);
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Host bytes the device holds for its cells: the capacity of every
+    /// block's store. Same-filled programs take none; the per-unit table,
+    /// a fixed 8 bytes a write unit, is not counted.
+    pub fn held_bytes(&self) -> u64 {
+        self.blocks.iter().map(|b| b.store.capacity() as u64).sum()
     }
 
     /// Per-component energy consumed so far.
@@ -464,7 +588,7 @@ impl Flash {
         let units_per_block = self.spec.block_bytes / self.spec.write_unit;
         (first..=last).all(|u| {
             let block = &self.blocks[(u / units_per_block) as usize];
-            !block.unit_is_programmed((u % units_per_block) as usize)
+            block.units[(u % units_per_block) as usize] == Unit::Erased
         })
     }
 
@@ -496,34 +620,12 @@ impl Flash {
         Ok(())
     }
 
-    /// The bytes of a range [`Flash::check_span`] accepted: the block's
-    /// buffer, or the shared 0xFF block while it has none.
-    fn cells(&self, addr: u64, len: u64) -> &[u8] {
+    /// The block of an address [`Flash::check_span`] accepted, with the
+    /// address's offset in it and the write unit, as indices.
+    fn locate(&self, addr: u64) -> (&Block, usize, usize) {
+        let block = &self.blocks[(addr >> self.block_shift) as usize];
         let off = (addr & (self.spec.block_bytes - 1)) as usize;
-        let cells = self.blocks[(addr >> self.block_shift) as usize]
-            .cells
-            .as_deref()
-            .unwrap_or(&self.erased);
-        &cells[off..off + len as usize]
-    }
-
-    /// The writable bytes of `block`. A block without a buffer takes one
-    /// from the spare list, or allocates one when the list is empty, and
-    /// fills it with 0xFF so no earlier life of the buffer shows.
-    fn cells_mut(&mut self, block: BlockId) -> &mut [u8] {
-        let spare = &mut self.spare;
-        let block_bytes = self.spec.block_bytes as usize;
-        self.blocks[block.0 as usize]
-            .cells
-            .get_or_insert_with(|| match spare.pop() {
-                Some(mut cells) => {
-                    cells.fill(0xFF);
-                    cells
-                }
-                // lint: allow(H2): only when more blocks hold data at once
-                // than ever before; erased blocks' buffers are recycled.
-                None => vec![0xFF; block_bytes].into_boxed_slice(),
-            })
+        (block, off, self.spec.write_unit as usize)
     }
 
     /// Everything a read does except deliver the bytes: stall on the busy
@@ -577,21 +679,30 @@ impl Flash {
     /// block.
     // lint: hot-path
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<SimDuration> {
-        let len = buf.len() as u64;
-        let total = self.charge_read(addr, len)?;
-        buf.copy_from_slice(self.cells(addr, len));
+        let total = self.charge_read(addr, buf.len() as u64)?;
+        let (block, off, unit) = self.locate(addr);
+        block.gather(off, buf, unit);
         Ok(total)
     }
 
     /// Reads `len` bytes at `addr` without a staging copy: charges exactly
     /// what [`Self::read`] charges (stall, latency, counters, energy,
-    /// span), but hands back a borrow of the array instead of filling a
-    /// caller buffer. Metadata paths that only *decode* a few bytes of a
-    /// page use this to skip the page-sized memcpy.
+    /// span), but hands back a borrow instead of filling a caller buffer.
+    /// A range inside one program of mixed bytes borrows the block's
+    /// store; any other range is gathered into a device buffer, which for
+    /// a same-filled page is one fill. Metadata paths that only *decode*
+    /// a few bytes of a page use this to skip the page-sized memcpy.
     // lint: hot-path
     pub fn read_borrow(&mut self, addr: u64, len: u64) -> Result<&[u8]> {
         self.charge_read(addr, len)?;
-        Ok(self.cells(addr, len))
+        let block = &self.blocks[(addr >> self.block_shift) as usize];
+        let off = (addr & (self.spec.block_bytes - 1)) as usize;
+        let (len, unit) = (len as usize, self.spec.write_unit as usize);
+        if let Some(at) = block.stored_run(off, len, unit) {
+            return Ok(&block.store[at..at + len]);
+        }
+        block.gather(off, &mut self.gathered[..len], unit);
+        Ok(&self.gathered[..len])
     }
 
     fn program_checks(&self, addr: u64, data: &[u8]) -> Result<BlockId> {
@@ -616,21 +727,10 @@ impl Flash {
         Ok(block)
     }
 
-    /// Marks the write units `data` covers at `addr` programmed, and
-    /// returns the offset of `addr` within its block.
-    fn mark_programmed(&mut self, addr: u64, data: &[u8], block: BlockId) -> usize {
-        let off = (addr & (self.spec.block_bytes - 1)) as usize;
-        let unit = self.spec.write_unit as usize;
-        let b = &mut self.blocks[block.0 as usize];
-        for u in off / unit..(off + data.len()) / unit {
-            b.set_programmed(u);
-        }
-        off
-    }
-
     fn program_commit(&mut self, addr: u64, data: &[u8], block: BlockId) {
-        let off = self.mark_programmed(addr, data, block);
-        self.cells_mut(block)[off..off + data.len()].copy_from_slice(data);
+        let unit = self.spec.write_unit as usize;
+        let off = (addr & (self.spec.block_bytes - 1)) as usize;
+        self.blocks[block.0 as usize].set_program(off / unit, data, unit);
         self.counters.programs += 1;
         self.counters.bytes_programmed += data.len() as u64;
     }
@@ -740,10 +840,7 @@ impl Flash {
 
         let b = &mut self.blocks[idx];
         b.erase_count += 1;
-        b.clear_all();
-        if let Some(cells) = b.cells.take() {
-            self.spare.push(cells);
-        }
+        b.set_erased();
         self.counters.erases += 1;
         self.energy.charge(
             account::ERASE,
@@ -769,54 +866,44 @@ impl Flash {
         if matches!(tear, TearMode::Clean) || data.is_empty() {
             return;
         }
-        let off = self.mark_programmed(addr, data, block);
-        let cells = &mut self.cells_mut(block)[off..off + data.len()];
+        let unit = self.spec.write_unit as usize;
+        let off = (addr & (self.spec.block_bytes - 1)) as usize;
+        let b = &mut self.blocks[block.0 as usize];
+        let base = b.store.len();
+        b.store.extend_from_slice(data);
+        let cells = &mut b.store[base..];
         match tear {
             TearMode::Clean => unreachable!(),
-            TearMode::Prefix => {
-                let torn = data.len() / 2;
-                cells[..torn].copy_from_slice(&data[..torn]);
-            }
+            TearMode::Prefix => cells[data.len() / 2..].fill(0xFF),
             TearMode::Stripe => {
-                let landed = cells
-                    .chunks_mut(STRIPE_BYTES)
-                    .zip(data.chunks(STRIPE_BYTES));
-                for (to, from) in landed.step_by(2) {
-                    to.copy_from_slice(from);
+                for chunk in cells.chunks_mut(STRIPE_BYTES).skip(1).step_by(2) {
+                    chunk.fill(0xFF);
                 }
             }
         }
+        b.mark_stored(off / unit, base, unit);
     }
 
     /// Applies a torn erase: part of the block returns to 0xFF, the rest
     /// keeps its old cells. The erase count does not advance (the pulse
-    /// never completed) and programmed-unit bits are only cleared for
-    /// units whose bytes are now fully erased, so `is_erased` over the
-    /// whole block stays false — recovery must scrub it before reuse.
-    /// The block keeps its buffer; a block without one already reads
-    /// 0xFF everywhere.
+    /// never completed) and only units whose bytes are now fully erased
+    /// read as erased again, so `is_erased` over the whole block stays
+    /// false — recovery must scrub it before reuse.
     fn tear_erase(&mut self, block: BlockId, tear: TearMode) {
-        if matches!(tear, TearMode::Clean) {
-            return;
-        }
         let unit = self.spec.write_unit as usize;
+        let block_bytes = self.spec.block_bytes as usize;
         let b = &mut self.blocks[block.0 as usize];
         match tear {
-            TearMode::Clean => unreachable!(),
+            TearMode::Clean => {}
             TearMode::Prefix => {
-                let torn = self.spec.block_bytes as usize / 2;
-                if let Some(cells) = b.cells.as_deref_mut() {
-                    cells[..torn].fill(0xFF);
-                }
-                for u in 0..torn / unit {
-                    b.programmed[u / 64] &= !(1u64 << (u % 64));
-                }
+                let torn = block_bytes / 2;
+                b.units[..torn / unit].fill(Unit::Erased);
+                // Only a unit as large as the block straddles the middle.
+                b.erase_bytes(torn / unit * unit, torn, unit);
             }
             TearMode::Stripe => {
-                if let Some(cells) = b.cells.as_deref_mut() {
-                    for chunk in cells.chunks_mut(STRIPE_BYTES).step_by(2) {
-                        chunk.fill(0xFF);
-                    }
+                for start in (0..block_bytes).step_by(2 * STRIPE_BYTES) {
+                    b.erase_bytes(start, (start + STRIPE_BYTES).min(block_bytes), unit);
                 }
             }
         }
@@ -1200,15 +1287,26 @@ mod tests {
         assert!(f.is_erased(0, 4096));
     }
 
-    /// Buffers the device owns: held by blocks plus waiting on the spare
-    /// list.
-    fn buffers(f: &Flash) -> (usize, usize) {
-        let held = f.blocks.iter().filter(|b| b.cells.is_some()).count();
-        (held, f.spare.len())
+    /// A block's units: `E` erased, `F` same-filled, `S` stored.
+    fn unit_kinds(f: &Flash, block: usize) -> String {
+        f.blocks[block]
+            .units
+            .iter()
+            .map(|u| match u {
+                Unit::Erased => 'E',
+                Unit::Fill(_) => 'F',
+                Unit::Stored(_) => 'S',
+            })
+            .collect()
+    }
+
+    /// 512 bytes that are not same-filled.
+    fn mixed(seed: u8) -> Vec<u8> {
+        (0..512u32).map(|i| seed.wrapping_add(i as u8)).collect()
     }
 
     #[test]
-    fn fresh_device_owns_no_block_buffers() {
+    fn fresh_device_holds_no_bytes() {
         let mut f = Flash::new(
             FlashSpec::default().with_capacity(64 << 20),
             Clock::shared(),
@@ -1220,49 +1318,86 @@ mod tests {
             f.read(addr, &mut buf).expect("read");
             assert_eq!(buf, [0xFF; 16]);
             assert_eq!(f.read_borrow(addr, 16).expect("borrow"), [0xFF; 16]);
-            assert_eq!(f.peek(addr, 16), [0xFF; 16]);
+            assert_eq!(*f.peek(addr, 16), [0xFF; 16]);
         }
-        assert_eq!(buffers(&f), (0, 0));
+        assert_eq!(f.held_bytes(), 0);
     }
 
     #[test]
-    fn one_program_creates_exactly_its_blocks_buffer() {
+    fn same_filled_programs_hold_no_bytes_and_mixed_ones_only_theirs() {
         let mut f = device();
-        f.program(3 * 4096 + 1024, &[0x5A; 512]).expect("program");
-        assert_eq!(buffers(&f), (1, 0));
-        assert!(f.blocks[3].cells.is_some());
-        assert!(f.peek(3 * 4096, 1024).iter().all(|&b| b == 0xFF));
-        assert_eq!(f.peek(3 * 4096 + 1024, 512), [0x5A; 512]);
+        f.program(3 * 4096 + 1024, &[0x5A; 1024]).expect("fill");
+        f.program(3 * 4096 + 2048, &[0xFF; 512]).expect("0xFF fill");
+        assert_eq!(f.held_bytes(), 0);
+        assert_eq!(unit_kinds(&f, 3), "EEFFFEEE");
+        // A program of 0xFF is programmed, not erased.
+        assert!(!f.is_erased(3 * 4096 + 2048, 512));
+        assert!(matches!(
+            f.program(3 * 4096 + 2048, &[0xFF; 512]),
+            Err(DeviceError::ProgramToUnerased { .. })
+        ));
+        f.program(3 * 4096, &mixed(1)).expect("mixed");
+        assert_eq!(f.held_bytes(), 512);
+        assert_eq!(unit_kinds(&f, 3), "SEFFFEEE");
+        assert_eq!(*f.peek(3 * 4096, 512), mixed(1)[..]);
+        assert!(f.peek(3 * 4096 + 512, 512).iter().all(|&b| b == 0xFF));
+        assert!(f.peek(3 * 4096 + 1024, 1024).iter().all(|&b| b == 0x5A));
+        assert!(matches!(f.peek(3 * 4096, 512), Cow::Borrowed(_)));
     }
 
     #[test]
-    fn recycled_buffer_never_leaks_an_earlier_life() {
+    fn erased_blocks_never_show_an_earlier_life() {
         let mut f = device();
-        f.program(0, &[0x11; 4096]).expect("fill block 0");
+        let old: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        f.program(0, &old).expect("fill block 0");
+        let held = f.held_bytes();
         f.erase(BlockId(0)).expect("erase");
-        assert_eq!(buffers(&f), (0, 1));
-        f.program(4096, &[0x22; 512]).expect("program block 1");
-        assert_eq!(buffers(&f), (1, 0), "block 1 took block 0's buffer");
-        assert_eq!(f.peek(4096, 512), [0x22; 512]);
-        assert!(f.peek(4096 + 512, 3584).iter().all(|&b| b == 0xFF));
         assert!(f.peek(0, 4096).iter().all(|&b| b == 0xFF));
+        f.program(512, &mixed(7)).expect("reprogram");
+        assert_eq!(*f.peek(512, 512), mixed(7)[..]);
+        assert!(f.peek(0, 512).iter().all(|&b| b == 0xFF));
+        assert!(f.peek(1024, 3072).iter().all(|&b| b == 0xFF));
+        // The store kept its capacity across the erase.
+        assert_eq!(f.held_bytes(), held);
     }
 
     #[test]
-    fn program_erase_cycles_reuse_one_buffer() {
+    fn program_erase_cycles_keep_one_stores_capacity() {
         let mut f = device();
         for round in 0..5u8 {
-            let block = u32::from(round % 2);
-            let addr = u64::from(block) * 4096;
-            f.program(addr, &[round; 512]).expect("program");
-            assert_eq!(f.peek(addr, 512), [round; 512]);
-            f.erase(BlockId(block)).expect("erase");
-            assert_eq!(buffers(&f), (0, 1), "round {round}");
+            f.program(0, &mixed(round)).expect("program");
+            assert_eq!(*f.peek(0, 512), mixed(round)[..]);
+            f.erase(BlockId(0)).expect("erase");
+            assert_eq!(f.held_bytes(), 512, "round {round}");
         }
     }
 
     #[test]
-    fn torn_erase_of_a_block_without_buffer_reads_erased() {
+    fn reads_spanning_programs_gather_them() {
+        let mut f = device();
+        f.program(0, &mixed(1)).expect("mixed");
+        f.program(512, &[0xA5; 512]).expect("fill");
+        f.program(1536, &mixed(2)).expect("mixed");
+        let mut want = mixed(1);
+        want.extend([0xA5; 512]);
+        want.extend([0xFF; 512]);
+        want.extend(mixed(2));
+        assert!(matches!(f.peek(0, 2048), Cow::Owned(_)));
+        assert_eq!(*f.peek(0, 2048), want[..]);
+        let mut buf = vec![0; 2048];
+        f.read(0, &mut buf).expect("read");
+        assert_eq!(buf, want);
+        assert_eq!(f.read_borrow(0, 2048).expect("borrow"), want);
+        assert_eq!(f.read_borrow(100, 1000).expect("borrow"), &want[100..1100]);
+        // Same-filled and erased ranges of different lengths in turn.
+        assert_eq!(f.read_borrow(512, 512).expect("fill"), [0xA5; 512]);
+        assert_eq!(f.read_borrow(1024, 512).expect("erased"), [0xFF; 512]);
+        assert_eq!(f.read_borrow(600, 8).expect("fill"), [0xA5; 8]);
+        assert_eq!(f.read_borrow(512, 512).expect("fill"), [0xA5; 512]);
+    }
+
+    #[test]
+    fn torn_erase_of_an_erased_block_reads_erased() {
         for tear in [TearMode::Prefix, TearMode::Stripe] {
             let mut f = device();
             // Block 1 has held bytes once; block 0 never has.
@@ -1278,19 +1413,32 @@ mod tests {
                 assert!(f.is_erased(start, 4096), "{tear:?}");
                 assert_eq!(f.erase_count(BlockId(block)), u64::from(block));
             }
-            assert_eq!(buffers(&f), (0, 1), "{tear:?}");
+            assert_eq!(f.held_bytes(), 0, "{tear:?}");
         }
     }
 
     #[test]
-    fn torn_program_into_a_recycled_buffer_shows_no_old_bytes() {
+    fn stripe_torn_erase_moves_same_filled_units_to_the_store() {
+        let mut f = device();
+        f.program(0, &[0x11; 4096]).expect("fill block 0");
+        f.arm_power_cut(2, TearMode::Stripe);
+        f.erase(BlockId(0)).expect_err("torn erase");
+        for (i, chunk) in f.peek(0, 4096).chunks(64).enumerate() {
+            let want = if i % 2 == 0 { 0xFF } else { 0x11 };
+            assert!(chunk.iter().all(|&b| b == want), "chunk {i}");
+        }
+        assert_eq!(unit_kinds(&f, 0), "SSSSSSSS");
+        assert!(!f.is_erased(0, 512));
+    }
+
+    #[test]
+    fn torn_programs_read_what_landed() {
         for tear in [TearMode::Prefix, TearMode::Stripe] {
             let mut f = device();
-            f.program(0, &[0x11; 4096]).expect("fill block 0");
+            f.program(0, &mixed(3)).expect("fill block 0");
             f.erase(BlockId(0)).expect("erase");
             f.arm_power_cut(3, tear);
             f.program(4096, &[0xAB; 512]).expect_err("torn");
-            assert_eq!(buffers(&f), (1, 0), "{tear:?}");
             for (i, chunk) in f.peek(4096, 512).chunks(64).enumerate() {
                 let landed = match tear {
                     TearMode::Prefix => i < 4,
@@ -1302,6 +1450,12 @@ mod tests {
             assert!(f.peek(4096 + 512, 3584).iter().all(|&b| b == 0xFF));
             assert!(!f.is_erased(4096, 512));
             assert!(f.is_erased(4096 + 512, 3584));
+            // A torn program of 0xFF lands as 0xFF and still needs an erase.
+            f.power_cycle();
+            f.arm_power_cut(4, tear);
+            f.program(4096 + 1024, &[0xFF; 512]).expect_err("torn");
+            assert_eq!(unit_kinds(&f, 1), "SEFEEEEE", "{tear:?}");
+            assert!(!f.is_erased(4096 + 1024, 512));
         }
     }
 

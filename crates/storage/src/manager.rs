@@ -1539,7 +1539,7 @@ impl StorageManager {
                     Slot::Empty => continue,
                 };
                 let addr = self.table.slot_addr(seg, slot);
-                let mut torn = crc::crc32(self.flash.peek(addr, ps)) != expect;
+                let mut torn = crc::crc32(&self.flash.peek(addr, ps)) != expect;
                 // The canary feature plants a recovery bug on purpose:
                 // torn payloads are accepted as valid, which the CI
                 // torture smoke must catch as a durability violation.

@@ -96,10 +96,11 @@ cargo bench -p ssmc-bench --bench simulator --offline -- --smoke
 # the timeline sampler live (and assert rows were taken inside the
 # window), so this is also the sampler's zero-allocation proof. The
 # in-memory window erases and reprograms flash blocks, so it also proves
-# that an erased block's cell buffer is recycled onto the next block
-# programmed rather than freed and allocated again: the settle loop
-# before it turns the device over about twice, so by the time the window
-# opens the device already owns its peak number of buffers. Full
+# that a block's store of mixed bytes keeps its capacity across an erase
+# and takes the block's next mixed programs without allocating, while
+# same-filled programs store nothing: the settle loop before it turns
+# the device over about twice, so by the time the window opens every
+# store has grown to what its block's programs need. Full
 # mode on purpose: on a 2-core x86-64 host the in-memory window takes
 # 0.6 s and the million-op stream, compiled and replayed record by
 # record with ~170k timeline rows sampled, about 13 s.
@@ -131,6 +132,13 @@ cargo test --release --offline --test scale_namespace -- --ignored
 cargo test --release --offline -p ssmc-storage --lib \
     torture::tests::every_small_sweep_stream_passes -- --ignored
 cargo test --release --offline --test cleaner_health -- --ignored
+
+# Flash representation proof, release-only like the ones above: 500
+# seeded sequences of programs, erases, torn cuts and power cycles, 1,500
+# steps each over five unit and block geometries, with every read path
+# compared against a flat byte array after each step (the default test
+# run covers 20 shorter ones; ~12 s on a 2-core x86-64 host).
+cargo test --release --offline --test model_flash -- --ignored
 
 # Observability smoke: a traced replay must produce a decodable artifact
 # and trace-dump must render it. Uses a temp path — trace artifacts

@@ -8,7 +8,7 @@
 //! expected hash was recorded on the pre-rework (hash-map + per-op
 //! allocation) implementation; any divergence in flush order, GC copy
 //! choice, checkpoint layout, or buffer reuse shows up as a different
-//! image.
+//! image. It also bounds the host memory that image takes.
 //!
 //! If this test fails after an *intentional* behaviour change, re-record
 //! the constants by running with `--nocapture` and copying the printed
@@ -29,6 +29,12 @@ const GOLDEN_FLASH_FNV: u64 = 0xc43a_f034_c310_48a7;
 /// Total pages programmed during the same run, recorded alongside the
 /// hash as a cheaper first-line diagnostic.
 const GOLDEN_PAGES_WRITTEN: u64 = 121_954;
+/// Most host bytes the flash may hold for its cells after the same run.
+/// It measured 3,643,392 B, the capacity of its blocks' stores; a 64 KiB
+/// buffer per programmed block would be 24,772,608 B (378 of 384
+/// blocks), since most programs here are same-filled payload or zero
+/// pages, which hold no bytes.
+const MAX_FLASH_HELD_BYTES: u64 = 4 << 20;
 
 /// FNV-1a over the device's bytes in address order, one erase block at a
 /// time.
@@ -36,7 +42,7 @@ fn fnv1a(flash: &Flash) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for block in 0..flash.spec().total_blocks() {
         let (start, len) = flash.block_range(BlockId(block));
-        for &b in flash.peek(start, len) {
+        for &b in flash.peek(start, len).iter() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -58,7 +64,8 @@ fn bsd_replay_produces_the_recorded_flash_image() {
 
     let pages_written = m.fs().storage().metrics().pages_written;
     let hash = fnv1a(m.fs().storage().flash());
-    println!("flash fnv1a = {hash:#018x}, pages written = {pages_written}");
+    let held = m.fs().storage().flash().held_bytes();
+    println!("flash fnv1a = {hash:#018x}, pages written = {pages_written}, flash holds {held} B");
     assert_eq!(
         pages_written, GOLDEN_PAGES_WRITTEN,
         "flash program count diverged from the recorded baseline"
@@ -67,4 +74,10 @@ fn bsd_replay_produces_the_recorded_flash_image() {
         hash, GOLDEN_FLASH_FNV,
         "flash image diverged from the recorded baseline"
     );
+    assert!(
+        held <= MAX_FLASH_HELD_BYTES,
+        "flash holds {held} B for its cells, over {MAX_FLASH_HELD_BYTES}"
+    );
+    // A trace replay never touches the VM, so its DRAM holds nothing.
+    assert_eq!(m.vm().dram().held_bytes(), 0);
 }
